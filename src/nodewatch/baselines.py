@@ -1,5 +1,5 @@
-"""Non-neural detectors: exponential smoothing, k-means clustering with
-silhouette-selected k, and a random dummy classifier.
+"""Non-neural detectors: exponential smoothing and k-means clustering with
+silhouette-selected k.
 
 The smoothing detector scores each timestep by how far it lands from the
 running per-feature estimate, so it only ever reacts to jumps. The
@@ -177,10 +177,9 @@ def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 def _lloyd(
     rows: np.ndarray, seeds: np.ndarray, max_iter: int = KMEANS_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     centroids = seeds.copy()
     assignment = assign_clusters(rows, centroids)
-    wcss_history: list[float] = []
     for _ in range(max_iter):
         for j in range(len(centroids)):
             mask = assignment == j
@@ -193,14 +192,11 @@ def _lloyd(
                 )
                 centroids[j] = rows[far]
         new_assignment = assign_clusters(rows, centroids)
-        wcss_history.append(
-            float(np.sum((rows - centroids[new_assignment]) ** 2))
-        )
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
     wcss = float(np.sum((rows - centroids[assignment]) ** 2))
-    return centroids, assignment, wcss, wcss_history
+    return centroids, assignment, wcss
 
 
 def kmeans_fit(rows: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
@@ -215,18 +211,20 @@ def kmeans_fit(rows: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     best: tuple[float, np.ndarray] | None = None
     for _ in range(KMEANS_RESTARTS):
         seeds = _plus_plus_seeds(rows, k, rng)
-        centroids, _, wcss, _ = _lloyd(rows, seeds)
+        centroids, _, wcss = _lloyd(rows, seeds)
         if best is None or wcss < best[0]:
             best = (wcss, centroids)
     return best[1]
 
 
-def select_k(rows: np.ndarray, k_range=DEFAULT_K_RANGE, seed: int = 0) -> int:
+def select_k(
+    rows: np.ndarray, k_range=DEFAULT_K_RANGE, seed: int = 0
+) -> tuple[int, np.ndarray]:
     """Pick the cluster count with the highest training silhouette.
 
-    Ties break toward the smaller k. The silhouette is computed on a seeded
-    uniform subsample capped at 2000 rows to keep the pairwise-distance
-    matrix tractable.
+    Returns that k and its ``kmeans_fit`` centroids. Ties break toward the
+    smaller k. The silhouette is computed on a seeded uniform subsample
+    capped at 2000 rows to keep the pairwise-distance matrix tractable.
     """
     rows = np.asarray(rows, dtype=np.float64)
     distinct = len(np.unique(rows, axis=0))
@@ -243,7 +241,7 @@ def select_k(rows: np.ndarray, k_range=DEFAULT_K_RANGE, seed: int = 0) -> int:
     else:
         sample_idx = np.arange(len(rows))
 
-    best_k, best_score = None, -np.inf
+    best_k, best_centroids, best_score = None, None, -np.inf
     for k in feasible:
         centroids = kmeans_fit(rows, k, seed=seed)
         assignment = assign_clusters(rows[sample_idx], centroids)
@@ -251,10 +249,10 @@ def select_k(rows: np.ndarray, k_range=DEFAULT_K_RANGE, seed: int = 0) -> int:
             continue
         score = silhouette(rows[sample_idx], assignment)
         if score > best_score:
-            best_k, best_score = k, score
+            best_k, best_centroids, best_score = k, centroids, score
     if best_k is None:
         raise DataError("silhouette was undefined for every candidate k")
-    return best_k
+    return best_k, best_centroids
 
 
 def cluster_anomaly_probabilities(
@@ -282,14 +280,3 @@ def kmeans_score(model: KMeansModel, rows: np.ndarray) -> np.ndarray:
             f"{model.centroids.shape[1]}"
         )
     return model.cluster_anomaly_prob[assign_clusters(rows, model.centroids)]
-
-
-# ---------------------------------------------------------------------------
-# dummy
-
-
-def dummy_scores(n: int, seed: int) -> np.ndarray:
-    """n independent uniform [0, 1] scores, reproducible from the seed."""
-    if n < 0:
-        raise DataError(f"n must be >= 0, got {n}")
-    return np.random.default_rng(seed).random(n)

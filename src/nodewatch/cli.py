@@ -14,7 +14,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import models as mdl
@@ -64,12 +64,8 @@ class RunConfig:
             raise ConfigError("windowed methods requested but windows list is empty")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        allowed_training = {
-            "learning_rate",
-            "batch_size",
-            "max_epochs",
-            "early_stop_patience",
-        }
+        # the seed is derived per job and the loss is fixed
+        allowed_training = {f.name for f in fields(TrainingConfig)} - {"seed", "loss"}
         bad = set(self.training) - allowed_training
         if bad:
             raise ConfigError(f"unknown training keys: {sorted(bad)}")
@@ -77,18 +73,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = read_json(path)
-        known = {
-            "data_dir",
-            "nodes",
-            "methods",
-            "windows",
-            "split_ratio",
-            "training",
-            "exp_alpha",
-            "seed",
-            "workers",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         if "data_dir" not in raw:

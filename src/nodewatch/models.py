@@ -9,7 +9,9 @@ on-disk model store (one JSON per node and method).
 
 from __future__ import annotations
 
+import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .baselines import (
     assign_clusters,
     cluster_anomaly_probabilities,
     exp_smoothing_scores,
-    kmeans_fit,
+    kmeans_fit,  # noqa: F401  (re-exported; perfbench's tracer tests patch it here)
     kmeans_score,
     select_k,
 )
@@ -302,8 +304,7 @@ def train_clu_model(
     split = chronological_split(dataset, split_ratio)
     scaler = fit_minmax(split.train)
     rows = apply_minmax(scaler, split.train).features
-    k = select_k(rows, k_range=k_range, seed=seed)
-    centroids = kmeans_fit(rows, k, seed=seed)
+    k, centroids = select_k(rows, k_range=k_range, seed=seed)
     assignments = assign_clusters(rows, centroids)
     probs = cluster_anomaly_probabilities(assignments, split.train.labels, k)
     return ClusterModel(
@@ -367,18 +368,33 @@ def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) ->
     return path
 
 
+@contextmanager
+def _reading_store(path: str | Path):
+    """Turn a damaged or outdated model file into a one-line DataError that
+    names the file."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not a readable model file ({exc})") from exc
+    except KeyError as exc:
+        raise DataError(f"{path}: model file has no {exc} entry") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def load_trained_model(path: str | Path) -> TrainedModel:
-    d = read_json(path)
-    return TrainedModel(
-        node_id=d["node_id"],
-        spec=ModelSpec.from_dict(d["model_spec"]),
-        network=nn.NetworkParams.from_dict(d["network"]),
-        scaler=ScalerParams.from_dict(d["scaler"]),
-        max_train_error=d["max_train_error"],
-        regime=Regime.from_dict(d["regime"]),
-        seed=d["seed"],
-        training=d.get("training", {}),
-    )
+    with _reading_store(path):
+        d = read_json(path)
+        return TrainedModel(
+            node_id=d["node_id"],
+            spec=ModelSpec.from_dict(d["model_spec"]),
+            network=nn.NetworkParams.from_dict(d["network"]),
+            scaler=ScalerParams.from_dict(d["scaler"]),
+            max_train_error=d["max_train_error"],
+            regime=Regime.from_dict(d["regime"]),
+            seed=d["seed"],
+            training=d.get("training", {}),
+        )
 
 
 def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) -> Path:
@@ -398,10 +414,11 @@ def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) ->
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
-    d = read_json(path)
-    return ClusterModel(
-        node_id=d["node_id"],
-        scaler=ScalerParams.from_dict(d["scaler"]),
-        kmeans=KMeansModel.from_dict(d["kmeans"]),
-        seed=d["seed"],
-    )
+    with _reading_store(path):
+        d = read_json(path)
+        return ClusterModel(
+            node_id=d["node_id"],
+            scaler=ScalerParams.from_dict(d["scaler"]),
+            kmeans=KMeansModel.from_dict(d["kmeans"]),
+            seed=d["seed"],
+        )

@@ -13,7 +13,7 @@ Gate order throughout is (input, forget, output, candidate).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,50 +69,27 @@ class DenseLayer:
 
 @dataclass
 class LstmLayer:
-    """Standard LSTM cell parameters, one matrix/vector per gate."""
+    """Standard LSTM cell; each array stacks the four gates in GATES order."""
 
-    w_input: np.ndarray  # (hidden, in) input weights, gate order fields below
-    w_forget: np.ndarray
-    w_output: np.ndarray
-    w_candidate: np.ndarray
-    u_input: np.ndarray  # (hidden, hidden) recurrent weights
-    u_forget: np.ndarray
-    u_output: np.ndarray
-    u_candidate: np.ndarray
-    b_input: np.ndarray  # (hidden,)
-    b_forget: np.ndarray
-    b_output: np.ndarray
-    b_candidate: np.ndarray
+    w: np.ndarray  # (4*hidden, in) input weights
+    u: np.ndarray  # (4*hidden, hidden) recurrent weights
+    b: np.ndarray  # (4*hidden,)
     return_sequence: bool
 
     @property
     def in_dim(self) -> int:
-        return self.w_input.shape[1]
+        return self.w.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_input.shape[0]
+        return self.w.shape[0] // 4
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for prefix in ("w", "u", "b"):
-            for gate in GATES:
-                name = f"{prefix}_{gate}"
-                items.append((name, getattr(self, name)))
-        return items
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gate-stacked views (4H, in), (4H, hidden), (4H,) for fast math."""
-        wx = np.concatenate([self.w_input, self.w_forget, self.w_output, self.w_candidate])
-        uh = np.concatenate([self.u_input, self.u_forget, self.u_output, self.u_candidate])
-        b = np.concatenate([self.b_input, self.b_forget, self.b_output, self.b_candidate])
-        return wx, uh, b
+        return [("w", self.w), ("u", self.u), ("b", self.b)]
 
     def to_dict(self) -> dict:
-        d: dict = {"type": "lstm", "return_sequence": self.return_sequence}
-        for name, arr in self.param_items():
-            d[name] = arr.tolist()
-        return d
+        arrays = {name: arr.tolist() for name, arr in self.param_items()}
+        return {"type": "lstm", "return_sequence": self.return_sequence, **arrays}
 
 
 Layer = DenseLayer | LstmLayer
@@ -147,12 +124,13 @@ class NetworkParams:
                     )
                 )
             elif ld["type"] == "lstm":
-                kwargs = {
-                    f"{p}_{g}": np.array(ld[f"{p}_{g}"], dtype=np.float64)
-                    for p in ("w", "u", "b")
-                    for g in GATES
-                }
-                layers.append(LstmLayer(return_sequence=ld["return_sequence"], **kwargs))
+                if "w" not in ld:
+                    raise DataError(
+                        "LSTM layer has no gate-stacked w/u/b: the store was written "
+                        "by an older nodewatch and must be retrained"
+                    )
+                arrays = {k: np.array(ld[k], dtype=np.float64) for k in ("w", "u", "b")}
+                layers.append(LstmLayer(return_sequence=ld["return_sequence"], **arrays))
             else:
                 raise DataError(f"unknown layer type {ld['type']!r}")
         return cls(layers=layers)
@@ -206,12 +184,18 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
             if spec.in_dim < 1 or spec.hidden_dim < 1:
                 raise DataError(f"lstm layer has zero width: {spec}")
             h, d = spec.hidden_dim, spec.in_dim
-            kwargs = {}
-            for gate in GATES:
-                kwargs[f"w_{gate}"] = glorot(h, d, d, h)
-                kwargs[f"u_{gate}"] = glorot(h, h, h, h)
-                kwargs[f"b_{gate}"] = np.ones(h) if gate == "forget" else np.zeros(h)
-            layers.append(LstmLayer(return_sequence=spec.return_sequence, **kwargs))
+            # the seeded stream draws w then u for each gate in turn
+            draws = [(glorot(h, d, d, h), glorot(h, h, h, h)) for _ in GATES]
+            b = np.zeros(4 * h)
+            b[h : 2 * h] = 1.0
+            layers.append(
+                LstmLayer(
+                    w=np.concatenate([w for w, _ in draws]),
+                    u=np.concatenate([u for _, u in draws]),
+                    b=b,
+                    return_sequence=spec.return_sequence,
+                )
+            )
         else:
             raise DataError(f"unknown layer spec {spec!r}")
     params = NetworkParams(layers=layers)
@@ -261,9 +245,8 @@ def _dense_backward(
 def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     batch, steps, in_dim = x.shape
     h_dim = layer.hidden_dim
-    wx, uh, b = layer.stacked()
 
-    pre_x = (x.reshape(batch * steps, in_dim) @ wx.T).reshape(batch, steps, 4 * h_dim)
+    pre_x = (x.reshape(batch * steps, in_dim) @ layer.w.T).reshape(batch, steps, 4 * h_dim)
     gates = np.empty((batch, steps, 4 * h_dim))
     cells = np.empty((batch, steps + 1, h_dim))
     hidden = np.empty((batch, steps + 1, h_dim))
@@ -272,17 +255,12 @@ def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     hidden[:, 0] = 0.0
 
     for t in range(steps):
-        a = pre_x[:, t] + hidden[:, t] @ uh.T + b
-        i = _sigmoid(a[:, :h_dim])
-        f = _sigmoid(a[:, h_dim : 2 * h_dim])
-        o = _sigmoid(a[:, 2 * h_dim : 3 * h_dim])
-        g = np.tanh(a[:, 3 * h_dim :])
+        a = pre_x[:, t] + hidden[:, t] @ layer.u.T + layer.b
+        gates[:, t, : 3 * h_dim] = _sigmoid(a[:, : 3 * h_dim])
+        gates[:, t, 3 * h_dim :] = np.tanh(a[:, 3 * h_dim :])
+        i, f, o, g = gates[:, t].reshape(batch, 4, h_dim).swapaxes(0, 1)
         c = f * cells[:, t] + i * g
         tc = np.tanh(c)
-        gates[:, t, :h_dim] = i
-        gates[:, t, h_dim : 2 * h_dim] = f
-        gates[:, t, 2 * h_dim : 3 * h_dim] = o
-        gates[:, t, 3 * h_dim :] = g
         cells[:, t + 1] = c
         tanh_c[:, t] = tc
         hidden[:, t + 1] = o * tc
@@ -298,7 +276,6 @@ def _lstm_backward(
     x = cache["x"]
     batch, steps, in_dim = x.shape
     h_dim = layer.hidden_dim
-    wx, uh, _ = layer.stacked()
     gates, cells, hidden, tanh_c = (
         cache["gates"],
         cache["cells"],
@@ -307,7 +284,7 @@ def _lstm_backward(
     )
 
     d_all = np.empty((batch, steps, 4 * h_dim))
-    d_uh = np.zeros_like(uh)
+    d_u = np.zeros_like(layer.u)
     dh_next = np.zeros((batch, h_dim))
     dc_next = np.zeros((batch, h_dim))
     for t in range(steps - 1, -1, -1):
@@ -316,10 +293,7 @@ def _lstm_backward(
             dh += d_out[:, t]
         elif t == steps - 1:
             dh += d_out
-        i = gates[:, t, :h_dim]
-        f = gates[:, t, h_dim : 2 * h_dim]
-        o = gates[:, t, 2 * h_dim : 3 * h_dim]
-        g = gates[:, t, 3 * h_dim :]
+        i, f, o, g = gates[:, t].reshape(batch, 4, h_dim).swapaxes(0, 1)
         tc = tanh_c[:, t]
 
         d_o = dh * tc
@@ -335,20 +309,16 @@ def _lstm_backward(
         da[:, 2 * h_dim : 3 * h_dim] = d_o * o * (1.0 - o)
         da[:, 3 * h_dim :] = d_g * (1.0 - g * g)
 
-        d_uh += da.T @ hidden[:, t]
-        dh_next = da @ uh
+        d_u += da.T @ hidden[:, t]
+        dh_next = da @ layer.u
 
     flat = d_all.reshape(batch * steps, 4 * h_dim)
-    d_wx = flat.T @ x.reshape(batch * steps, in_dim)
-    d_b = flat.sum(axis=0)
-    d_x = (flat @ wx).reshape(batch, steps, in_dim)
-
-    grads = {}
-    for k, gate in enumerate(GATES):
-        grads[f"w_{gate}"] = d_wx[k * h_dim : (k + 1) * h_dim]
-        grads[f"u_{gate}"] = d_uh[k * h_dim : (k + 1) * h_dim]
-        grads[f"b_{gate}"] = d_b[k * h_dim : (k + 1) * h_dim]
-    return grads, d_x
+    grads = {
+        "w": flat.T @ x.reshape(batch * steps, in_dim),
+        "u": d_u,
+        "b": flat.sum(axis=0),
+    }
+    return grads, (flat @ layer.w).reshape(batch, steps, in_dim)
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -519,14 +489,7 @@ class TrainingConfig:
             raise DataError(f"unsupported loss {self.loss!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
-            "loss": self.loss,
-        }
+        return asdict(self)
 
 
 IMPROVEMENT_THRESHOLD = 1e-6

@@ -9,9 +9,7 @@ them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,13 +38,6 @@ class ScalerParams:
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
         return cls(np.array(d["min"], dtype=np.float64), np.array(d["max"], dtype=np.float64))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ScalerParams":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass

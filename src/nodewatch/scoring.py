@@ -77,36 +77,11 @@ class RocReport:
                 writer.writerow([repr(t), repr(fpr), repr(tpr)])
 
 
-def reconstruction_error(output: np.ndarray, target: np.ndarray) -> float:
-    """Sum of absolute differences between reconstruction and target."""
-    output = np.asarray(output, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if output.shape != target.shape:
-        raise DataError(
-            f"reconstruction/target shape mismatch: {output.shape} vs {target.shape}"
-        )
-    return float(np.abs(output - target).sum())
-
-
-def normalize_error(error: float, max_train_error: float) -> float:
-    """Divide by the training-set maximum error (floored upstream)."""
-    if max_train_error <= 0:
-        raise DataError(f"max_train_error must be positive, got {max_train_error}")
-    return error / max_train_error
-
-
 def anomaly_probability(normalized_error: float) -> float:
     """Clamp the normalized error at 1 to form a probability."""
     if normalized_error < 0:
         raise DataError(f"normalized error must be >= 0, got {normalized_error}")
     return 1.0 if normalized_error >= 1.0 else normalized_error
-
-
-def classify(probability: float, threshold: float) -> int:
-    """1 iff the probability reaches the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise DataError(f"threshold must lie in [0, 1], got {threshold}")
-    return 1 if probability >= threshold else 0
 
 
 def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocReport:
@@ -146,10 +121,6 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocReport:
     tpr = np.array([p[2] for p in points])
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
     return RocReport(points=points, auc=auc, positives=positives, negatives=negatives)
-
-
-def roc_from_series(series: ScoreSeries) -> RocReport:
-    return roc_curve(series.probabilities, series.labels)
 
 
 def pool_nodes(series_list: list[ScoreSeries]) -> RocReport:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nodewatch.baselines import dummy_scores
+import nodewatch
 from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.scoring import ScoreSeries, write_scores_csv
@@ -115,6 +119,45 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def per_gate_layout(model):
+    """Rewrite each LSTM layer the way earlier versions stored it: twelve
+    per-gate arrays instead of gate-stacked w/u/b."""
+    for layer in model["network"]["layers"]:
+        if layer["type"] == "lstm":
+            for prefix in ("w", "u", "b"):
+                blocks = np.split(np.array(layer.pop(prefix)), 4)
+                for gate, block in zip(("input", "forget", "output", "candidate"), blocks):
+                    layer[f"{prefix}_{gate}"] = block.tolist()
+    return model
+
+
+class TestScoreCommand:
+    @pytest.mark.parametrize("damage", ["per-gate layout", "truncated"])
+    def test_bad_model_file_exits_two_with_one_line(self, tmp_path, generated_data, damage):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["RUAD"], windows=[5])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "models" / "node_000" / "RUAD_W5.json"
+        text = path.read_text()
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        else:
+            path.write_text(json.dumps(per_gate_layout(json.loads(text))))
+        command = ["score", "--config", str(cfg), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "nodewatch.cli", *command],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(nodewatch.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(path) in lines[0]
+        if damage == "per-gate layout":
+            assert "older nodewatch" in lines[0] and "retrained" in lines[0]
+
+
 class TestEvaluateCommand:
     def test_perfect_oracle_scores_give_auc_one(self, tmp_path, generated_data):
         cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP"])
@@ -140,7 +183,7 @@ class TestEvaluateCommand:
         series = ScoreSeries(
             node_id="node_000",
             bucket_starts=np.arange(5000) * 900,
-            probabilities=dummy_scores(5000, seed=1),
+            probabilities=np.random.default_rng(1).random(5000),
             labels=rng.integers(0, 2, size=5000),
         )
         write_scores_csv(out / "scores" / "EXP.csv", [series])

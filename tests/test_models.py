@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -306,6 +308,16 @@ class TestModelStore:
         )
         assert loaded.regime == model.regime
         assert loaded.max_train_error == model.max_train_error
+
+    def test_missing_entry_is_a_data_error_naming_the_file(self, tmp_path):
+        model = mdl.train_clu_model(TestBaselineRunners().clustered_dataset(), seed=2)
+        path = mdl.save_cluster_model(tmp_path / "models", "CLU", model)
+        stored = json.loads(path.read_text())
+        del stored["kmeans"]
+        path.write_text(json.dumps(stored))
+        with pytest.raises(DataError, match="kmeans") as info:
+            mdl.load_cluster_model(path)
+        assert str(path) in str(info.value)
 
     def test_cluster_model_round_trip(self, tmp_path):
         ds = TestBaselineRunners().clustered_dataset()

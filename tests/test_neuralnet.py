@@ -45,14 +45,19 @@ def reference_lstm(layer, sequence):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    h = np.zeros(layer.hidden_dim)
-    c = np.zeros(layer.hidden_dim)
+    hd = layer.hidden_dim
+    # gate blocks of the stacked arrays, in (input, forget, output, candidate) order
+    w_i, w_f, w_o, w_g = (layer.w[k * hd : (k + 1) * hd] for k in range(4))
+    u_i, u_f, u_o, u_g = (layer.u[k * hd : (k + 1) * hd] for k in range(4))
+    b_i, b_f, b_o, b_g = (layer.b[k * hd : (k + 1) * hd] for k in range(4))
+    h = np.zeros(hd)
+    c = np.zeros(hd)
     outputs = []
     for x_t in sequence:
-        i = sig(layer.w_input @ x_t + layer.u_input @ h + layer.b_input)
-        f = sig(layer.w_forget @ x_t + layer.u_forget @ h + layer.b_forget)
-        o = sig(layer.w_output @ x_t + layer.u_output @ h + layer.b_output)
-        g = np.tanh(layer.w_candidate @ x_t + layer.u_candidate @ h + layer.b_candidate)
+        i = sig(w_i @ x_t + u_i @ h + b_i)
+        f = sig(w_f @ x_t + u_f @ h + b_f)
+        o = sig(w_o @ x_t + u_o @ h + b_o)
+        g = np.tanh(w_g @ x_t + u_g @ h + b_g)
         c = f * c + i * g
         h = o * np.tanh(c)
         outputs.append(h.copy())
@@ -97,8 +102,23 @@ class TestInit:
     def test_forget_gate_bias_starts_at_one(self):
         params = nn.init_params([nn.LstmSpec(3, 4)], seed=0)
         layer = params.layers[0]
-        npt.assert_array_equal(layer.b_forget, np.ones(4))
-        npt.assert_array_equal(layer.b_input, np.zeros(4))
+        npt.assert_array_equal(layer.b[4:8], np.ones(4))
+        npt.assert_array_equal(layer.b[:4], np.zeros(4))
+        npt.assert_array_equal(layer.b[8:], np.zeros(8))
+
+    def test_lstm_init_matches_per_gate_draw_order(self):
+        # the seeded stream is drawn as w_i, u_i, w_f, u_f, w_o, u_o, w_g, u_g
+        d, h, seed = 3, 5, 17
+        rng = np.random.default_rng(seed)
+        lim_w, lim_u = np.sqrt(6.0 / (d + h)), np.sqrt(6.0 / (h + h))
+        w_blocks, u_blocks = [], []
+        for _ in range(4):
+            w_blocks.append(rng.uniform(-lim_w, lim_w, size=(h, d)))
+            u_blocks.append(rng.uniform(-lim_u, lim_u, size=(h, h)))
+        layer = nn.init_params([nn.LstmSpec(d, h)], seed=seed).layers[0]
+        npt.assert_array_equal(layer.w, np.concatenate(w_blocks))
+        npt.assert_array_equal(layer.u, np.concatenate(u_blocks))
+        assert (layer.in_dim, layer.hidden_dim) == (d, h)
 
     def test_incompatible_shapes_rejected(self):
         with pytest.raises(DataError, match="expects input width"):

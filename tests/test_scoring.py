@@ -9,13 +9,9 @@ from nodewatch.scoring import (
     RocReport,
     ScoreSeries,
     anomaly_probability,
-    classify,
-    normalize_error,
     pool_nodes,
     read_scores_csv,
-    reconstruction_error,
     roc_curve,
-    roc_from_series,
     write_scores_csv,
 )
 
@@ -41,32 +37,6 @@ def series(node_id, probs, labels):
 
 
 class TestErrorChain:
-    def test_zero_for_identical_vectors(self):
-        assert reconstruction_error(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_arithmetic(self):
-        assert reconstruction_error(np.array([0.5, 0.5]), np.array([0.0, 1.0])) == 1.0
-
-    def test_matches_elementwise_loop(self, rng):
-        for _ in range(20):
-            out = rng.normal(size=5)
-            tgt = rng.normal(size=5)
-            by_hand = sum(abs(o - t) for o, t in zip(out, tgt))
-            npt.assert_allclose(reconstruction_error(out, tgt), by_hand)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            reconstruction_error(np.zeros(2), np.zeros(3))
-
-    def test_normalize(self):
-        assert normalize_error(3.0, 3.0) == 1.0
-        assert normalize_error(0.0, 5.0) == 0.0
-        npt.assert_allclose(normalize_error(1.3 * 7.0, 7.0), 1.3)
-
-    def test_normalize_rejects_nonpositive_max(self):
-        with pytest.raises(DataError):
-            normalize_error(1.0, 0.0)
-
     def test_probability_clamp(self):
         assert anomaly_probability(1.3) == 1.0
         assert anomaly_probability(0.4) == 0.4
@@ -78,20 +48,6 @@ class TestErrorChain:
         assert all(a <= b for a, b in zip(ps, ps[1:]))
         assert min(ps) >= 0.0 and max(ps) <= 1.0
         assert anomaly_probability(1.0) == 1.0
-
-    def test_classify_uses_greater_or_equal(self):
-        assert classify(0.7, 0.7) == 1
-        assert classify(0.69, 0.7) == 0
-        assert classify(0.0, 0.0) == 1  # T=0 accepts everything
-
-    def test_classify_monotonicity(self):
-        grid = np.linspace(0, 1, 11)
-        for t in grid:
-            decisions = [classify(p, t) for p in grid]
-            assert decisions == sorted(decisions)
-        for p in grid:
-            by_threshold = [classify(p, t) for t in grid]
-            assert by_threshold == sorted(by_threshold, reverse=True)
 
 
 class TestRocCurve:
@@ -153,7 +109,7 @@ class TestRocCurve:
 class TestPooling:
     def test_pooling_with_itself_keeps_auc(self, rng):
         s = series("n1", rng.random(50), np.r_[np.ones(5, int), np.zeros(45, int)])
-        single = roc_from_series(s).auc
+        single = roc_curve(s.probabilities, s.labels).auc
         npt.assert_allclose(pool_nodes([s, s]).auc, single)
 
     def test_two_single_class_nodes_pool_into_a_valid_report(self):
