@@ -24,7 +24,7 @@ from .pipeline import chronological_split
 from .scoring import pool_nodes, read_scores_csv, write_scores_csv
 from .synthgen import SynthConfig, generate_dataset
 from .telemetry import NodeDataset
-from .util import derive_seed, read_json, write_json
+from .util import derive_seed, read_config, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -72,13 +72,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        raw = read_json(path)
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "data_dir" not in raw:
-            raise ConfigError(f"{path}: 'data_dir' is required")
-        return cls(**raw)
+        return read_config(cls, path)
 
     def method_instances(self) -> list[tuple[str, int | None]]:
         """Expand windowed methods over the configured window lengths."""
@@ -125,41 +119,48 @@ def _write_loss_history(path: Path, history: list[float]) -> None:
             fh.write(f"{epoch},{loss!r}\n")
 
 
-def _run_train_job(args: tuple) -> tuple[str, str, str, str]:
-    """Train one (node, method instance); returns a status row."""
-    cfg, out_dir, node_id, method, window = args
-    name = mdl.method_instance_name(method, window)
+def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
+    """Train the pending ``(method, window, name)`` instances of one node
+    from one load of its dataset; returns one status row per instance."""
+    cfg, out_dir, node_id, instances = args
     store = Path(out_dir) / "models"
-    seed = derive_seed(cfg.seed, node_id, name)
     try:
         dataset = _load_dataset(cfg, node_id)
-        if method == "CLU":
-            model = mdl.train_clu_model(dataset, cfg.split_ratio, seed=seed)
-            mdl.save_cluster_model(store, name, model)
-        else:
-            kind = "dense" if method.startswith("DENSE") else "ruad"
-            spec = mdl.ModelSpec(
-                kind=kind, input_dim=dataset.feature_count, window=window or 1
-            )
-            trained, history = mdl.train_node_model(
-                dataset,
-                spec,
-                mdl.REGIMES[method],
-                cfg.training_config(seed),
-                split_ratio=cfg.split_ratio,
-            )
-            mdl.save_trained_model(store, name, trained)
-            _write_loss_history(store / node_id / f"{name}_loss.csv", history)
     except DataError as exc:
-        return (node_id, name, "skipped-data", str(exc))
-    return (node_id, name, "trained", "")
+        return [(node_id, name, "skipped-data", str(exc)) for _, _, name in instances]
+    rows = []
+    for method, window, name in instances:
+        seed = derive_seed(cfg.seed, node_id, name)
+        try:
+            if method == "CLU":
+                model = mdl.train_clu_model(dataset, cfg.split_ratio, seed=seed)
+                mdl.save_cluster_model(store, name, model)
+            else:
+                kind = "dense" if method.startswith("DENSE") else "ruad"
+                spec = mdl.ModelSpec(
+                    kind=kind, input_dim=dataset.feature_count, window=window or 1
+                )
+                trained, history = mdl.train_node_model(
+                    dataset,
+                    spec,
+                    mdl.REGIMES[method],
+                    cfg.training_config(seed),
+                    split_ratio=cfg.split_ratio,
+                )
+                mdl.save_trained_model(store, name, trained)
+                _write_loss_history(store / node_id / f"{name}_loss.csv", history)
+        except DataError as exc:
+            rows.append((node_id, name, "skipped-data", str(exc)))
+        else:
+            rows.append((node_id, name, "trained", ""))
+    return rows
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
     nodes = _discover_nodes(cfg)
     store = out_dir / "models"
     rows: list[tuple[str, str, str, str]] = []
-    jobs = []
+    pending: dict[str, list[tuple[str, int | None, str]]] = {}
     for method, window in cfg.method_instances():
         name = mdl.method_instance_name(method, window)
         if method == "EXP":
@@ -168,15 +169,17 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
         for node_id in nodes:
             if mdl.model_path(store, node_id, name).exists():
                 rows.append((node_id, name, "skipped-exists", ""))
-                continue
-            jobs.append((cfg, str(out_dir), node_id, method, window))
+            else:
+                pending.setdefault(node_id, []).append((method, window, name))
+    jobs = [(cfg, str(out_dir), node_id, pending[node_id]) for node_id in sorted(pending)]
 
-    log.info("training %d jobs across %d nodes", len(jobs), len(nodes))
+    log.info("training %d nodes, one job each", len(jobs))
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows.extend(pool.map(_run_train_job, jobs))
+            results = list(pool.map(_run_train_job, jobs))
     else:
-        rows.extend(_run_train_job(job) for job in jobs)
+        results = map(_run_train_job, jobs)
+    rows.extend(row for job_rows in results for row in job_rows)
 
     for node_id, name, status, detail in sorted(rows):
         if status == "skipped-data":
@@ -204,71 +207,81 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
 # score / evaluate
 
 
-def _score_method(
-    cfg: RunConfig, out_dir: Path, method: str, window: int | None, nodes: list[str]
-):
-    """Per-node score series for one method instance; skips nodes without
-    a stored model (they were skipped at training time)."""
-    name = mdl.method_instance_name(method, window)
+def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
+    """Each method instance's per-node score series, in config order.
+
+    A cached ``scores/<name>.csv`` is read back. The other instances are
+    scored node by node, one dataset load per node, and their files are
+    written in config order. A node is skipped for an instance without a
+    stored model (training skipped it), and for every instance when its
+    dataset cannot be read. An instance that no node produced scores for
+    maps to an empty list and gets no file.
+    """
+    nodes = _discover_nodes(cfg)
     store = out_dir / "models"
-    series_list = []
-    for node_id in nodes:
-        if method == "EXP":
-            try:
-                dataset = _load_dataset(cfg, node_id)
-                series = mdl.score_exp_method(dataset, cfg.split_ratio, cfg.exp_alpha)
-            except DataError as exc:
-                log.warning("EXP: skipping %s: %s", node_id, exc)
-                continue
+    scores: dict[str, list] = {}
+    pending = []
+    for method, window in cfg.method_instances():
+        name = mdl.method_instance_name(method, window)
+        score_path = out_dir / "scores" / f"{name}.csv"
+        if score_path.exists():
+            scores[name] = read_scores_csv(score_path)
         else:
-            path = mdl.model_path(store, node_id, name)
-            if not path.exists():
-                log.warning("%s: no model for %s; skipping", name, node_id)
-                continue
+            scores[name] = []
+            pending.append((method, name))
+    for node_id in nodes if pending else []:
+        try:
             dataset = _load_dataset(cfg, node_id)
-            test = chronological_split(dataset, cfg.split_ratio).test
-            if method == "CLU":
-                series = mdl.score_clu_model(mdl.load_cluster_model(path), test)
+        except DataError as exc:
+            log.warning("skipping %s for every method: %s", node_id, exc)
+            continue
+        for method, name in pending:
+            if method == "EXP":
+                try:
+                    series = mdl.score_exp_method(dataset, cfg.split_ratio, cfg.exp_alpha)
+                except DataError as exc:
+                    log.warning("EXP: skipping %s: %s", node_id, exc)
+                    continue
             else:
-                series = mdl.score_node_model(mdl.load_trained_model(path), test)
-        if len(series):
-            series_list.append(series)
-    if not series_list:
-        raise DataError(f"{name}: no node produced any scores")
-    return series_list
+                path = mdl.model_path(store, node_id, name)
+                if not path.exists():
+                    log.warning("%s: no model for %s; skipping", name, node_id)
+                    continue
+                test = chronological_split(dataset, cfg.split_ratio).test
+                if method == "CLU":
+                    series = mdl.score_clu_model(mdl.load_cluster_model(path), test)
+                else:
+                    series = mdl.score_node_model(mdl.load_trained_model(path), test)
+            if len(series):
+                scores[name].append(series)
+    for _, name in pending:
+        if scores[name]:
+            write_scores_csv(out_dir / "scores" / f"{name}.csv", scores[name])
+    return scores
 
 
-def _load_or_compute_scores(
-    cfg: RunConfig, out_dir: Path, method: str, window: int | None, nodes: list[str]
-):
-    name = mdl.method_instance_name(method, window)
-    score_path = out_dir / "scores" / f"{name}.csv"
-    if score_path.exists():
-        return read_scores_csv(score_path)
-    series_list = _score_method(cfg, out_dir, method, window, nodes)
-    write_scores_csv(score_path, series_list)
-    return series_list
+def _no_scores(name: str) -> DataError:
+    return DataError(f"{name}: no node produced any scores")
 
 
 def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
-    nodes = _discover_nodes(cfg)
-    for method, window in cfg.method_instances():
-        series_list = _load_or_compute_scores(cfg, out_dir, method, window, nodes)
+    for name, series_list in _load_or_compute_scores(cfg, out_dir).items():
+        if not series_list:
+            raise _no_scores(name)
         log.info(
             "%s: scored %d nodes, %d points",
-            mdl.method_instance_name(method, window),
+            name,
             len(series_list),
             sum(len(s) for s in series_list),
         )
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
-    nodes = _discover_nodes(cfg)
     summary: dict[str, dict] = {}
-    for method, window in cfg.method_instances():
-        name = mdl.method_instance_name(method, window)
+    for name, series_list in _load_or_compute_scores(cfg, out_dir).items():
         try:
-            series_list = _load_or_compute_scores(cfg, out_dir, method, window, nodes)
+            if not series_list:
+                raise _no_scores(name)
             report = pool_nodes(series_list)
         except DataError as exc:
             log.error("%s: %s", name, exc)
@@ -287,11 +300,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_generate(config_path: Path, out_dir: Path) -> None:
-    raw = read_json(config_path)
-    try:
-        cfg = SynthConfig.from_dict(raw)
-    except TypeError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
+    cfg = read_config(SynthConfig, config_path)
     generate_dataset(cfg, out_dir)
     log.info(
         "generated %d nodes x %d buckets into %s",

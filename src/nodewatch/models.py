@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise DataError(f"unknown model_spec keys {sorted(unknown)}")
         return cls(**d)
 
 

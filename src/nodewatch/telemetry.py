@@ -1,17 +1,18 @@
-"""Core telemetry data types: raw samples, quarter-hour aggregation, and
-node-anomaly labels.
+"""The per-node dataset: one row per 15-minute bucket, carrying
+(min, max, avg, var) per metric and a binary node-anomaly label.
 
-A node's raw sensor stream is reduced to 15-minute buckets carrying
-(min, max, avg, var) per metric, and availability reports are reduced to a
-binary per-bucket label. The two are joined into a :class:`NodeDataset`,
-the unit every downstream detector consumes.
+A node's dataset is stored as a CSV file with the header
+``bucket_start,label,<feature>...``: an integer bucket start in seconds, a
+0/1 label, then one finite float per feature. :meth:`NodeDataset.from_csv`
+is the only reader of node data and rejects any other shape with a
+:class:`DataError` that names the file. The synthetic generator writes these
+files; real telemetry has to be aggregated into the same format first.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
-import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,60 +23,6 @@ from .errors import DataError
 BUCKET_SECONDS = 900
 
 AGGREGATES = ("min", "max", "avg", "var")
-
-
-class SubsystemState(str, enum.Enum):
-    OK = "ok"
-    WARNING = "warning"
-    CRITICAL = "critical"
-
-
-@dataclass(frozen=True)
-class RawSample:
-    """One sensor reading: (seconds since epoch, metric id, value)."""
-
-    timestamp: int
-    metric_id: str
-    value: float
-
-
-@dataclass(frozen=True)
-class SubsystemReport:
-    """One availability report for a node subsystem."""
-
-    timestamp: int
-    subsystem: str
-    state: SubsystemState
-
-
-@dataclass
-class AggregatedFrame:
-    """Feature vector for one 900 s bucket: (min, max, avg, var) per metric."""
-
-    bucket_start: int
-    features: np.ndarray
-
-
-@dataclass
-class LabelSeries:
-    """Binary node-anomaly label per bucket, strictly increasing buckets."""
-
-    bucket_starts: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.bucket_starts = np.asarray(self.bucket_starts, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.bucket_starts.shape != self.labels.shape:
-            raise DataError("label series buckets and labels differ in length")
-        if len(self.bucket_starts) > 1 and not np.all(np.diff(self.bucket_starts) > 0):
-            raise DataError("label series bucket_starts must be strictly increasing")
-        bad = set(np.unique(self.labels)) - {0, 1}
-        if bad:
-            raise DataError(f"labels must be 0 or 1, found {sorted(bad)}")
-
-    def __len__(self) -> int:
-        return len(self.bucket_starts)
 
 
 @dataclass
@@ -140,193 +87,55 @@ class NodeDataset:
 
     @classmethod
     def from_csv(cls, path: str | Path, node_id: str | None = None) -> "NodeDataset":
+        """Read a node dataset CSV written by :meth:`to_csv`.
+
+        The header is read with ``csv``, the rows with one ``np.loadtxt``
+        call, which parses floats to the same bits as ``float()``. A row of
+        the wrong width, a cell that does not parse (an integer bucket and
+        label, a float feature), a non-finite feature and a file without
+        rows are each a DataError naming the file.
+        """
         path = Path(path)
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty dataset file") from None
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path}: empty dataset file")
             if header[:2] != ["bucket_start", "label"]:
                 raise DataError(f"{path}: expected header 'bucket_start,label,...'")
             names = header[2:]
-            buckets, labels, rows = [], [], []
-            for line in reader:
-                buckets.append(int(line[0]))
-                labels.append(int(line[1]))
-                rows.append([float(v) for v in line[2:]])
-        if not rows:
+            dtype = np.dtype(
+                [
+                    ("bucket_start", np.int64),
+                    ("label", np.int64),
+                    ("features", np.float64, (len(names),)),
+                ]
+            )
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below, not warned about
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed dataset row: {exc}") from None
+        if not len(rows):
             raise DataError(f"{path}: dataset has no rows")
-        return cls(
-            node_id=node_id or path.stem,
-            bucket_starts=np.array(buckets, dtype=np.int64),
-            features=np.array(rows, dtype=np.float64),
-            labels=np.array(labels, dtype=np.int64),
-            feature_names=names,
-        )
-
-
-def bucket_of(timestamp: int) -> int:
-    return (int(timestamp) // BUCKET_SECONDS) * BUCKET_SECONDS
+        bad = np.flatnonzero(~np.isfinite(rows["features"]).all(axis=1))
+        if len(bad):
+            bucket = rows["bucket_start"][bad[0]]
+            raise DataError(f"{path}: non-finite feature in the row of bucket {bucket}")
+        try:
+            return cls(
+                node_id=node_id or path.stem,
+                bucket_starts=rows["bucket_start"],
+                # a C-ordered matrix, not a strided view into the records
+                features=np.ascontiguousarray(rows["features"]),
+                labels=rows["label"],
+                feature_names=names,
+            )
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def feature_names_for(metric_order: list[str]) -> list[str]:
     """Column names for the aggregated matrix: <metric>_{min,max,avg,var}."""
     return [f"{m}_{agg}" for m in metric_order for agg in AGGREGATES]
-
-
-def aggregate_quarter_hour(
-    samples: list[RawSample], metric_order: list[str]
-) -> list[AggregatedFrame]:
-    """Reduce raw samples to one frame per 900 s bucket.
-
-    Each metric contributes (min, max, mean, population variance), in
-    ``metric_order``. Buckets missing any metric are omitted entirely,
-    leaving a gap; no imputation is attempted.
-    """
-    if not metric_order:
-        raise DataError("metric_order must not be empty")
-    if len(set(metric_order)) != len(metric_order):
-        raise DataError("metric_order contains duplicate metric ids")
-    known = set(metric_order)
-
-    per_bucket: dict[int, dict[str, list[float]]] = {}
-    for s in samples:
-        if s.metric_id not in known:
-            raise DataError(f"unknown metric_id {s.metric_id!r} not in metric_order")
-        if s.timestamp < 0:
-            raise DataError(f"negative timestamp {s.timestamp} for {s.metric_id!r}")
-        if not math.isfinite(s.value):
-            raise DataError(
-                f"non-finite value {s.value!r} for {s.metric_id!r} at t={s.timestamp}"
-            )
-        per_bucket.setdefault(bucket_of(s.timestamp), {}).setdefault(
-            s.metric_id, []
-        ).append(float(s.value))
-
-    frames: list[AggregatedFrame] = []
-    for bucket in sorted(per_bucket):
-        metrics = per_bucket[bucket]
-        if any(m not in metrics for m in metric_order):
-            continue
-        vec = np.empty(4 * len(metric_order), dtype=np.float64)
-        for j, m in enumerate(metric_order):
-            # canonical value order keeps float accumulation, and therefore
-            # the emitted frame, independent of sample arrival order
-            vals = np.sort(np.asarray(metrics[m], dtype=np.float64))
-            vec[4 * j : 4 * j + 4] = (
-                vals[0],
-                vals[-1],
-                vals.mean(),
-                vals.var(),
-            )
-        frames.append(AggregatedFrame(bucket_start=bucket, features=vec))
-    return frames
-
-
-def derive_node_anomaly(
-    reports: list[SubsystemReport],
-    false_positive_intervals: list[tuple[int, int]] | None = None,
-) -> LabelSeries:
-    """Derive the per-bucket node-anomaly label from subsystem reports.
-
-    A bucket is labelled 1 iff any report inside it is critical and the
-    bucket does not overlap a known false-positive interval (inclusive
-    endpoints, in seconds). Buckets with no reports at all do not appear.
-    """
-    intervals = false_positive_intervals or []
-    for start, end in intervals:
-        if start > end:
-            raise DataError(f"false-positive interval has start > end: ({start}, {end})")
-
-    critical_by_bucket: dict[int, bool] = {}
-    for r in reports:
-        b = bucket_of(r.timestamp)
-        critical_by_bucket[b] = critical_by_bucket.get(b, False) or (
-            r.state is SubsystemState.CRITICAL
-        )
-
-    def suppressed(bucket: int) -> bool:
-        return any(s <= bucket + BUCKET_SECONDS - 1 and e >= bucket for s, e in intervals)
-
-    buckets = sorted(critical_by_bucket)
-    labels = [
-        1 if critical_by_bucket[b] and not suppressed(b) else 0 for b in buckets
-    ]
-    return LabelSeries(
-        bucket_starts=np.array(buckets, dtype=np.int64),
-        labels=np.array(labels, dtype=np.int64),
-    )
-
-
-def align_labels(
-    frames: list[AggregatedFrame],
-    labels: LabelSeries,
-    node_id: str,
-    feature_names: list[str] | None = None,
-) -> NodeDataset:
-    """Inner-join frames and labels on bucket_start into a NodeDataset.
-
-    Frames without a label and labels without a frame are dropped; an empty
-    intersection is an error rather than an empty dataset.
-    """
-    by_bucket = {int(f.bucket_start): f for f in frames}
-    label_map = {int(b): int(l) for b, l in zip(labels.bucket_starts, labels.labels)}
-    common = sorted(set(by_bucket) & set(label_map))
-    if not common:
-        raise DataError(f"{node_id}: empty dataset (frames and labels share no buckets)")
-    features = np.stack([by_bucket[b].features for b in common])
-    return NodeDataset(
-        node_id=node_id,
-        bucket_starts=np.array(common, dtype=np.int64),
-        features=features,
-        labels=np.array([label_map[b] for b in common], dtype=np.int64),
-        feature_names=feature_names or [f"f{i}" for i in range(features.shape[1])],
-    )
-
-
-def read_raw_samples(path: str | Path) -> list[RawSample]:
-    """Parse a raw telemetry CSV with header ``timestamp,metric,value``."""
-    samples = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["timestamp", "metric", "value"]:
-            raise DataError(f"{path}: expected header 'timestamp,metric,value'")
-        for lineno, row in enumerate(reader, start=2):
-            value = float(row["value"])
-            if not math.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {row['value']!r}")
-            samples.append(
-                RawSample(int(row["timestamp"]), row["metric"], value)
-            )
-    return samples
-
-
-def read_subsystem_reports(path: str | Path) -> list[SubsystemReport]:
-    """Parse a subsystem report CSV with header ``timestamp,subsystem,state``."""
-    reports = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["timestamp", "subsystem", "state"]:
-            raise DataError(f"{path}: expected header 'timestamp,subsystem,state'")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                state = SubsystemState(row["state"])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: unknown state {row['state']!r}"
-                ) from None
-            reports.append(SubsystemReport(int(row["timestamp"]), row["subsystem"], state))
-    return reports
-
-
-def read_intervals(path: str | Path) -> list[tuple[int, int]]:
-    """Parse a false-positive interval CSV with header ``start,end``."""
-    intervals = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["start", "end"]:
-            raise DataError(f"{path}: expected header 'start,end'")
-        for row in reader:
-            intervals.append((int(row["start"]), int(row["end"])))
-    return intervals

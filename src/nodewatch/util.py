@@ -1,10 +1,16 @@
-"""Small shared helpers: deterministic seeding and JSON output."""
+"""Small shared helpers: deterministic seeding, JSON output and config files."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
+from typing import TypeVar
+
+from .errors import ConfigError
+
+T = TypeVar("T")
 
 
 def derive_seed(*parts: object) -> int:
@@ -30,3 +36,25 @@ def write_json(path: str | Path, obj: object) -> None:
 def read_json(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_config(cls: type[T], path: str | Path) -> T:
+    """Build the config dataclass ``cls`` from the JSON object in a file.
+
+    Invalid JSON, a top level that is not an object, a key that is not a
+    field of ``cls`` and a TypeError from ``cls`` (a missing field, a value
+    of the wrong type) are each a ConfigError naming the file.
+    """
+    try:
+        raw = read_json(path)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

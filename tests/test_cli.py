@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import nodewatch
 from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.scoring import ScoreSeries, write_scores_csv
+from nodewatch.telemetry import NodeDataset
 from nodewatch.util import write_json
 
 
@@ -131,8 +133,20 @@ def per_gate_layout(model):
     return model
 
 
+def run_cli(*command):
+    """Run ``python -m nodewatch.cli`` in a child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "nodewatch.cli", *command],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(nodewatch.__file__).parents[1])},
+    )
+
+
 class TestScoreCommand:
-    @pytest.mark.parametrize("damage", ["per-gate layout", "truncated"])
+    @pytest.mark.parametrize(
+        "damage", ["per-gate layout", "truncated", "unknown spec key"]
+    )
     def test_bad_model_file_exits_two_with_one_line(self, tmp_path, generated_data, damage):
         cfg = tiny_run_config(tmp_path, generated_data, methods=["RUAD"], windows=[5])
         out = tmp_path / "run"
@@ -141,21 +155,23 @@ class TestScoreCommand:
         text = path.read_text()
         if damage == "truncated":
             path.write_text(text[: len(text) // 2])
+        elif damage == "unknown spec key":
+            model = json.loads(text)
+            model["model_spec"]["extra"] = 1
+            path.write_text(json.dumps(model))
         else:
             path.write_text(json.dumps(per_gate_layout(json.loads(text))))
-        command = ["score", "--config", str(cfg), "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "nodewatch.cli", *command],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(nodewatch.__file__).parents[1])},
-        )
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "Traceback" not in proc.stderr
-        assert lines[0].startswith("ERROR") and str(path) in lines[0]
-        if damage == "per-gate layout":
-            assert "older nodewatch" in lines[0] and "retrained" in lines[0]
+        for command in ("score", "evaluate"):
+            proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 2
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and "Traceback" not in proc.stderr
+            assert lines[0].startswith("ERROR") and str(path) in lines[0]
+            if damage == "per-gate layout":
+                assert "older nodewatch" in lines[0] and "retrained" in lines[0]
+            if damage == "unknown spec key":
+                assert "extra" in lines[0]
+        assert not (out / "summary.json").exists()
 
 
 class TestEvaluateCommand:
@@ -228,6 +244,62 @@ class TestEvaluateCommand:
         assert "auc" in summary["CLU"]
 
 
+class TestNodeMajorCommands:
+    def test_each_node_file_is_read_once_per_command(
+        self, tmp_path, generated_data, monkeypatch
+    ):
+        loads = []
+        read = NodeDataset.from_csv.__func__
+
+        def counting_read(cls, path, node_id=None):
+            loads.append(Path(path).name)
+            return read(cls, path, node_id)
+
+        monkeypatch.setattr(NodeDataset, "from_csv", classmethod(counting_read))
+        cfg = tiny_run_config(
+            tmp_path,
+            generated_data,
+            methods=["EXP", "CLU", "DENSE_un", "RUAD"],
+            windows=[5, 10],
+        )
+        out = tmp_path / "run"
+        per_command = {}
+        for command in ("train", "score", "evaluate"):
+            loads.clear()
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            per_command[command] = sorted(loads)
+        both = ["node_000.csv", "node_001.csv"]
+        assert per_command == {"train": both, "score": both, "evaluate": []}
+
+    def test_malformed_node_file_skips_only_that_node(self, tmp_path, generated_data):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        bad = data / "node_000.csv"  # node_001 keeps the test positives
+        lines = bad.read_text().splitlines(keepends=True)
+        lines[10] = lines[10].rsplit(",", 1)[0] + "\n"  # one cell short
+        bad.write_text("".join(lines))
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP", "CLU", "DENSE_un"])
+        out = tmp_path / "run"
+
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        jobs = json.loads((out / "train_log.json").read_text())["jobs"]
+        assert sorted((j["node"], j["model"], j["status"]) for j in jobs) == [
+            ("node_000", "CLU", "skipped-data"),
+            ("node_000", "DENSE_un", "skipped-data"),
+            ("node_001", "CLU", "trained"),
+            ("node_001", "DENSE_un", "trained"),
+        ]
+        assert all(str(bad) in j["detail"] for j in jobs if j["node"] == "node_000")
+
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert {name: entry["nodes_scored"] for name, entry in summary.items()} == {
+            "EXP": 1,
+            "CLU": 1,
+            "DENSE_un": 1,
+        }
+
+
 class TestRunConfig:
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown methods"):
@@ -245,3 +317,16 @@ class TestRunConfig:
     def test_method_instances_expand_windows(self):
         cfg = RunConfig(data_dir=".", methods=["EXP", "RUAD"], windows=[5, 10])
         assert cfg.method_instances() == [("EXP", None), ("RUAD", 5), ("RUAD", 10)]
+
+    @pytest.mark.parametrize("command", ["score", "generate"])
+    @pytest.mark.parametrize(
+        "text", ['{"data_dir": "da', "5"], ids=["truncated", "not-an-object"]
+    )
+    def test_unreadable_config_exits_one_with_one_line(self, tmp_path, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli(command, "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(path) in lines[0]

@@ -1,97 +1,14 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from nodewatch.errors import DataError
-from nodewatch.telemetry import (
-    AggregatedFrame,
-    LabelSeries,
-    NodeDataset,
-    RawSample,
-    SubsystemReport,
-    SubsystemState,
-    aggregate_quarter_hour,
-    align_labels,
-    derive_node_anomaly,
-    feature_names_for,
-    read_intervals,
-    read_raw_samples,
-    read_subsystem_reports,
-)
-
-
-def sample(t, metric, value):
-    return RawSample(timestamp=t, metric_id=metric, value=value)
+from nodewatch.telemetry import NodeDataset, feature_names_for
 
 
 class TestAggregation:
-    def test_population_variance_over_bucket(self):
-        frames = aggregate_quarter_hour(
-            [sample(0, "m", 1.0), sample(10, "m", 2.0), sample(899, "m", 3.0)], ["m"]
-        )
-        assert len(frames) == 1
-        npt.assert_allclose(frames[0].features, [1.0, 3.0, 2.0, 2.0 / 3.0])
-
-    def test_single_value_bucket_is_degenerate(self):
-        frames = aggregate_quarter_hour([sample(450, "m", 5.0)], ["m"])
-        npt.assert_allclose(frames[0].features, [5.0, 5.0, 5.0, 0.0])
-
-    def test_buckets_missing_a_metric_are_omitted(self):
-        # oracle: brute-force scan of which buckets contain every metic
-        samples = [
-            sample(0, "a", 1.0),
-            sample(1, "b", 2.0),
-            sample(900, "a", 3.0),  # bucket 900 has only metric a
-            sample(1800, "a", 4.0),
-            sample(1801, "b", 5.0),
-        ]
-        expected_buckets = []
-        for bucket in (0, 900, 1800):
-            present = {s.metric_id for s in samples if bucket <= s.timestamp < bucket + 900}
-            if present == {"a", "b"}:
-                expected_buckets.append(bucket)
-        frames = aggregate_quarter_hour(samples, ["a", "b"])
-        assert [f.bucket_start for f in frames] == expected_buckets == [0, 1800]
-
-    def test_order_of_samples_is_irrelevant(self, rng):
-        samples = [
-            sample(int(t), m, float(v))
-            for t, m, v in zip(
-                rng.integers(0, 5 * 900, size=60),
-                rng.choice(["a", "b"], size=60),
-                rng.normal(size=60),
-            )
-        ]
-        baseline = aggregate_quarter_hour(samples, ["a", "b"])
-        for _ in range(5):
-            shuffled = list(samples)
-            rng.shuffle(shuffled)
-            frames = aggregate_quarter_hour(shuffled, ["a", "b"])
-            assert [f.bucket_start for f in frames] == [f.bucket_start for f in baseline]
-            for got, want in zip(frames, baseline):
-                npt.assert_array_equal(got.features, want.features)
-
-    def test_min_avg_max_ordering_and_var_sign(self, rng):
-        samples = [
-            sample(int(t), "m", float(v))
-            for t, v in zip(rng.integers(0, 10 * 900, size=200), rng.normal(size=200))
-        ]
-        for frame in aggregate_quarter_hour(samples, ["m"]):
-            mn, mx, avg, var = frame.features
-            assert mn <= avg <= mx
-            assert var >= 0
-
-    def test_empty_input_gives_empty_output(self):
-        assert aggregate_quarter_hour([], ["m"]) == []
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(DataError, match="unknown metric_id"):
-            aggregate_quarter_hour([sample(0, "mystery", 1.0)], ["m"])
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(DataError, match="non-finite"):
-            aggregate_quarter_hour([sample(0, "m", float("nan"))], ["m"])
-
     def test_feature_names_follow_metric_order(self):
         assert feature_names_for(["cpu", "mem"]) == [
             "cpu_min",
@@ -103,91 +20,6 @@ class TestAggregation:
             "mem_avg",
             "mem_var",
         ]
-
-
-def report(t, state, subsystem="disk"):
-    return SubsystemReport(timestamp=t, subsystem=subsystem, state=SubsystemState(state))
-
-
-class TestNodeAnomalyLabel:
-    def test_any_critical_in_bucket_labels_one(self):
-        series = derive_node_anomaly([report(10, "ok"), report(20, "critical")])
-        npt.assert_array_equal(series.bucket_starts, [0])
-        npt.assert_array_equal(series.labels, [1])
-
-    def test_false_positive_interval_suppresses(self):
-        series = derive_node_anomaly(
-            [report(1000, "critical")], false_positive_intervals=[(900, 1799)]
-        )
-        npt.assert_array_equal(series.labels, [0])
-
-    def test_report_order_is_irrelevant(self, rng):
-        reports = [
-            report(int(t), s)
-            for t, s in zip(
-                rng.integers(0, 20 * 900, size=100),
-                rng.choice(["ok", "warning", "critical"], size=100, p=[0.8, 0.15, 0.05]),
-            )
-        ]
-        baseline = derive_node_anomaly(reports)
-        shuffled = list(reports)
-        rng.shuffle(shuffled)
-        series = derive_node_anomaly(shuffled)
-        npt.assert_array_equal(series.bucket_starts, baseline.bucket_starts)
-        npt.assert_array_equal(series.labels, baseline.labels)
-
-    def test_rare_criticals_give_rare_labels(self):
-        reports = [report(900 * b + 5, "ok") for b in range(1000)]
-        reports += [report(900 * b + 7, "critical") for b in (13, 402, 777)]
-        series = derive_node_anomaly(reports)
-        assert len(series) == 1000
-        assert series.labels.sum() == 3
-
-    def test_empty_reports_give_empty_series(self):
-        assert len(derive_node_anomaly([])) == 0
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(DataError, match="start > end"):
-            derive_node_anomaly([report(0, "ok")], [(100, 50)])
-
-
-class TestAlignLabels:
-    def frames(self, buckets):
-        return [
-            AggregatedFrame(bucket_start=b, features=np.array([float(b), 1.0]))
-            for b in buckets
-        ]
-
-    def labels(self, buckets):
-        return LabelSeries(
-            bucket_starts=np.array(buckets), labels=np.zeros(len(buckets), dtype=int)
-        )
-
-    def test_inner_join_keeps_intersection(self):
-        ds = align_labels(self.frames([0, 900]), self.labels([900, 1800]), "n1")
-        npt.assert_array_equal(ds.bucket_starts, [900])
-
-    def test_identical_keys_keep_everything(self):
-        ds = align_labels(self.frames([0, 900, 1800]), self.labels([0, 900, 1800]), "n1")
-        assert len(ds) == 3
-
-    def test_disjoint_keys_error(self):
-        with pytest.raises(DataError, match="empty dataset"):
-            align_labels(self.frames([0]), self.labels([900]), "n1")
-
-    def test_output_bucket_set_is_the_intersection(self, rng):
-        for _ in range(10):
-            fb = sorted(set(rng.choice(20, size=8, replace=False).tolist()))
-            lb = sorted(set(rng.choice(20, size=8, replace=False).tolist()))
-            expected = sorted(set(fb) & set(lb))
-            if not expected:
-                continue
-            ds = align_labels(
-                self.frames([900 * b for b in fb]),
-                self.labels([900 * b for b in lb]),
-                "n1",
-            )
-            npt.assert_array_equal(ds.bucket_starts, [900 * b for b in expected])
 
 
 class TestCsvInterfaces:
@@ -208,33 +40,23 @@ class TestCsvInterfaces:
         npt.assert_array_equal(back.labels, ds.labels)
         npt.assert_array_equal(back.features, ds.features)
 
-    def test_raw_samples_round_trip(self, tmp_path):
-        path = tmp_path / "raw.csv"
-        path.write_text("timestamp,metric,value\n0,cpu,1.5\n900,cpu,2.5\n")
-        samples = read_raw_samples(path)
-        assert samples == [RawSample(0, "cpu", 1.5), RawSample(900, "cpu", 2.5)]
-
-    def test_raw_samples_reject_non_finite(self, tmp_path):
-        path = tmp_path / "raw.csv"
-        path.write_text("timestamp,metric,value\n0,cpu,inf\n")
-        with pytest.raises(DataError, match="non-finite"):
-            read_raw_samples(path)
-
-    def test_reports_and_intervals(self, tmp_path):
-        rpt = tmp_path / "reports.csv"
-        rpt.write_text("timestamp,subsystem,state\n10,disk,critical\n20,net,ok\n")
-        reports = read_subsystem_reports(rpt)
-        assert reports[0].state is SubsystemState.CRITICAL
-        assert reports[1].state is SubsystemState.OK
-
-        bad = tmp_path / "bad.csv"
-        bad.write_text("timestamp,subsystem,state\n10,disk,exploded\n")
-        with pytest.raises(DataError, match="unknown state"):
-            read_subsystem_reports(bad)
-
-        iv = tmp_path / "intervals.csv"
-        iv.write_text("start,end\n0,900\n1800,3600\n")
-        assert read_intervals(iv) == [(0, 900), (1800, 3600)]
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,0,1.5\n",
+            "0,0,1.5,abc\n",
+            "1.5,0,1.5,2.0\n",
+            "0,0,nan,2.0\n",
+            "0,0,1.5,inf\n",
+            "",
+        ],
+        ids=["short-row", "non-numeric", "non-integer-bucket", "nan", "inf", "header-only"],
+    )
+    def test_malformed_file_is_a_data_error_naming_it(self, tmp_path, rows):
+        path = tmp_path / "node_000.csv"
+        path.write_text("bucket_start,label,a_avg,b_avg\n" + rows)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            NodeDataset.from_csv(path)
 
 
 class TestNodeDatasetInvariants:
