@@ -5,7 +5,7 @@ with an anomaly probability; evaluation pools the per-node test scores into
 one ROC curve per method.
 """
 
-from .baselines import ExpConfig, KMeansModel
+from .baselines import KMeansModel
 from .models import METHODS, ModelSpec, Regime, TrainedModel
 from .neuralnet import NetworkParams, TrainingConfig
 from .pipeline import ScalerParams, WindowSet
@@ -16,7 +16,6 @@ from .telemetry import NodeDataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExpConfig",
     "KMeansModel",
     "METHODS",
     "ModelSpec",

@@ -26,17 +26,6 @@ DEFAULT_K_RANGE = range(2, 11)
 
 
 @dataclass
-class ExpConfig:
-    """Smoothing factor for the exponential baseline."""
-
-    alpha: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise DataError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-
-@dataclass
 class KMeansModel:
     k: int
     centroids: np.ndarray  # (k, N)
@@ -61,19 +50,20 @@ class KMeansModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KMeansModel":
-        return cls(
-            k=d["k"],
-            centroids=np.array(d["centroids"], dtype=np.float64),
-            cluster_anomaly_prob=np.array(d["cluster_anomaly_prob"], dtype=np.float64),
-            seed=d["seed"],
-        )
+        return cls(**d)  # __post_init__ makes the arrays
 
 
 # ---------------------------------------------------------------------------
 # exponential smoothing
 
 
-def exp_smoothing_scores(series: NodeDataset, cfg: ExpConfig) -> ScoreSeries:
+def check_alpha(alpha: float) -> None:
+    """The smoothing factor of the exponential baseline lies in (0, 1]."""
+    if not 0.0 < alpha <= 1.0:
+        raise DataError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
     """Score a (scaled) series by deviation from its exponential estimate.
 
     Within each gap-free segment the estimate starts at the first actual
@@ -82,6 +72,7 @@ def exp_smoothing_scores(series: NodeDataset, cfg: ExpConfig) -> ScoreSeries:
     are normalized by the maximum error over the whole scored series; the
     first point of every segment scores 0.
     """
+    check_alpha(alpha)
     if len(series) == 0:
         return ScoreSeries(
             node_id=series.node_id,
@@ -98,13 +89,12 @@ def exp_smoothing_scores(series: NodeDataset, cfg: ExpConfig) -> ScoreSeries:
             else:
                 row = seg.features[t]
                 errors.append(float(np.abs(estimate - row).sum()))
-                estimate = cfg.alpha * row + (1.0 - cfg.alpha) * estimate
+                estimate = alpha * row + (1.0 - alpha) * estimate
             buckets.append(int(seg.bucket_starts[t]))
             labels.append(int(seg.labels[t]))
     raw = np.array(errors)
     peak = raw.max()
-    normalized = raw / peak if peak > 0 else raw
-    probs = np.array([anomaly_probability(v) for v in normalized])
+    probs = anomaly_probability(raw / peak if peak > 0 else raw)
     order = np.argsort(buckets)
     return ScoreSeries(
         node_id=series.node_id,
@@ -175,12 +165,10 @@ def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(
-    rows: np.ndarray, seeds: np.ndarray, max_iter: int = KMEANS_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     centroids = seeds.copy()
     assignment = assign_clusters(rows, centroids)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         for j in range(len(centroids)):
             mask = assignment == j
             if np.any(mask):

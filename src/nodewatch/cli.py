@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import models as mdl
+from .baselines import check_alpha
 from .errors import ConfigError, DataError, TrainingError
 from .neuralnet import TrainingConfig
 from .pipeline import chronological_split
@@ -51,24 +52,30 @@ class RunConfig:
             raise ConfigError(
                 f"unknown methods {unknown}; valid names: {list(mdl.METHODS)}"
             )
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("methods list contains duplicates")
         if not self.methods:
             raise ConfigError("methods list is empty")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
-        if any(w < 1 for w in self.windows):
-            raise ConfigError(f"window lengths must be >= 1, got {self.windows}")
+        if not all(type(w) is int and w >= 1 for w in self.windows):
+            raise ConfigError(f"window lengths must be integers >= 1, got {self.windows}")
+        for key in ("methods", "windows", "nodes"):
+            values = getattr(self, key) or []
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} list contains duplicates: {values}")
         needs_windows = any(m in mdl.WINDOWED_METHODS for m in self.methods)
         if needs_windows and not self.windows:
             raise ConfigError("windowed methods requested but windows list is empty")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        # the seed is derived per job and the loss is fixed
-        allowed_training = {f.name for f in fields(TrainingConfig)} - {"seed", "loss"}
-        bad = set(self.training) - allowed_training
+        if type(self.workers) is not int or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers}")
+        # the seed is derived per job
+        bad = set(self.training) - ({f.name for f in fields(TrainingConfig)} - {"seed"})
         if bad:
             raise ConfigError(f"unknown training keys: {sorted(bad)}")
+        try:
+            self.training_config(seed=0)
+            check_alpha(self.exp_alpha)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -2,9 +2,9 @@
 
 Ties the pipeline, the network engine and the baselines together: builds
 the two autoencoder architectures at their published shapes, trains them
-under the semi-supervised / time-consistency regime matrix, and turns a
-trained model plus a test set into a per-bucket score series. Also owns the
-on-disk model store (one JSON per node and method).
+with or without the semi-supervised filter, and turns a trained model plus a
+test set into a per-bucket score series. Also owns the on-disk model store
+(one JSON per node and method).
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import neuralnet as nn
 from .baselines import (
-    DEFAULT_K_RANGE,
-    ExpConfig,
     KMeansModel,
     assign_clusters,
     cluster_anomaly_probabilities,
@@ -57,30 +55,16 @@ SCORE_BATCH = 512
 
 @dataclass(frozen=True)
 class Regime:
-    """Which optional preprocessing filters a method trains under."""
+    """Whether an autoencoder trains on its label-0 rows only (windows never cross a gap)."""
 
     semi_supervised: bool
-    time_consistency: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "semi_supervised": self.semi_supervised,
-            "time_consistency": self.time_consistency,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Regime":
-        return cls(d["semi_supervised"], d["time_consistency"])
 
 
-# Filter matrix per method: (semi-supervised, time consistency).
 REGIMES: dict[str, Regime] = {
-    "EXP": Regime(semi_supervised=False, time_consistency=True),
-    "CLU": Regime(semi_supervised=False, time_consistency=False),
-    "DENSE_semi": Regime(semi_supervised=True, time_consistency=False),
-    "DENSE_un": Regime(semi_supervised=False, time_consistency=False),
-    "RUAD_semi": Regime(semi_supervised=True, time_consistency=True),
-    "RUAD": Regime(semi_supervised=False, time_consistency=True),
+    "DENSE_semi": Regime(semi_supervised=True),
+    "DENSE_un": Regime(semi_supervised=False),
+    "RUAD_semi": Regime(semi_supervised=True),
+    "RUAD": Regime(semi_supervised=False),
 }
 
 
@@ -106,9 +90,6 @@ class ModelSpec:
     kind: str  # "dense" | "ruad"
     input_dim: int
     window: int = 1
-    encoder_dim: int = ENCODER_DIM
-    latent_dim: int = LATENT_DIM
-    decoder_dim: int = DECODER_DIM
 
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "ruad"):
@@ -118,40 +99,23 @@ class ModelSpec:
         if self.window < 1:
             raise DataError("window must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "window": self.window,
-            "encoder_dim": self.encoder_dim,
-            "latent_dim": self.latent_dim,
-            "decoder_dim": self.decoder_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DataError(f"unknown model_spec keys {sorted(unknown)}")
-        return cls(**d)
-
 
 def build_model(spec: ModelSpec, seed: int) -> nn.NetworkParams:
     """Instantiate the architecture with seeded Glorot initialization."""
     n = spec.input_dim
     if spec.kind == "dense":
         layer_specs = [
-            nn.DenseSpec(n, spec.encoder_dim, "relu"),
-            nn.DenseSpec(spec.encoder_dim, spec.latent_dim, "relu"),
-            nn.DenseSpec(spec.latent_dim, spec.decoder_dim, "relu"),
-            nn.DenseSpec(spec.decoder_dim, n, "sigmoid"),
+            nn.DenseSpec(n, ENCODER_DIM, "relu"),
+            nn.DenseSpec(ENCODER_DIM, LATENT_DIM, "relu"),
+            nn.DenseSpec(LATENT_DIM, DECODER_DIM, "relu"),
+            nn.DenseSpec(DECODER_DIM, n, "sigmoid"),
         ]
     else:
         layer_specs = [
-            nn.LstmSpec(n, spec.encoder_dim, return_sequence=True),
-            nn.LstmSpec(spec.encoder_dim, spec.latent_dim, return_sequence=False),
-            nn.DenseSpec(spec.latent_dim, spec.decoder_dim, "relu"),
-            nn.DenseSpec(spec.decoder_dim, n, "sigmoid"),
+            nn.LstmSpec(n, ENCODER_DIM, return_sequence=True),
+            nn.LstmSpec(ENCODER_DIM, LATENT_DIM, return_sequence=False),
+            nn.DenseSpec(LATENT_DIM, DECODER_DIM, "relu"),
+            nn.DenseSpec(DECODER_DIM, n, "sigmoid"),
         ]
     return nn.init_params(layer_specs, seed)
 
@@ -233,7 +197,7 @@ def train_node_model(
         max_train_error=max(max_error, MAX_ERROR_FLOOR),
         regime=regime,
         seed=cfg.seed,
-        training=cfg.to_dict(),
+        training=asdict(cfg),
     )
     return model, history
 
@@ -267,13 +231,10 @@ def score_node_model(model: TrainedModel, test: NodeDataset) -> ScoreSeries:
             labels=np.empty(0, dtype=np.int64),
         )
     errors = reconstruction_errors(model.network, windows)
-    probs = np.array(
-        [anomaly_probability(e / model.max_train_error) for e in errors]
-    )
     return ScoreSeries(
         node_id=test.node_id,
         bucket_starts=windows.target_bucket_starts,
-        probabilities=probs,
+        probabilities=anomaly_probability(errors / model.max_train_error),
         labels=windows.target_labels,
     )
 
@@ -296,7 +257,6 @@ def train_clu_model(
     dataset: NodeDataset,
     split_ratio: float = 0.8,
     seed: int = 0,
-    k_range=DEFAULT_K_RANGE,
 ) -> ClusterModel:
     """Fit k-means on scaled training rows and attach label-derived rates.
 
@@ -307,7 +267,7 @@ def train_clu_model(
     split = chronological_split(dataset, split_ratio)
     scaler = fit_minmax(split.train)
     rows = apply_minmax(scaler, split.train).features
-    k, centroids = select_k(rows, k_range=k_range, seed=seed)
+    k, centroids = select_k(rows, seed=seed)
     assignments = assign_clusters(rows, centroids)
     probs = cluster_anomaly_probabilities(assignments, split.train.labels, k)
     return ClusterModel(
@@ -340,7 +300,7 @@ def score_exp_method(
     """
     split = chronological_split(dataset, split_ratio)
     scaler = fit_minmax(split.train)
-    return exp_smoothing_scores(apply_minmax(scaler, split.test), ExpConfig(alpha))
+    return exp_smoothing_scores(apply_minmax(scaler, split.test), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +319,8 @@ def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) ->
             "kind": model.spec.kind,
             "name": name,
             "node_id": model.node_id,
-            "model_spec": model.spec.to_dict(),
-            "regime": model.regime.to_dict(),
+            "model_spec": asdict(model.spec),
+            "regime": asdict(model.regime),
             "seed": model.seed,
             "max_train_error": model.max_train_error,
             "scaler": model.scaler.to_dict(),
@@ -369,6 +329,17 @@ def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) ->
         },
     )
     return path
+
+
+def _from_stored(cls, d: dict, entry: str):
+    """Build ``cls`` from a stored entry that holds exactly its fields."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise DataError(
+            f"unknown {entry} keys {sorted(unknown)}: the store was written by "
+            "another nodewatch version and must be retrained"
+        )
+    return cls(**d)
 
 
 @contextmanager
@@ -381,6 +352,8 @@ def _reading_store(path: str | Path):
         raise DataError(f"{path}: not a readable model file ({exc})") from exc
     except KeyError as exc:
         raise DataError(f"{path}: model file has no {exc} entry") from exc
+    except TypeError as exc:  # an entry of the wrong type or with a missing field
+        raise DataError(f"{path}: malformed model file ({exc})") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -390,11 +363,11 @@ def load_trained_model(path: str | Path) -> TrainedModel:
         d = read_json(path)
         return TrainedModel(
             node_id=d["node_id"],
-            spec=ModelSpec.from_dict(d["model_spec"]),
+            spec=_from_stored(ModelSpec, d["model_spec"], "model_spec"),
             network=nn.NetworkParams.from_dict(d["network"]),
             scaler=ScalerParams.from_dict(d["scaler"]),
             max_train_error=d["max_train_error"],
-            regime=Regime.from_dict(d["regime"]),
+            regime=_from_stored(Regime, d["regime"], "regime"),
             seed=d["seed"],
             training=d.get("training", {}),
         )

@@ -13,7 +13,7 @@ Gate order throughout is (input, forget, output, candidate).
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from .errors import DataError, TrainingError
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 GATES = ("input", "forget", "output", "candidate")
+
+# Adam's standard moment decay rates and denominator guard (Kingma & Ba)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +425,13 @@ class AdamState:
     """First/second moment accumulators keyed like NetworkParams.param_items."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     moment1: dict[str, np.ndarray] = field(default_factory=dict)
     moment2: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(
-    params: NetworkParams,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
-    state = AdamState(learning_rate, beta1, beta2, epsilon)
+def init_adam(params: NetworkParams, learning_rate: float = 1e-3) -> AdamState:
+    state = AdamState(learning_rate)
     for key, arr in params.param_items():
         state.moment1[key] = np.zeros_like(arr)
         state.moment2[key] = np.zeros_like(arr)
@@ -457,13 +453,13 @@ def adam_step(
                 raise DataError(f"gradient shape mismatch for {key}")
             m = state.moment1[key]
             v = state.moment2[key]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            m_hat = m / (1.0 - state.beta1**t)
-            v_hat = v / (1.0 - state.beta2**t)
-            arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params, state
 
 
@@ -478,18 +474,13 @@ class TrainingConfig:
     max_epochs: int = 50
     early_stop_patience: int = 5
     seed: int = 0
-    loss: str = "mse"
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise DataError("learning_rate must be >= 0")
-        if min(self.batch_size, self.max_epochs, self.early_stop_patience) < 1:
-            raise DataError("batch_size, max_epochs and patience must be positive")
-        if self.loss != "mse":
-            raise DataError(f"unsupported loss {self.loss!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        counts = (self.batch_size, self.max_epochs, self.early_stop_patience)
+        if not all(type(c) is int and c >= 1 for c in counts):
+            raise DataError("batch_size, max_epochs and patience must be integers >= 1")
 
 
 IMPROVEMENT_THRESHOLD = 1e-6

@@ -20,6 +20,8 @@ from .errors import DataError
 
 MAX_ERROR_FLOOR = 1e-12
 
+SCORE_COLUMNS = ["node_id", "bucket_start", "probability", "label"]
+
 
 @dataclass
 class ScoreSeries:
@@ -77,11 +79,11 @@ class RocReport:
                 writer.writerow([repr(t), repr(fpr), repr(tpr)])
 
 
-def anomaly_probability(normalized_error: float) -> float:
-    """Clamp the normalized error at 1 to form a probability."""
-    if normalized_error < 0:
-        raise DataError(f"normalized error must be >= 0, got {normalized_error}")
-    return 1.0 if normalized_error >= 1.0 else normalized_error
+def anomaly_probability(normalized_errors: np.ndarray) -> np.ndarray:
+    """Clamp normalized errors at 1 to form probabilities."""
+    if np.any(normalized_errors < 0):
+        raise DataError(f"normalized errors must be >= 0, got {normalized_errors.min()}")
+    return np.minimum(normalized_errors, 1.0)
 
 
 def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocReport:
@@ -142,7 +144,7 @@ def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_id", "bucket_start", "probability", "label"])
+        writer.writerow(SCORE_COLUMNS)
         for series in series_list:
             for i in range(len(series)):
                 writer.writerow(
@@ -156,26 +158,36 @@ def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
 
 
 def read_scores_csv(path: str | Path) -> list[ScoreSeries]:
-    """Read a score CSV back into per-node series (rows grouped by node)."""
+    """Read a score CSV back into per-node series (rows grouped by node).
+
+    A wrong header, a row without exactly four cells, a cell that does not
+    parse and rows that break a ScoreSeries rule are each a DataError naming
+    the file.
+    """
     rows_by_node: dict[str, list[tuple[int, float, int]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["node_id", "bucket_start", "probability", "label"]
-        if reader.fieldnames != expected:
-            raise DataError(f"{path}: expected header {','.join(expected)}")
+        reader = csv.reader(fh)
+        if next(reader, None) != SCORE_COLUMNS:
+            raise DataError(f"{path}: expected header {','.join(SCORE_COLUMNS)}")
         for row in reader:
-            rows_by_node.setdefault(row["node_id"], []).append(
-                (int(row["bucket_start"]), float(row["probability"]), int(row["label"]))
-            )
+            try:
+                node_id, bucket, probability, label = row
+                parsed = (int(bucket), float(probability), int(label))
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: bad score row ({exc})") from None
+            rows_by_node.setdefault(node_id, []).append(parsed)
     series_list = []
     for node_id in sorted(rows_by_node):
         rows = sorted(rows_by_node[node_id])
-        series_list.append(
-            ScoreSeries(
-                node_id=node_id,
-                bucket_starts=np.array([r[0] for r in rows], dtype=np.int64),
-                probabilities=np.array([r[1] for r in rows], dtype=np.float64),
-                labels=np.array([r[2] for r in rows], dtype=np.int64),
+        try:
+            series_list.append(
+                ScoreSeries(
+                    node_id=node_id,
+                    bucket_starts=np.array([r[0] for r in rows], dtype=np.int64),
+                    probabilities=np.array([r[1] for r in rows], dtype=np.float64),
+                    labels=np.array([r[2] for r in rows], dtype=np.int64),
+                )
             )
-        )
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return series_list

@@ -19,7 +19,7 @@ Three anomaly signatures separate the capabilities of the detector families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ PLACEMENT_MARGIN = 4  # buckets kept clear between injected intervals
 MIN_DURATION = 4
 MAX_DURATION = 12
 DAILY_PERIOD = 96
+REGIME_SWITCH_PROB = 0.015  # per bucket: a workload regime lasts ~17 h on average
 
 
 @dataclass
@@ -72,22 +73,6 @@ class SynthConfig:
                 raise ConfigError(f"anomaly_mix weights must sum to 1, got {total}")
             if any(w < 0 for w in self.anomaly_mix.values()):
                 raise ConfigError("anomaly_mix weights must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "metric_count": self.metric_count,
-            "timestep_count": self.timestep_count,
-            "anomaly_rate": self.anomaly_rate,
-            "anomaly_mix": dict(self.anomaly_mix),
-            "regime_count": self.regime_count,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -186,14 +171,12 @@ def inject_anomaly(
     return out
 
 
-def _regime_path(
-    rng: np.random.Generator, steps: int, regimes: int, switch_prob: float = 0.015
-) -> np.ndarray:
+def _regime_path(rng: np.random.Generator, steps: int, regimes: int) -> np.ndarray:
     path = np.empty(steps, dtype=np.int64)
     current = int(rng.integers(regimes))
     draws = rng.random(steps)
     for t in range(steps):
-        if draws[t] < switch_prob and regimes > 1:
+        if draws[t] < REGIME_SWITCH_PROB and regimes > 1:
             hop = int(rng.integers(regimes - 1))
             current = hop if hop < current else hop + 1
         path[t] = current
@@ -351,7 +334,7 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> dict:
     """Generate every node, write per-node CSVs plus a manifest, return it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"config": cfg.to_dict(), "nodes": {}}
+    manifest: dict = {"config": asdict(cfg), "nodes": {}}
     for i in range(cfg.node_count):
         node_id = f"node_{i:03d}"
         node_seed = derive_seed(cfg.seed, node_id)

@@ -51,6 +51,10 @@ class NodeDataset:
             raise DataError("bucket_starts, features and labels must align row for row")
         if n > 1 and not np.all(np.diff(self.bucket_starts) > 0):
             raise DataError("bucket_starts must be strictly increasing")
+        bad = np.flatnonzero((self.labels != 0) & (self.labels != 1))
+        if len(bad):
+            raise DataError(f"label {self.labels[bad[0]]} of bucket "
+                            f"{self.bucket_starts[bad[0]]} is not 0 or 1")
         if not self.feature_names:
             self.feature_names = [f"f{i}" for i in range(self.features.shape[1])]
         if len(self.feature_names) != self.features.shape[1]:
@@ -92,8 +96,8 @@ class NodeDataset:
         The header is read with ``csv``, the rows with one ``np.loadtxt``
         call, which parses floats to the same bits as ``float()``. A row of
         the wrong width, a cell that does not parse (an integer bucket and
-        label, a float feature), a non-finite feature and a file without
-        rows are each a DataError naming the file.
+        label, a float feature), a label other than 0 or 1, a non-finite
+        feature and a file without rows are each a DataError naming the file.
         """
         path = Path(path)
         with open(path, "r", newline="", encoding="utf-8") as fh:

@@ -42,8 +42,9 @@ def read_config(cls: type[T], path: str | Path) -> T:
     """Build the config dataclass ``cls`` from the JSON object in a file.
 
     Invalid JSON, a top level that is not an object, a key that is not a
-    field of ``cls`` and a TypeError from ``cls`` (a missing field, a value
-    of the wrong type) are each a ConfigError naming the file.
+    field of ``cls``, a TypeError from ``cls`` (a missing field, a value of
+    the wrong type) and a ConfigError from its own checks are each a
+    ConfigError naming the file.
     """
     try:
         raw = read_json(path)
@@ -56,5 +57,5 @@ def read_config(cls: type[T], path: str | Path) -> T:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
         return cls(**raw)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from nodewatch.baselines import (
-    ExpConfig,
     KMeansModel,
     assign_clusters,
     cluster_anomaly_probabilities,
@@ -32,13 +31,13 @@ def blob_rows(rng, centers, per_blob=20, spread=0.05):
 class TestExponentialSmoothing:
     def test_constant_series_scores_zero(self):
         ds = build_dataset([0] * 3, features=[[1.0, 1.0]] * 3)
-        series = exp_smoothing_scores(ds, ExpConfig(alpha=0.1))
+        series = exp_smoothing_scores(ds, 0.1)
         npt.assert_array_equal(series.probabilities, 0.0)
 
     def test_alpha_one_collapses_to_previous_value(self, rng):
         rows = rng.uniform(size=(6, 2))
         ds = build_dataset([0] * 6, features=rows)
-        series = exp_smoothing_scores(ds, ExpConfig(alpha=1.0))
+        series = exp_smoothing_scores(ds, 1.0)
         raw = np.zeros(6)
         for t in range(1, 6):
             raw[t] = np.abs(rows[t] - rows[t - 1]).sum()
@@ -49,13 +48,13 @@ class TestExponentialSmoothing:
         # one feature, segment [0, 1]: estimate starts at 0, prediction for
         # t1 is still 0, so the raw error is |0 - 1| = 1
         ds = build_dataset([0, 0], features=[[0.0], [1.0]])
-        series = exp_smoothing_scores(ds, ExpConfig(alpha=0.1))
+        series = exp_smoothing_scores(ds, 0.1)
         npt.assert_allclose(series.probabilities, [0.0, 1.0])
 
     def test_prediction_uses_pre_update_estimate(self):
         # alpha=0.5 over [0, 1, 1]: estimates 0, 0.5; raw errors 0, 1, 0.5
         ds = build_dataset([0] * 3, features=[[0.0], [1.0], [1.0]])
-        series = exp_smoothing_scores(ds, ExpConfig(alpha=0.5))
+        series = exp_smoothing_scores(ds, 0.5)
         npt.assert_allclose(series.probabilities, [0.0, 1.0, 0.5])
 
     def test_each_segment_restarts_the_estimate(self):
@@ -64,7 +63,7 @@ class TestExponentialSmoothing:
             features=[[0.0], [1.0], [5.0], [5.0]],
             bucket_starts=[0, 900, 3600, 4500],  # gap between rows 1 and 2
         )
-        series = exp_smoothing_scores(ds, ExpConfig(alpha=0.1))
+        series = exp_smoothing_scores(ds, 0.1)
         # second segment starts fresh at 5.0: scores 0 at both segment heads
         assert series.probabilities[0] == 0.0
         assert series.probabilities[2] == 0.0
@@ -72,14 +71,15 @@ class TestExponentialSmoothing:
 
     def test_empty_series_allowed(self):
         ds = build_dataset([0], features=[[1.0]])
-        out = exp_smoothing_scores(ds.take(np.array([], dtype=int)), ExpConfig())
+        out = exp_smoothing_scores(ds.take(np.array([], dtype=int)), 0.1)
         assert len(out) == 0
 
     def test_alpha_validated(self):
+        ds = build_dataset([0], features=[[1.0]])
         with pytest.raises(DataError):
-            ExpConfig(alpha=0.0)
+            exp_smoothing_scores(ds, 0.0)
         with pytest.raises(DataError):
-            ExpConfig(alpha=1.5)
+            exp_smoothing_scores(ds, 1.5)
 
 
 class TestSilhouette:

@@ -145,7 +145,7 @@ def run_cli(*command):
 
 class TestScoreCommand:
     @pytest.mark.parametrize(
-        "damage", ["per-gate layout", "truncated", "unknown spec key"]
+        "damage", ["per-gate layout", "truncated", "unknown spec key", "old layout"]
     )
     def test_bad_model_file_exits_two_with_one_line(self, tmp_path, generated_data, damage):
         cfg = tiny_run_config(tmp_path, generated_data, methods=["RUAD"], windows=[5])
@@ -159,6 +159,13 @@ class TestScoreCommand:
             model = json.loads(text)
             model["model_spec"]["extra"] = 1
             path.write_text(json.dumps(model))
+        elif damage == "old layout":
+            # the keys stores carried before the sizes and the time-consistency
+            # flag became constants
+            model = json.loads(text)
+            model["model_spec"].update(encoder_dim=16, latent_dim=8, decoder_dim=16)
+            model["regime"]["time_consistency"] = True
+            path.write_text(json.dumps(model))
         else:
             path.write_text(json.dumps(per_gate_layout(json.loads(text))))
         for command in ("score", "evaluate"):
@@ -171,6 +178,8 @@ class TestScoreCommand:
                 assert "older nodewatch" in lines[0] and "retrained" in lines[0]
             if damage == "unknown spec key":
                 assert "extra" in lines[0]
+            if damage == "old layout":
+                assert "encoder_dim" in lines[0] and "retrained" in lines[0]
         assert not (out / "summary.json").exists()
 
 
@@ -243,6 +252,26 @@ class TestEvaluateCommand:
         assert "error" in summary["EXP"] and "no positive" in summary["EXP"]["error"]
         assert "auc" in summary["CLU"]
 
+    @pytest.mark.parametrize("damage", ["truncated", "unparsable cell"])
+    def test_damaged_score_file_exits_two_with_one_line(
+        self, tmp_path, generated_data, damage
+    ):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP"])
+        out = tmp_path / "run"
+        assert main(["score", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "scores" / "EXP.csv"
+        text = path.read_text()
+        if damage == "truncated":
+            assert text[299] != "\n"  # the cut ends inside a row
+            path.write_text(text[:300])
+        else:
+            path.write_text(text.replace(",0.0,", ",zero,", 1))
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(path) in lines[0]
+
 
 class TestNodeMajorCommands:
     def test_each_node_file_is_read_once_per_command(
@@ -313,6 +342,33 @@ class TestRunConfig:
     def test_unknown_training_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="training keys"):
             RunConfig(data_dir=".", training={"momentum": 0.9})
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"windows": [5, 5]},
+            {"windows": [2.5]},
+            {"training": {"batch_size": 0}},
+            {"training": {"batch_size": 2.5}},
+            {"exp_alpha": 0},
+            {"nodes": ["node_000", "node_000"]},
+            {"workers": 2.5},
+        ],
+        ids=[
+            "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
+            "alpha-0", "duplicate-nodes", "non-integer-workers",
+        ],
+    )
+    def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):
+        values = dict(data_dir=".", methods=["EXP", "RUAD"], **setting)
+        with pytest.raises(ConfigError):
+            RunConfig(**values)
+        path = write_config(tmp_path / "run.json", **values)
+        proc = run_cli("train", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(path) in lines[0]
 
     def test_method_instances_expand_windows(self):
         cfg = RunConfig(data_dir=".", methods=["EXP", "RUAD"], windows=[5, 10])

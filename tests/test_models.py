@@ -34,19 +34,8 @@ def smooth_dataset(n=150, n_features=4, labels=None, seed=0):
 
 class TestRegimeMatrix:
     def test_filter_matrix_rows(self):
-        expected = {
-            "EXP": (False, True),
-            "CLU": (False, False),
-            "DENSE_semi": (True, False),
-            "DENSE_un": (False, False),
-            "RUAD_semi": (True, True),
-            "RUAD": (False, True),
-        }
-        assert set(mdl.REGIMES) == set(expected)
-        for name, (semi, time_consistency) in expected.items():
-            regime = mdl.REGIMES[name]
-            assert regime.semi_supervised is semi, name
-            assert regime.time_consistency is time_consistency, name
+        expected = {"DENSE_semi": True, "DENSE_un": False, "RUAD_semi": True, "RUAD": False}
+        assert {name: r.semi_supervised for name, r in mdl.REGIMES.items()} == expected
 
     def test_instance_names_mirror_store_layout(self):
         assert mdl.method_instance_name("EXP") == "EXP"
@@ -279,14 +268,14 @@ class TestBaselineRunners:
         npt.assert_array_equal(a.kmeans.cluster_anomaly_prob, b.kmeans.cluster_anomaly_prob)
 
     def test_exp_runner_matches_manual_composition(self):
-        from nodewatch.baselines import ExpConfig, exp_smoothing_scores
+        from nodewatch.baselines import exp_smoothing_scores
         from nodewatch.pipeline import fit_minmax
 
         ds = smooth_dataset(n=100)
         series = mdl.score_exp_method(ds, 0.8, alpha=0.1)
         split = chronological_split(ds, 0.8)
         scaled_test = apply_minmax(fit_minmax(split.train), split.test)
-        expected = exp_smoothing_scores(scaled_test, ExpConfig(0.1))
+        expected = exp_smoothing_scores(scaled_test, 0.1)
         npt.assert_array_equal(series.probabilities, expected.probabilities)
         npt.assert_array_equal(series.bucket_starts, split.test.bucket_starts)
 

@@ -38,16 +38,18 @@ def series(node_id, probs, labels):
 
 class TestErrorChain:
     def test_probability_clamp(self):
-        assert anomaly_probability(1.3) == 1.0
-        assert anomaly_probability(0.4) == 0.4
-        assert anomaly_probability(0.0) == 0.0
+        errors = np.array([1.3, 0.4, 0.0, 1.0])
+        npt.assert_array_equal(anomaly_probability(errors), [1.0, 0.4, 0.0, 1.0])
+        with pytest.raises(DataError):
+            anomaly_probability(np.array([0.5, -1e-9]))
 
     def test_probability_monotone_with_unit_range(self, rng):
         xs = np.sort(rng.uniform(0, 3, size=50))
-        ps = [anomaly_probability(x) for x in xs]
-        assert all(a <= b for a, b in zip(ps, ps[1:]))
-        assert min(ps) >= 0.0 and max(ps) <= 1.0
-        assert anomaly_probability(1.0) == 1.0
+        ps = anomaly_probability(xs)
+        assert np.all(np.diff(ps) >= 0)
+        assert ps.min() >= 0.0 and ps.max() <= 1.0
+        # the clamp leaves every error below 1 bit for bit, as the scalar rule did
+        npt.assert_array_equal(ps, [1.0 if x >= 1.0 else x for x in xs])
 
 
 class TestRocCurve:

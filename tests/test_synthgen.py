@@ -12,6 +12,7 @@ from nodewatch.synthgen import (
     generate_node,
     inject_anomaly,
 )
+from nodewatch.util import read_config, write_json
 
 
 def small_config(**overrides):
@@ -47,9 +48,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sum to 1"):
             small_config(anomaly_mix={"level_shift": 0.7, "temporal_disruption": 0.7})
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        # the manifest's config, saved as a file, is a synth config again
         cfg = small_config()
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+        manifest = generate_dataset(cfg, tmp_path / "data")
+        write_json(tmp_path / "synth.json", manifest["config"])
+        assert read_config(SynthConfig, tmp_path / "synth.json") == cfg
 
 
 class TestGenerateNode:

@@ -49,8 +49,12 @@ class TestCsvInterfaces:
             "0,0,nan,2.0\n",
             "0,0,1.5,inf\n",
             "",
+            "0,0,1.5,2.0\n900,2,1.5,2.0\n",
         ],
-        ids=["short-row", "non-numeric", "non-integer-bucket", "nan", "inf", "header-only"],
+        ids=[
+            "short-row", "non-numeric", "non-integer-bucket", "nan", "inf", "header-only",
+            "label-2",
+        ],
     )
     def test_malformed_file_is_a_data_error_naming_it(self, tmp_path, rows):
         path = tmp_path / "node_000.csv"
