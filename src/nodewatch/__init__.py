@@ -5,6 +5,13 @@ with an anomaly probability; evaluation pools the per-node test scores into
 one ROC curve per method.
 """
 
+import os
+
+# One BLAS thread per process, set before numpy loads: parallelism comes from
+# the "workers" pool and every matrix product is small. A value the user
+# exported is left in place.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .baselines import KMeansModel
 from .models import METHODS, ModelSpec, Regime, TrainedModel
 from .neuralnet import NetworkParams, TrainingConfig

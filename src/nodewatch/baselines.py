@@ -125,23 +125,28 @@ def silhouette(data: np.ndarray, assignment: np.ndarray) -> float:
     contribute 0, and a degenerate 0/0 (all distances zero) counts as 0.
     """
     data = np.asarray(data, dtype=np.float64)
-    assignment = np.asarray(assignment)
-    cluster_ids = np.unique(assignment)
+    return _silhouette_from_distances(_pairwise_distances(data, data), assignment)
+
+
+def _silhouette_from_distances(dist: np.ndarray, assignment: np.ndarray) -> float:
+    """``silhouette`` over a precomputed (n, n) distance matrix."""
+    cluster_ids, labels = np.unique(np.asarray(assignment), return_inverse=True)
     if len(cluster_ids) < 2:
         raise DataError("silhouette needs at least two non-empty clusters")
-    dist = _pairwise_distances(data, data)
-    scores = np.zeros(len(data))
-    members = {cid: np.flatnonzero(assignment == cid) for cid in cluster_ids}
-    for i in range(len(data)):
-        own = members[assignment[i]]
-        if len(own) == 1:
-            continue  # singleton convention: s = 0
-        a = dist[i, own].sum() / (len(own) - 1)
-        b = min(
-            dist[i, members[cid]].mean() for cid in cluster_ids if cid != assignment[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    n = len(labels)
+    samples = np.arange(n)
+    onehot = np.zeros((n, len(cluster_ids)))
+    onehot[samples, labels] = 1.0
+    sums = dist @ onehot  # (n, clusters): distance sum to each cluster
+    counts = np.bincount(labels)
+    own = counts[labels]
+    means = sums / counts
+    means[samples, labels] = np.inf
+    b = means.min(axis=1)
+    a = sums[samples, labels] / np.maximum(own - 1, 1)
+    denom = np.maximum(a, b)
+    # singleton convention and 0/0 both give s = 0
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0))
     return float(scores.mean())
 
 
@@ -167,18 +172,23 @@ def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     centroids = seeds.copy()
+    k = len(centroids)
     assignment = assign_clusters(rows, centroids)
     for _ in range(KMEANS_MAX_ITER):
-        for j in range(len(centroids)):
-            mask = assignment == j
-            if np.any(mask):
-                centroids[j] = rows[mask].mean(axis=0)
-            else:
-                # re-seed an empty cluster on the worst-fit point
-                far = np.argmax(
-                    np.sum((rows - centroids[assignment]) ** 2, axis=1)
-                )
-                centroids[j] = rows[far]
+        counts = np.bincount(assignment, minlength=k)
+        # the same row-order sums that rows[mask].mean(axis=0) takes, so the
+        # means are bit for bit those of a per-cluster mean
+        sums = np.array([rows[assignment == j].sum(axis=0) for j in range(k)])
+        means = sums / np.maximum(counts, 1)[:, None]
+        # an empty cluster is re-seeded on the worst-fit point while clusters
+        # below it hold their new means and those above it their old ones
+        done = 0
+        for j in np.flatnonzero(counts == 0):
+            centroids[done:j] = means[done:j]
+            far = np.argmax(np.sum((rows - centroids[assignment]) ** 2, axis=1))
+            centroids[j] = rows[far]
+            done = j + 1
+        centroids[done:] = means[done:]
         new_assignment = assign_clusters(rows, centroids)
         if np.array_equal(new_assignment, assignment):
             break
@@ -212,7 +222,8 @@ def select_k(
 
     Returns that k and its ``kmeans_fit`` centroids. Ties break toward the
     smaller k. The silhouette is computed on a seeded uniform subsample
-    capped at 2000 rows to keep the pairwise-distance matrix tractable.
+    capped at 2000 rows to keep the pairwise-distance matrix tractable; that
+    matrix is built once and shared by every candidate k.
     """
     rows = np.asarray(rows, dtype=np.float64)
     distinct = len(np.unique(rows, axis=0))
@@ -229,13 +240,16 @@ def select_k(
     else:
         sample_idx = np.arange(len(rows))
 
+    sample = rows[sample_idx]
+    dist = _pairwise_distances(sample, sample)
+
     best_k, best_centroids, best_score = None, None, -np.inf
     for k in feasible:
         centroids = kmeans_fit(rows, k, seed=seed)
-        assignment = assign_clusters(rows[sample_idx], centroids)
+        assignment = assign_clusters(sample, centroids)
         if len(np.unique(assignment)) < 2:
             continue
-        score = silhouette(rows[sample_idx], assignment)
+        score = _silhouette_from_distances(dist, assignment)
         if score > best_score:
             best_k, best_centroids, best_score = k, centroids, score
     if best_k is None:

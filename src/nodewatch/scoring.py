@@ -41,6 +41,8 @@ class ScoreSeries:
             raise DataError("score series columns must align")
         if n > 1 and not np.all(np.diff(self.bucket_starts) > 0):
             raise DataError("score series bucket_starts must be strictly increasing")
+        if not np.all(np.isfinite(self.probabilities)):
+            raise DataError("probabilities must be finite")
         if n and (self.probabilities.min() < 0.0 or self.probabilities.max() > 1.0):
             raise DataError("probabilities must lie in [0, 1]")
 
@@ -76,7 +78,7 @@ class RocReport:
             writer = csv.writer(fh)
             writer.writerow(["threshold", "fpr", "tpr"])
             for t, fpr, tpr in self.points:
-                writer.writerow([repr(t), repr(fpr), repr(tpr)])
+                writer.writerow([repr(float(t)), repr(float(fpr)), repr(float(tpr))])
 
 
 def anomaly_probability(normalized_errors: np.ndarray) -> np.ndarray:

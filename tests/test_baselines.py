@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodewatch.baselines import (
+    KMEANS_MAX_ITER,
     KMeansModel,
     assign_clusters,
     cluster_anomaly_probabilities,
@@ -137,6 +140,23 @@ class TestSilhouette:
         expected = self.hand_silhouette(data, [0, 0, 1])
         npt.assert_allclose(with_singleton, expected)
 
+    # integer coordinates keep every distance exact under both formulas, so
+    # only the summation order differs; duplicates give the 0/0 case
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3)),
+            min_size=2,
+            max_size=24,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_sample_definition(self, points):
+        data = np.array([p[:2] for p in points], dtype=float)
+        assignment = np.array([p[2] for p in points])
+        assume(len(set(assignment.tolist())) >= 2)
+        expected = self.hand_silhouette(data, assignment)
+        npt.assert_allclose(silhouette(data, assignment), expected, rtol=0, atol=1e-12)
+
 
 class TestKMeans:
     def brute_force_best_two_partition(self, rows):
@@ -185,6 +205,40 @@ class TestKMeans:
         rows = rng.normal(size=(40, 2))
         npt.assert_array_equal(kmeans_fit(rows, 3, seed=7), kmeans_fit(rows, 3, seed=7))
 
+    def reference_lloyd(self, rows, seeds):
+        """Lloyd's algorithm one cluster at a time, empty clusters re-seeded
+        on the worst-fit point as they come up."""
+        centroids = seeds.copy()
+        assignment = assign_clusters(rows, centroids)
+        for _ in range(KMEANS_MAX_ITER):
+            for j in range(len(centroids)):
+                mask = assignment == j
+                if np.any(mask):
+                    centroids[j] = rows[mask].mean(axis=0)
+                else:
+                    far = np.argmax(np.sum((rows - centroids[assignment]) ** 2, axis=1))
+                    centroids[j] = rows[far]
+            new_assignment = assign_clusters(rows, centroids)
+            if np.array_equal(new_assignment, assignment):
+                break
+            assignment = new_assignment
+        return centroids, assignment, float(np.sum((rows - centroids[assignment]) ** 2))
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lloyd_matches_per_cluster_loop_bit_for_bit(self, width, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(size=(300, width)) ** 3
+        # duplicate seeds: ties go to the lowest id, so clusters 1 and 3
+        # start empty while 2 and 4 between and after them hold members
+        seeds = rows[[0, 0, 7, 7, 11]]
+        assert set(assign_clusters(rows, seeds).tolist()) == {0, 2, 4}
+        got = _lloyd(rows, seeds)
+        want = self.reference_lloyd(rows, seeds)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
     def test_wcss_non_increasing_within_lloyd(self, rng):
         rows = rng.normal(size=(60, 2))
         seeds = _plus_plus_seeds(rows, 4, np.random.default_rng(0))
@@ -215,7 +269,7 @@ class TestSelectK:
         # force identical silhouette for every candidate k
         import nodewatch.baselines as bl
 
-        monkeypatch.setattr(bl, "silhouette", lambda d, a: 0.5)
+        monkeypatch.setattr(bl, "_silhouette_from_distances", lambda d, a: 0.5)
         rng = np.random.default_rng(0)
         rows = blob_rows(rng, [[0, 0], [8, 8], [-8, 8]])
         assert bl.select_k(rows, range(2, 6), seed=0)[0] == 2

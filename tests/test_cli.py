@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -143,6 +144,22 @@ def run_cli(*command):
     )
 
 
+class TestThreadPolicy:
+    @pytest.mark.parametrize("exported", [None, "3"], ids=["unset", "exported"])
+    def test_import_sets_one_blas_thread_unless_exported(self, exported):
+        env = {"PYTHONPATH": str(Path(nodewatch.__file__).parents[1])}
+        if exported is not None:
+            env["OPENBLAS_NUM_THREADS"] = exported
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, nodewatch; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (exported or "1")
+
+
 class TestScoreCommand:
     @pytest.mark.parametrize(
         "damage", ["per-gate layout", "truncated", "unknown spec key", "old layout"]
@@ -252,7 +269,7 @@ class TestEvaluateCommand:
         assert "error" in summary["EXP"] and "no positive" in summary["EXP"]["error"]
         assert "auc" in summary["CLU"]
 
-    @pytest.mark.parametrize("damage", ["truncated", "unparsable cell"])
+    @pytest.mark.parametrize("damage", ["truncated", "unparsable cell", "nan cell"])
     def test_damaged_score_file_exits_two_with_one_line(
         self, tmp_path, generated_data, damage
     ):
@@ -264,13 +281,30 @@ class TestEvaluateCommand:
         if damage == "truncated":
             assert text[299] != "\n"  # the cut ends inside a row
             path.write_text(text[:300])
-        else:
+        elif damage == "unparsable cell":
             path.write_text(text.replace(",0.0,", ",zero,", 1))
+        else:
+            # parses as a float, and NaN compares false against [0, 1]
+            path.write_text(text.replace(",0.0,", ",nan,", 1))
         proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("ERROR") and str(path) in lines[0]
+        assert not (out / "summary.json").exists()
+
+    def test_roc_csv_cells_are_plain_numbers(self, tmp_path, generated_data):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU"])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("EXP", "CLU"):
+            with open(out / "reports" / f"{name}_roc.csv", newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["threshold", "fpr", "tpr"] and len(rows) > 2
+            values = [[float(cell) for cell in row] for row in rows]
+            assert all(len(row) == 3 for row in values)
+            assert values[0] == [float("inf"), 0.0, 0.0] and values[-1][1:] == [1.0, 1.0]
 
 
 class TestNodeMajorCommands:
