@@ -108,11 +108,23 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
 # clustering
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between row sets a (M, N) and b (K, N)."""
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.sum(a * a, axis=1)
+
+
+def _pairwise_distances(
+    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Euclidean distance matrix between row sets a (M, N) and b (K, N).
+
+    ``a_sq`` is ``_row_norms(a)``, for callers that reuse it across calls.
+    """
+    if a_sq is None:
+        a_sq = _row_norms(a)
     sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
+        a_sq[:, None]
+        + _row_norms(b)[None, :]
         - 2.0 * (a @ b.T)
     )
     return np.sqrt(np.maximum(sq, 0.0))
@@ -150,9 +162,14 @@ def _silhouette_from_distances(dist: np.ndarray, assignment: np.ndarray) -> floa
     return float(scores.mean())
 
 
-def assign_clusters(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid; ties go to the lowest id."""
-    return np.argmin(_pairwise_distances(rows, centroids), axis=1)
+def assign_clusters(
+    rows: np.ndarray, centroids: np.ndarray, row_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Index of each row's nearest centroid; ties go to the lowest id.
+
+    ``row_sq`` is ``_row_norms(rows)``, for callers that reuse it.
+    """
+    return np.argmin(_pairwise_distances(rows, centroids, row_sq), axis=1)
 
 
 def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,10 +187,13 @@ def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(
+    rows: np.ndarray, seeds: np.ndarray, row_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations from ``seeds``; ``row_sq`` as in ``assign_clusters``."""
     centroids = seeds.copy()
     k = len(centroids)
-    assignment = assign_clusters(rows, centroids)
+    assignment = assign_clusters(rows, centroids, row_sq)
     for _ in range(KMEANS_MAX_ITER):
         counts = np.bincount(assignment, minlength=k)
         # the same row-order sums that rows[mask].mean(axis=0) takes, so the
@@ -189,7 +209,7 @@ def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             centroids[j] = rows[far]
             done = j + 1
         centroids[done:] = means[done:]
-        new_assignment = assign_clusters(rows, centroids)
+        new_assignment = assign_clusters(rows, centroids, row_sq)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -206,10 +226,11 @@ def kmeans_fit(rows: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     if k > distinct:
         raise DataError(f"k={k} exceeds the {distinct} distinct rows available")
     rng = np.random.default_rng(seed)
+    row_sq = _row_norms(rows)
     best: tuple[float, np.ndarray] | None = None
     for _ in range(KMEANS_RESTARTS):
         seeds = _plus_plus_seeds(rows, k, rng)
-        centroids, _, wcss = _lloyd(rows, seeds)
+        centroids, _, wcss = _lloyd(rows, seeds, row_sq)
         if best is None or wcss < best[0]:
             best = (wcss, centroids)
     return best[1]

@@ -12,7 +12,7 @@ Gate order throughout is (input, forget, output, candidate).
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,12 +213,14 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[neg])
-    out[neg] = ex / (1.0 + ex)
+    """Logistic function in its tanh form, 0.5 * (1 + tanh(x / 2)).
+
+    tanh saturates at +-1 instead of overflowing, so no input raises a
+    floating-point warning and the result stays within [0, 1].
+    """
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -247,83 +249,121 @@ def _dense_backward(
     return grads, d_pre @ layer.weights
 
 
-def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    batch, steps, in_dim = x.shape
-    h_dim = layer.hidden_dim
+def _batch_first(a: np.ndarray) -> np.ndarray:
+    """A step-major (W, F, B) buffer as a batch-first (B, W, F) view."""
+    return a.transpose(2, 0, 1)
 
-    pre_x = (x.reshape(batch * steps, in_dim) @ layer.w.T).reshape(batch, steps, 4 * h_dim)
-    gates = np.empty((batch, steps, 4 * h_dim))
-    cells = np.empty((batch, steps + 1, h_dim))
-    hidden = np.empty((batch, steps + 1, h_dim))
-    tanh_c = np.empty((batch, steps, h_dim))
-    cells[:, 0] = 0.0
-    hidden[:, 0] = 0.0
+
+def _step_major(a: np.ndarray) -> np.ndarray:
+    """A batch-first (B, W, F) array as a step-major (W, F, B) view."""
+    return a.transpose(1, 2, 0)
+
+
+def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Run the recurrence over a (B, W, N) batch.
+
+    The buffers are step-major, (W, features, B), so every step and every
+    gate within it is a contiguous block; the cache holds them as
+    batch-first views. All four gates are activated by one tanh per step:
+    the sigmoid gates' pre-activations are halved (an exact scaling, folded
+    into the weights) and sigmoid(a) = 0.5 * (1 + tanh(a / 2)).
+    """
+    batch, steps, _ = x.shape
+    h_dim = layer.hidden_dim
+    scale = np.full((4 * h_dim, 1), 0.5)  # the sigmoid gates' rows
+    scale[3 * h_dim :] = 1.0
+    x = np.ascontiguousarray(_step_major(x))  # (W, N, B)
+
+    gates = np.matmul(layer.w * scale, x)  # (W, 4H, B), bias added below
+    gates += layer.b[:, None] * scale
+    u_scaled = layer.u * scale
+    cells = np.empty((steps + 1, h_dim, batch))
+    hidden = np.empty((steps + 1, h_dim, batch))
+    tanh_c = np.empty((steps, h_dim, batch))
+    cells[0] = 0.0
+    hidden[0] = 0.0
+    recurrent = np.empty((4 * h_dim, batch))
+    candidate = np.empty((h_dim, batch))
 
     for t in range(steps):
-        a = pre_x[:, t] + hidden[:, t] @ layer.u.T + layer.b
-        gates[:, t, : 3 * h_dim] = _sigmoid(a[:, : 3 * h_dim])
-        gates[:, t, 3 * h_dim :] = np.tanh(a[:, 3 * h_dim :])
-        i, f, o, g = gates[:, t].reshape(batch, 4, h_dim).swapaxes(0, 1)
-        c = f * cells[:, t] + i * g
-        tc = np.tanh(c)
-        cells[:, t + 1] = c
-        tanh_c[:, t] = tc
-        hidden[:, t + 1] = o * tc
+        a = gates[t]
+        if t:  # the state before the first step is zero
+            a += np.matmul(u_scaled, hidden[t], out=recurrent)
+        np.tanh(a, out=a)
+        sig = a[: 3 * h_dim]
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = a.reshape(4, h_dim, batch)
+        c = cells[t + 1]
+        np.multiply(f, cells[t], out=c)
+        c += np.multiply(i, g, out=candidate)
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=hidden[t + 1])
 
-    out = hidden[:, 1:] if layer.return_sequence else hidden[:, -1]
-    cache = {"x": x, "gates": gates, "cells": cells, "hidden": hidden, "tanh_c": tanh_c}
+    out = _batch_first(hidden[1:]) if layer.return_sequence else hidden[-1].T
+    cache = {
+        "x": _batch_first(x),
+        "gates": _batch_first(gates),
+        "cells": _batch_first(cells),
+        "hidden": _batch_first(hidden),
+        "tanh_c": _batch_first(tanh_c),
+    }
     return out, cache
 
 
 def _lstm_backward(
     layer: LstmLayer, cache: dict, d_out: np.ndarray
 ) -> tuple[dict, np.ndarray]:
-    x = cache["x"]
-    batch, steps, in_dim = x.shape
-    h_dim = layer.hidden_dim
-    gates, cells, hidden, tanh_c = (
-        cache["gates"],
-        cache["cells"],
-        cache["hidden"],
-        cache["tanh_c"],
+    """Backpropagation through time over the whole window.
+
+    Each gate's pre-activation gradient is dc (dh for the output gate) times
+    a factor built for all steps at once: the gate's derivative times its
+    partner in the cell update (g, c_prev, tanh c, i for i, f, o, g).
+    """
+    x, gates, cells, hidden, tanh_c = (
+        _step_major(cache[k]) for k in ("x", "gates", "cells", "hidden", "tanh_c")
     )
+    steps, _, batch = x.shape
+    h_dim = layer.hidden_dim
 
-    d_all = np.empty((batch, steps, 4 * h_dim))
-    d_u = np.zeros_like(layer.u)
-    dh_next = np.zeros((batch, h_dim))
-    dc_next = np.zeros((batch, h_dim))
+    gate4 = gates.reshape(steps, 4, h_dim, batch)
+    i, f, o, g = gate4.swapaxes(0, 1)
+    # built in place: temporaries of this size cost page faults
+    factor = 1.0 - gate4
+    factor *= gate4
+    d_g = factor[:, 3]
+    np.multiply(g, g, out=d_g)
+    np.subtract(1.0, d_g, out=d_g)
+    for k, partner in enumerate((g, cells[:-1], tanh_c, i)):
+        factor[:, k] *= partner
+    dc_dh = tanh_c * tanh_c  # dc/dh through h = o * tanh(c)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    u_transposed = np.ascontiguousarray(layer.u.T)
+
+    d_all = np.empty((steps, 4, h_dim, batch))
+    d_seq = _step_major(d_out) if layer.return_sequence else None
+    dh = np.zeros((h_dim, batch)) if layer.return_sequence else np.array(d_out.T)
+    dc = np.zeros((h_dim, batch))
+    dc_step = np.empty((h_dim, batch))
     for t in range(steps - 1, -1, -1):
-        dh = dh_next.copy()
-        if layer.return_sequence:
-            dh += d_out[:, t]
-        elif t == steps - 1:
-            dh += d_out
-        i, f, o, g = gates[:, t].reshape(batch, 4, h_dim).swapaxes(0, 1)
-        tc = tanh_c[:, t]
+        if d_seq is not None:
+            dh += d_seq[t]
+        dc += np.multiply(dh, dc_dh[t], out=dc_step)
+        da = d_all[t]
+        np.multiply(factor[t], dc, out=da)
+        np.multiply(factor[t, 2], dh, out=da[2])
+        if t:
+            dc *= f[t]
+            np.matmul(u_transposed, da.reshape(4 * h_dim, batch), out=dh)
 
-        d_o = dh * tc
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        d_i = dc * g
-        d_f = dc * cells[:, t]
-        d_g = dc * i
-        dc_next = dc * f
-
-        da = d_all[:, t]
-        da[:, :h_dim] = d_i * i * (1.0 - i)
-        da[:, h_dim : 2 * h_dim] = d_f * f * (1.0 - f)
-        da[:, 2 * h_dim : 3 * h_dim] = d_o * o * (1.0 - o)
-        da[:, 3 * h_dim :] = d_g * (1.0 - g * g)
-
-        d_u += da.T @ hidden[:, t]
-        dh_next = da @ layer.u
-
-    flat = d_all.reshape(batch * steps, 4 * h_dim)
+    d_all = d_all.reshape(steps, 4 * h_dim, batch)
     grads = {
-        "w": flat.T @ x.reshape(batch * steps, in_dim),
-        "u": d_u,
-        "b": flat.sum(axis=0),
+        "w": np.matmul(d_all, x.transpose(0, 2, 1)).sum(axis=0),
+        "u": np.matmul(d_all, hidden[:-1].transpose(0, 2, 1)).sum(axis=0),
+        "b": d_all.sum(axis=0).sum(axis=1),
     }
-    return grads, (flat @ layer.w).reshape(batch, steps, in_dim)
+    return grads, _batch_first(np.matmul(np.ascontiguousarray(layer.w.T), d_all))
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -422,44 +462,65 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like NetworkParams.param_items."""
+    """First/second moment accumulators, each one flat buffer laid out in
+    NetworkParams.param_items order."""
 
-    learning_rate: float = 1e-3
+    moment1: np.ndarray
+    moment2: np.ndarray
+    learning_rate: float
     step: int = 0
-    moment1: dict[str, np.ndarray] = field(default_factory=dict)
-    moment2: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([arr.ravel() for arr in arrays])
+
+
+def _unflatten(flat: np.ndarray, like: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Views of ``flat`` shaped like each array of ``like``, in order."""
+    offset = 0
+    for arr in like:
+        yield flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+
+
+def _param_arrays(params: NetworkParams) -> list[np.ndarray]:
+    return [arr for _, arr in params.param_items()]
 
 
 def init_adam(params: NetworkParams, learning_rate: float = 1e-3) -> AdamState:
-    state = AdamState(learning_rate)
-    for key, arr in params.param_items():
-        state.moment1[key] = np.zeros_like(arr)
-        state.moment2[key] = np.zeros_like(arr)
-    return state
+    size = sum(arr.size for arr in _param_arrays(params))
+    return AdamState(np.zeros(size), np.zeros(size), learning_rate)
 
 
 def adam_step(
     params: NetworkParams, grads: list[dict[str, np.ndarray]], state: AdamState
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected adaptive-moment update, applied in place."""
+    """One bias-corrected adaptive-moment update, applied in place.
+
+    The gradients are gathered into one flat vector, so the moments and the
+    update take one vectorised pass over every parameter at once.
+    """
+    arrays, grad_arrays = [], []
+    for i, layer in enumerate(params.layers):
+        for name, arr in layer.param_items():
+            g = grads[i][name]
+            if g.shape != arr.shape:
+                raise DataError(f"gradient shape mismatch for {i}.{name}")
+            arrays.append(arr)
+            grad_arrays.append(g)
+    g = _flatten(grad_arrays)
     state.step += 1
     t = state.step
-    for i, layer in enumerate(params.layers):
-        layer_grads = grads[i]
-        for name, arr in layer.param_items():
-            key = f"{i}.{name}"
-            g = layer_grads[name]
-            if g.shape != arr.shape:
-                raise DataError(f"gradient shape mismatch for {key}")
-            m = state.moment1[key]
-            v = state.moment2[key]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            arr -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    m, v = state.moment1, state.moment2
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    for arr, step in zip(arrays, _unflatten(update, arrays)):
+        arr -= step
     return params, state
 
 
@@ -493,8 +554,9 @@ def train_autoencoder(
 
     Shuffles windows every epoch with the seeded generator, stops early when
     the epoch loss has not improved by more than 1e-6 for
-    ``early_stop_patience`` consecutive epochs, and returns the parameters
-    of the best (lowest-loss) epoch together with the loss history.
+    ``early_stop_patience`` consecutive epochs, and returns ``params``, set
+    in place to the parameters of the best (lowest-loss) epoch, together
+    with the loss history.
     """
     sequences = np.asarray(windows.sequences, dtype=np.float64)
     targets = np.asarray(windows.targets, dtype=np.float64)
@@ -503,8 +565,9 @@ def train_autoencoder(
         raise DataError("cannot train on an empty window set")
 
     rng = np.random.default_rng(cfg.seed)
+    arrays = _param_arrays(params)
     best_loss = np.inf
-    best_params = copy.deepcopy(params)
+    best = _flatten(arrays)
     state = init_adam(params, learning_rate=cfg.learning_rate)
     history: list[float] = []
     stale_epochs = 0
@@ -532,9 +595,11 @@ def train_autoencoder(
             else:
                 stale_epochs += 1
             best_loss = epoch_loss
-            best_params = copy.deepcopy(params)
+            best = _flatten(arrays)
         else:
             stale_epochs += 1
         if stale_epochs >= cfg.early_stop_patience:
             break
-    return best_params, history
+    for arr, saved in zip(arrays, _unflatten(best, arrays)):
+        arr[...] = saved
+    return params, history

@@ -28,9 +28,7 @@ def write_json(path: str | Path, obj: object) -> None:
     """Write JSON deterministically (sorted keys, fixed separators)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path) -> dict:

@@ -18,6 +18,7 @@ from nodewatch.baselines import (
     silhouette,
     _lloyd,
     _plus_plus_seeds,
+    _row_norms,
 )
 from nodewatch.errors import DataError
 
@@ -234,6 +235,18 @@ class TestKMeans:
         seeds = rows[[0, 0, 7, 7, 11]]
         assert set(assign_clusters(rows, seeds).tolist()) == {0, 2, 4}
         got = _lloyd(rows, seeds)
+        want = self.reference_lloyd(rows, seeds)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_norms_passed_in_keep_the_bits(self, width, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(size=(300, width)) ** 3
+        seeds = rows[[0, 0, 7, 7, 11]]
+        got = _lloyd(rows, seeds, _row_norms(rows))
         want = self.reference_lloyd(rows, seeds)
         npt.assert_array_equal(got[0], want[0])
         npt.assert_array_equal(got[1], want[1])

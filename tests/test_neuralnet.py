@@ -131,6 +131,18 @@ class TestInit:
             )
 
 
+class TestSigmoid:
+    def test_matches_expit_without_warnings(self):
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-np.inf, np.inf]])
+        with np.errstate(all="raise"):
+            got = nn._sigmoid(x)
+        npt.assert_allclose(got, expit(x), rtol=0, atol=1e-15)
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        npt.assert_array_equal(nn._sigmoid(np.array([0.0, -0.0])), 0.5)
+
+
 class TestForward:
     def test_zero_params_sigmoid_gives_half(self):
         params = nn.init_params([nn.DenseSpec(3, 3, "sigmoid")], seed=0)
@@ -150,6 +162,18 @@ class TestForward:
         ours, _ = nn._lstm_forward(layer, seq[None])
         expected = reference_lstm(layer, seq)
         npt.assert_allclose(ours[0], expected, atol=1e-10)
+
+    @pytest.mark.parametrize("return_sequence", [True, False])
+    def test_batch_matches_reference_within_1e12(self, rng, return_sequence):
+        layer = nn.init_params([nn.LstmSpec(5, 4, return_sequence)], seed=21).layers[0]
+        layer.b[:] = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(6, 7, 5))
+        ours, _ = nn._lstm_forward(layer, x)
+        expected = np.stack([reference_lstm(layer, seq) for seq in x])
+        if not return_sequence:
+            expected = expected[:, -1]
+        assert ours.shape == expected.shape
+        npt.assert_allclose(ours, expected, rtol=0, atol=1e-12)
 
     def test_stacked_network_matches_reference_chain(self, rng):
         specs = [
@@ -275,6 +299,34 @@ class TestAdam:
             params.layers[0].weights, before - 1e-3 * np.sign(0.37), rtol=1e-6
         )
         npt.assert_allclose(params.layers[0].bias, 0.0 + 1e-3, rtol=1e-6)
+
+    def test_flat_update_is_bit_identical_to_per_array_reference(self, rng):
+        specs = [
+            nn.LstmSpec(3, 4, return_sequence=True),
+            nn.LstmSpec(4, 2, return_sequence=False),
+            nn.DenseSpec(2, 5, "relu"),
+            nn.DenseSpec(5, 3, "sigmoid"),
+        ]
+        params = nn.init_params(specs, seed=6)
+        lr = 1e-2
+        state = nn.init_adam(params, learning_rate=lr)
+        ref = {key: arr.copy() for key, arr in params.param_items()}
+        m = {key: np.zeros_like(arr) for key, arr in ref.items()}
+        v = {key: np.zeros_like(arr) for key, arr in ref.items()}
+        for t in range(1, 6):
+            _, caches = nn.forward(params, rng.normal(size=(4, 3, 3)))
+            grads = nn.backward(params, caches, rng.uniform(size=(4, 3)))
+            nn.adam_step(params, grads, state)
+            for i, layer_grads in enumerate(grads):
+                for name, g in layer_grads.items():
+                    key = f"{i}.{name}"
+                    m[key] = m[key] * nn.ADAM_BETA1 + (1.0 - nn.ADAM_BETA1) * g
+                    v[key] = v[key] * nn.ADAM_BETA2 + (1.0 - nn.ADAM_BETA2) * (g * g)
+                    m_hat = m[key] / (1.0 - nn.ADAM_BETA1**t)
+                    v_hat = v[key] / (1.0 - nn.ADAM_BETA2**t)
+                    ref[key] -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
+            for key, arr in params.param_items():
+                npt.assert_array_equal(arr, ref[key], err_msg=f"step {t}, {key}")
 
     def test_converges_on_scalar_quadratic(self):
         # minimize (w - 0.6)^2 through the optimizer interface alone
