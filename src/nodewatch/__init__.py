@@ -5,6 +5,7 @@ with an anomaly probability; evaluation pools the per-node test scores into
 one ROC curve per method.
 """
 
+import importlib
 import os
 
 # One BLAS thread per process, set before numpy loads: parallelism comes from
@@ -12,29 +13,30 @@ import os
 # exported is left in place.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .baselines import KMeansModel
-from .models import METHODS, ModelSpec, Regime, TrainedModel
-from .neuralnet import NetworkParams, TrainingConfig
-from .pipeline import ScalerParams, WindowSet
-from .scoring import RocReport, ScoreSeries
-from .synthgen import SynthConfig
-from .telemetry import NodeDataset
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "KMeansModel",
-    "METHODS",
-    "ModelSpec",
-    "NetworkParams",
-    "NodeDataset",
-    "Regime",
-    "RocReport",
-    "ScalerParams",
-    "ScoreSeries",
-    "SynthConfig",
-    "TrainedModel",
-    "TrainingConfig",
-    "WindowSet",
-    "__version__",
-]
+# Where each public name lives. A name is imported on first access
+# (PEP 562), so ``import nodewatch`` itself loads no numpy.
+_HOMES = {
+    "KMeansModel": "baselines",
+    "METHODS": "methods",
+    "ModelSpec": "models",
+    "NetworkParams": "neuralnet",
+    "NodeDataset": "telemetry",
+    "Regime": "models",
+    "RocReport": "scoring",
+    "ScalerParams": "pipeline",
+    "ScoreSeries": "scoring",
+    "SynthConfig": "synthgen",
+    "TrainedModel": "models",
+    "TrainingConfig": "methods",
+    "WindowSet": "pipeline",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .methods import check_alpha
 from .pipeline import time_consistency_segments
 from .scoring import ScoreSeries, anomaly_probability
 from .telemetry import NodeDataset
@@ -55,12 +56,6 @@ class KMeansModel:
 
 # ---------------------------------------------------------------------------
 # exponential smoothing
-
-
-def check_alpha(alpha: float) -> None:
-    """The smoothing factor of the exponential baseline lies in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise DataError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:

@@ -13,19 +13,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import models as mdl
-from .baselines import check_alpha
 from .errors import ConfigError, DataError, TrainingError
-from .neuralnet import TrainingConfig
-from .pipeline import chronological_split
-from .scoring import pool_nodes, read_scores_csv, write_scores_csv
-from .synthgen import SynthConfig, generate_dataset
-from .telemetry import NodeDataset
-from .util import derive_seed, read_config, write_json
+from .methods import (
+    METHODS,
+    WINDOWED_METHODS,
+    TrainingConfig,
+    check_alpha,
+    method_instance_name,
+    model_path,
+)
+from .util import derive_seed, is_int, is_real, read_config, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -38,7 +38,7 @@ class RunConfig:
 
     data_dir: str
     nodes: list[str] | None = None
-    methods: list[str] = field(default_factory=lambda: list(mdl.METHODS))
+    methods: list[str] = field(default_factory=lambda: list(METHODS))
     windows: list[int] = field(default_factory=lambda: list(DEFAULT_WINDOWS))
     split_ratio: float = 0.8
     training: dict = field(default_factory=dict)
@@ -47,26 +47,39 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        unknown = [m for m in self.methods if m not in mdl.METHODS]
+        if not isinstance(self.data_dir, (str, Path)):
+            raise ConfigError(f"data_dir must be a directory path, got {self.data_dir!r}")
+        for key, what in (("nodes", "node"), ("methods", "method")):
+            values = getattr(self, key)
+            if values is not None and not (
+                isinstance(values, list) and all(isinstance(v, str) for v in values)
+            ):
+                raise ConfigError(f"{key} must be a list of {what} names, got {values!r}")
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(
-                f"unknown methods {unknown}; valid names: {list(mdl.METHODS)}"
+                f"unknown methods {unknown}; valid names: {list(METHODS)}"
             )
         if not self.methods:
             raise ConfigError("methods list is empty")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
-        if not all(type(w) is int and w >= 1 for w in self.windows):
-            raise ConfigError(f"window lengths must be integers >= 1, got {self.windows}")
+        if not is_real(self.split_ratio) or not 0.0 < self.split_ratio < 1.0:
+            raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio!r}")
+        windows = self.windows
+        if not (isinstance(windows, list) and all(is_int(w) and w >= 1 for w in windows)):
+            raise ConfigError(f"window lengths must be integers >= 1, got {windows!r}")
         for key in ("methods", "windows", "nodes"):
             values = getattr(self, key) or []
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key} list contains duplicates: {values}")
-        needs_windows = any(m in mdl.WINDOWED_METHODS for m in self.methods)
+        needs_windows = any(m in WINDOWED_METHODS for m in self.methods)
         if needs_windows and not self.windows:
             raise ConfigError("windowed methods requested but windows list is empty")
-        if type(self.workers) is not int or self.workers < 1:
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers}")
+        if not is_int(self.workers) or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.training, dict):
+            raise ConfigError(f"training must be an object, got {self.training!r}")
         # the seed is derived per job
         bad = set(self.training) - ({f.name for f in fields(TrainingConfig)} - {"seed"})
         if bad:
@@ -85,7 +98,7 @@ class RunConfig:
         """Expand windowed methods over the configured window lengths."""
         instances: list[tuple[str, int | None]] = []
         for method in self.methods:
-            if method in mdl.WINDOWED_METHODS:
+            if method in WINDOWED_METHODS:
                 instances.extend((method, w) for w in self.windows)
             else:
                 instances.append((method, None))
@@ -110,7 +123,9 @@ def _discover_nodes(cfg: RunConfig) -> list[str]:
     return nodes
 
 
-def _load_dataset(cfg: RunConfig, node_id: str) -> NodeDataset:
+def _load_dataset(cfg: RunConfig, node_id: str):
+    from .telemetry import NodeDataset
+
     return NodeDataset.from_csv(Path(cfg.data_dir) / f"{node_id}.csv", node_id=node_id)
 
 
@@ -129,6 +144,8 @@ def _write_loss_history(path: Path, history: list[float]) -> None:
 def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
     """Train the pending ``(method, window, name)`` instances of one node
     from one load of its dataset; returns one status row per instance."""
+    from . import models as mdl
+
     cfg, out_dir, node_id, instances = args
     store = Path(out_dir) / "models"
     try:
@@ -169,19 +186,24 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
     rows: list[tuple[str, str, str, str]] = []
     pending: dict[str, list[tuple[str, int | None, str]]] = {}
     for method, window in cfg.method_instances():
-        name = mdl.method_instance_name(method, window)
+        name = method_instance_name(method, window)
         if method == "EXP":
             log.info("%s requires no training; skipping", name)
             continue
         for node_id in nodes:
-            if mdl.model_path(store, node_id, name).exists():
+            if model_path(store, node_id, name).exists():
                 rows.append((node_id, name, "skipped-exists", ""))
             else:
                 pending.setdefault(node_id, []).append((method, window, name))
     jobs = [(cfg, str(out_dir), node_id, pending[node_id]) for node_id in sorted(pending)]
+    if jobs:
+        # numpy and the engine load once here, so forked workers share them
+        from . import models  # noqa: F401
 
     log.info("training %d nodes, one job each", len(jobs))
     if cfg.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_train_job, jobs))
     else:
@@ -224,12 +246,16 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     dataset cannot be read. An instance that no node produced scores for
     maps to an empty list and gets no file.
     """
+    from . import models as mdl
+    from .pipeline import chronological_split
+    from .scoring import read_scores_csv, write_scores_csv
+
     nodes = _discover_nodes(cfg)
     store = out_dir / "models"
     scores: dict[str, list] = {}
     pending = []
     for method, window in cfg.method_instances():
-        name = mdl.method_instance_name(method, window)
+        name = method_instance_name(method, window)
         score_path = out_dir / "scores" / f"{name}.csv"
         if score_path.exists():
             scores[name] = read_scores_csv(score_path)
@@ -250,7 +276,7 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
                     log.warning("EXP: skipping %s: %s", node_id, exc)
                     continue
             else:
-                path = mdl.model_path(store, node_id, name)
+                path = model_path(store, node_id, name)
                 if not path.exists():
                     log.warning("%s: no model for %s; skipping", name, node_id)
                     continue
@@ -284,6 +310,8 @@ def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
+    from .scoring import pool_nodes
+
     summary: dict[str, dict] = {}
     for name, series_list in _load_or_compute_scores(cfg, out_dir).items():
         try:
@@ -307,6 +335,8 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_generate(config_path: Path, out_dir: Path) -> None:
+    from .synthgen import SynthConfig, generate_dataset
+
     cfg = read_config(SynthConfig, config_path)
     generate_dataset(cfg, out_dir)
     log.info(

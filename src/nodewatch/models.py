@@ -28,6 +28,13 @@ from .baselines import (
     select_k,
 )
 from .errors import DataError
+from .methods import (  # noqa: F401  (the method names are re-exported)
+    METHODS,
+    WINDOWED_METHODS,
+    TrainingConfig,
+    method_instance_name,
+    model_path,
+)
 from .pipeline import (
     ScalerParams,
     apply_minmax,
@@ -47,9 +54,6 @@ ENCODER_DIM = 16
 LATENT_DIM = 8
 DECODER_DIM = 16
 
-METHODS = ("EXP", "CLU", "DENSE_semi", "DENSE_un", "RUAD_semi", "RUAD")
-WINDOWED_METHODS = ("RUAD_semi", "RUAD")
-
 SCORE_BATCH = 512
 
 
@@ -66,17 +70,6 @@ REGIMES: dict[str, Regime] = {
     "RUAD_semi": Regime(semi_supervised=True),
     "RUAD": Regime(semi_supervised=False),
 }
-
-
-def method_instance_name(method: str, window: int | None = None) -> str:
-    """Concrete store/report name; windowed methods get a W suffix."""
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in WINDOWED_METHODS:
-        if window is None:
-            raise DataError(f"{method} requires a window length")
-        return f"{method}_W{window}"
-    return method
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ def train_node_model(
     dataset: NodeDataset,
     spec: ModelSpec,
     regime: Regime,
-    cfg: nn.TrainingConfig,
+    cfg: TrainingConfig,
     split_ratio: float = 0.8,
 ) -> tuple[TrainedModel, list[float]]:
     """Full training pipeline for one node and one autoencoder variant.
@@ -305,10 +298,6 @@ def score_exp_method(
 
 # ---------------------------------------------------------------------------
 # model store
-
-
-def model_path(store_dir: str | Path, node_id: str, name: str) -> Path:
-    return Path(store_dir) / node_id / f"{name}.json"
 
 
 def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) -> Path:

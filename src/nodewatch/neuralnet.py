@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, TrainingError
+from .methods import TrainingConfig
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 GATES = ("input", "forget", "output", "candidate")
@@ -526,22 +527,6 @@ def adam_step(
 
 # ---------------------------------------------------------------------------
 # training loop
-
-
-@dataclass
-class TrainingConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 50
-    early_stop_patience: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise DataError("learning_rate must be >= 0")
-        counts = (self.batch_size, self.max_epochs, self.early_stop_patience)
-        if not all(type(c) is int and c >= 1 for c in counts):
-            raise DataError("batch_size, max_epochs and patience must be integers >= 1")
 
 
 IMPROVEMENT_THRESHOLD = 1e-6

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .util import csv_line
 
 MAX_ERROR_FLOOR = 1e-12
 
@@ -68,17 +69,16 @@ class RocReport:
             "auc": self.auc,
             "positives": self.positives,
             "negatives": self.negatives,
-            "points": [[t, fpr, tpr] for t, fpr, tpr in self.points],
         }
 
     def write_points_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        lines = [csv_line(["threshold", "fpr", "tpr"])]
+        rows = np.array(self.points, dtype=np.float64).tolist()
+        lines.extend(",".join(map(repr, row)) + "\r\n" for row in rows)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for t, fpr, tpr in self.points:
-                writer.writerow([repr(float(t)), repr(float(fpr)), repr(float(tpr))])
+            fh.write("".join(lines))
 
 
 def anomaly_probability(normalized_errors: np.ndarray) -> np.ndarray:
@@ -144,19 +144,15 @@ def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
     """Write pooled score rows as ``node_id,bucket_start,probability,label``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [csv_line(SCORE_COLUMNS)]
+    for series in series_list:
+        node = csv_line([series.node_id, ""])[:-2]  # the node id as quoted, and its comma
+        rows = zip(
+            series.bucket_starts.tolist(), series.probabilities.tolist(), series.labels.tolist()
+        )
+        lines.extend(node + ",".join(map(repr, row)) + "\r\n" for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_COLUMNS)
-        for series in series_list:
-            for i in range(len(series)):
-                writer.writerow(
-                    [
-                        series.node_id,
-                        int(series.bucket_starts[i]),
-                        repr(float(series.probabilities[i])),
-                        int(series.labels[i]),
-                    ]
-                )
+        fh.write("".join(lines))
 
 
 def read_scores_csv(path: str | Path) -> list[ScoreSeries]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .telemetry import BUCKET_SECONDS, NodeDataset, feature_names_for
-from .util import derive_seed, write_json
+from .util import derive_seed, is_int, is_real, write_json
 
 SIGNATURE_KINDS = ("level_shift", "correlation_break", "temporal_disruption")
 
@@ -56,14 +56,19 @@ class SynthConfig:
     seed: int = 20240817
 
     def __post_init__(self) -> None:
-        if min(self.node_count, self.metric_count, self.timestep_count) < 1:
-            raise ConfigError("node, metric and timestep counts must be positive")
-        if self.regime_count < 1:
-            raise ConfigError("regime_count must be positive")
-        if not 0.0 <= self.anomaly_rate < 1.0:
-            raise ConfigError(f"anomaly_rate must lie in [0, 1), got {self.anomaly_rate}")
-        if self.noise_std <= 0:
-            raise ConfigError("noise_std must be positive")
+        for key in ("node_count", "metric_count", "timestep_count", "regime_count"):
+            value = getattr(self, key)
+            if not is_int(value) or value < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        if not is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not is_real(self.anomaly_rate) or not 0.0 <= self.anomaly_rate < 1.0:
+            raise ConfigError(f"anomaly_rate must lie in [0, 1), got {self.anomaly_rate!r}")
+        if not is_real(self.noise_std) or self.noise_std <= 0:
+            raise ConfigError(f"noise_std must be a positive number, got {self.noise_std!r}")
+        mix = self.anomaly_mix
+        if not (isinstance(mix, dict) and all(is_real(w) for w in mix.values())):
+            raise ConfigError(f"anomaly_mix must map anomaly kinds to weights, got {mix!r}")
         unknown = set(self.anomaly_mix) - set(SIGNATURE_KINDS)
         if unknown:
             raise ConfigError(f"unknown anomaly kinds in mix: {sorted(unknown)}")

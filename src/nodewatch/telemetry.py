@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .util import csv_line
 
 BUCKET_SECONDS = 900
 
@@ -80,14 +81,11 @@ class NodeDataset:
     def to_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        lines = [csv_line(["bucket_start", "label", *self.feature_names])]
+        rows = zip(self.bucket_starts.tolist(), self.labels.tolist(), self.features.tolist())
+        lines.extend(",".join(map(repr, [b, y, *f])) + "\r\n" for b, y, f in rows)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bucket_start", "label", *self.feature_names])
-            for i in range(len(self)):
-                writer.writerow(
-                    [int(self.bucket_starts[i]), int(self.labels[i])]
-                    + [repr(float(v)) for v in self.features[i]]
-                )
+            fh.write("".join(lines))
 
     @classmethod
     def from_csv(cls, path: str | Path, node_id: str | None = None) -> "NodeDataset":

@@ -1,8 +1,10 @@
-"""Small shared helpers: deterministic seeding, JSON output and config files."""
+"""Small shared helpers: deterministic seeding, config files, JSON and CSV output."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -11,6 +13,16 @@ from typing import TypeVar
 from .errors import ConfigError
 
 T = TypeVar("T")
+
+
+def is_int(value: object) -> bool:
+    """An integer, but not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """A real number, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def derive_seed(*parts: object) -> int:
@@ -22,6 +34,13 @@ def derive_seed(*parts: object) -> int:
     text = "|".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def csv_line(cells: list) -> str:
+    """One CSV row, quoted as ``csv.writer`` quotes it, with its ``\\r\\n`` end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
 
 
 def write_json(path: str | Path, obj: object) -> None:

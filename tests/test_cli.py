@@ -74,6 +74,30 @@ class TestGenerateCommand:
         cfg = tiny_synth_config(tmp_path, mystery_knob=3)
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("node_count", 2.5),
+            ("timestep_count", 50.0),
+            ("node_count", True),
+            ("seed", "abc"),
+            ("noise_std", "0.1"),
+            ("anomaly_mix", ["level_shift"]),
+        ],
+        ids=[
+            "node-count-2.5", "timestep-count-50.0", "node-count-true", "seed-abc",
+            "noise-std-string", "mix-list",
+        ],
+    )
+    def test_mistyped_value_exits_one_with_one_line(self, tmp_path, key, value):
+        cfg = tiny_synth_config(tmp_path, **{key: value})
+        proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and key in lines[0]
+        assert not (tmp_path / "x").exists()
+
 
 @pytest.fixture(scope="module")
 def generated_data(tmp_path_factory):
@@ -158,6 +182,50 @@ class TestThreadPolicy:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == (exported or "1")
+
+
+def python_in_child(code):
+    """Run ``python -c code`` with nodewatch importable; return its last stdout line as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(nodewatch.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] in ('nodewatch', 'numpy'))]))"
+
+
+class TestImportCost:
+    def test_cli_import_loads_only_the_config_modules(self):
+        (loaded,) = python_in_child(f"import json, sys\nimport nodewatch.cli\n{LOADED}")
+        assert loaded == [
+            "nodewatch", "nodewatch.cli", "nodewatch.errors", "nodewatch.methods", "nodewatch.util",
+        ]
+
+    def test_cached_train_loads_no_numpy(self, tmp_path, generated_data):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "DENSE_un", "RUAD"])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        (loaded,) = python_in_child(
+            "import json, sys\nfrom nodewatch import cli\n"
+            f"assert cli.main(['train', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            f"{LOADED}"
+        )
+        assert not any(m.split(".")[0] == "numpy" for m in loaded)
+        jobs = json.loads((out / "train_log.json").read_text())["jobs"]
+        assert len(jobs) == 6 and {j["status"] for j in jobs} == {"skipped-exists"}
+
+    def test_package_names_still_import(self):
+        from nodewatch import METHODS, NodeDataset, TrainingConfig
+
+        assert NodeDataset.__module__ == "nodewatch.telemetry"
+        assert TrainingConfig().batch_size == 32 and "RUAD" in METHODS
+        with pytest.raises(AttributeError):
+            nodewatch.NoSuchName
 
 
 class TestScoreCommand:
@@ -387,14 +455,24 @@ class TestRunConfig:
             {"exp_alpha": 0},
             {"nodes": ["node_000", "node_000"]},
             {"workers": 2.5},
+            {"exp_alpha": True},
+            {"training": {"learning_rate": True}},
+            {"seed": True},
+            {"nodes": "node_000"},
+            {"methods": "EXP"},
+            {"data_dir": 5},
+            {"split_ratio": "0.8"},
+            {"training": [1]},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
-            "alpha-0", "duplicate-nodes", "non-integer-workers",
+            "alpha-0", "duplicate-nodes", "non-integer-workers", "alpha-true",
+            "learning-rate-true", "seed-true", "nodes-string", "methods-string",
+            "data-dir-number", "split-ratio-string", "training-list",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):
-        values = dict(data_dir=".", methods=["EXP", "RUAD"], **setting)
+        values = {"data_dir": ".", "methods": ["EXP", "RUAD"], **setting}
         with pytest.raises(ConfigError):
             RunConfig(**values)
         path = write_config(tmp_path / "run.json", **values)
@@ -403,6 +481,10 @@ class TestRunConfig:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("ERROR") and str(path) in lines[0]
+
+    def test_nodes_must_be_a_list_of_names(self):
+        with pytest.raises(ConfigError, match="nodes must be a list of node names"):
+            RunConfig(data_dir=".", nodes="node_000")
 
     def test_method_instances_expand_windows(self):
         cfg = RunConfig(data_dir=".", methods=["EXP", "RUAD"], windows=[5, 10])

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from nodewatch.errors import DataError
 from nodewatch.scoring import (
+    SCORE_COLUMNS,
     RocReport,
     ScoreSeries,
     anomaly_probability,
@@ -172,6 +174,38 @@ class TestScoreSeriesAndFiles:
 
     def test_roc_report_dict_shape(self):
         report = roc_curve(np.array([0.9, 0.1]), np.array([1, 0]))
-        d = report.to_dict()
-        assert set(d) == {"auc", "positives", "negatives", "points"}
-        assert d["points"][0][1:] == [0.0, 0.0]
+        assert report.to_dict() == {"auc": 1.0, "positives": 1, "negatives": 1}
+
+
+def csv_writer_bytes(path, header, rows):
+    """What the writers produced with ``csv.writer`` and one repr per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestWritersMatchCsvWriter:
+    def test_scores_csv(self, tmp_path):
+        rng = np.random.default_rng(3)
+        nodes = [
+            series("node_a", rng.random(6), rng.integers(0, 2, size=6)),
+            series('odd,"id"', [0.0, 1.0, 1e-300, 0.1], [0, 1, 0, 1]),
+        ]
+        write_scores_csv(tmp_path / "got.csv", nodes)
+        rows = [
+            [s.node_id, int(b), repr(float(p)), int(y)]
+            for s in nodes
+            for b, p, y in zip(s.bucket_starts, s.probabilities, s.labels)
+        ]
+        want = csv_writer_bytes(tmp_path / "want.csv", SCORE_COLUMNS, rows)
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_roc_points_csv(self, tmp_path):
+        rng = np.random.default_rng(4)
+        report = roc_curve(rng.random(50).round(2), rng.integers(0, 2, size=50))
+        report.write_points_csv(tmp_path / "got.csv")
+        rows = [[repr(float(v)) for v in point] for point in report.points]
+        want = csv_writer_bytes(tmp_path / "want.csv", ["threshold", "fpr", "tpr"], rows)
+        assert (tmp_path / "got.csv").read_bytes() == want

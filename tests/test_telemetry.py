@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -39,6 +40,26 @@ class TestCsvInterfaces:
         npt.assert_array_equal(back.bucket_starts, ds.bucket_starts)
         npt.assert_array_equal(back.labels, ds.labels)
         npt.assert_array_equal(back.features, ds.features)
+
+    def test_to_csv_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = NodeDataset(
+            node_id="node_001",
+            bucket_starts=np.arange(20) * 900,
+            features=rng.normal(size=(20, 3)) * np.array([1.0, 1e-12, 1e15]),
+            labels=rng.integers(0, 2, size=20),
+            feature_names=["a_min", 'b,"max"', "c_avg"],
+        )
+        ds.to_csv(tmp_path / "got.csv")
+        with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bucket_start", "label", *ds.feature_names])
+            for i in range(len(ds)):
+                writer.writerow(
+                    [int(ds.bucket_starts[i]), int(ds.labels[i])]
+                    + [repr(float(v)) for v in ds.features[i]]
+                )
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "rows",
