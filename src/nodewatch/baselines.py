@@ -68,34 +68,19 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
     first point of every segment scores 0.
     """
     check_alpha(alpha)
-    if len(series) == 0:
-        return ScoreSeries(
-            node_id=series.node_id,
-            bucket_starts=np.empty(0, dtype=np.int64),
-            probabilities=np.empty(0),
-            labels=np.empty(0, dtype=np.int64),
-        )
-    buckets, labels, errors = [], [], []
-    for seg in time_consistency_segments(series):
-        estimate = seg.features[0].copy()
-        for t in range(len(seg)):
-            if t == 0:
-                errors.append(0.0)
-            else:
-                row = seg.features[t]
-                errors.append(float(np.abs(estimate - row).sum()))
-                estimate = alpha * row + (1.0 - alpha) * estimate
-            buckets.append(int(seg.bucket_starts[t]))
-            labels.append(int(seg.labels[t]))
-    raw = np.array(errors)
-    peak = raw.max()
-    probs = anomaly_probability(raw / peak if peak > 0 else raw)
-    order = np.argsort(buckets)
+    raw = np.zeros(len(series))
+    for run in time_consistency_segments(series):
+        rows = series.features[run]
+        estimate = rows[0]
+        for t in range(1, len(rows)):
+            raw[run.start + t] = np.abs(estimate - rows[t]).sum()
+            estimate = alpha * rows[t] + (1.0 - alpha) * estimate
+    peak = raw.max(initial=0.0)
     return ScoreSeries(
         node_id=series.node_id,
-        bucket_starts=np.array(buckets, dtype=np.int64)[order],
-        probabilities=probs[order],
-        labels=np.array(labels, dtype=np.int64)[order],
+        bucket_starts=series.bucket_starts,
+        probabilities=anomaly_probability(raw / peak if peak > 0 else raw),
+        labels=series.labels,
     )
 
 

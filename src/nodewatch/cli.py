@@ -60,8 +60,9 @@ class RunConfig:
             raise ConfigError(
                 f"unknown methods {unknown}; valid names: {list(METHODS)}"
             )
-        if not self.methods:
-            raise ConfigError("methods list is empty")
+        for key in ("nodes", "methods"):
+            if getattr(self, key) == []:
+                raise ConfigError(f"{key} list is empty")
         if not is_real(self.split_ratio) or not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio!r}")
         windows = self.windows
@@ -112,7 +113,7 @@ def _discover_nodes(cfg: RunConfig) -> list[str]:
     data_dir = Path(cfg.data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory {data_dir} does not exist")
-    if cfg.nodes:
+    if cfg.nodes is not None:
         missing = [n for n in cfg.nodes if not (data_dir / f"{n}.csv").exists()]
         if missing:
             raise DataError(f"node datasets not found: {missing}")
@@ -319,7 +320,8 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
                 raise _no_scores(name)
             report = pool_nodes(series_list)
         except DataError as exc:
-            log.error("%s: %s", name, exc)
+            # the no-scores error already names the method
+            log.error("%s", f"{name}: {exc}" if series_list else exc)
             summary[name] = {"error": str(exc)}
             continue
         write_json(out_dir / "reports" / f"{name}_roc.json", report.to_dict())
@@ -338,6 +340,7 @@ def cmd_generate(config_path: Path, out_dir: Path) -> None:
     from .synthgen import SynthConfig, generate_dataset
 
     cfg = read_config(SynthConfig, config_path)
+    _make_out_dir(out_dir)
     generate_dataset(cfg, out_dir)
     log.info(
         "generated %d nodes x %d buckets into %s",
@@ -349,6 +352,13 @@ def cmd_generate(config_path: Path, out_dir: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        raise ConfigError(f"--out {out_dir}: cannot make the directory ({exc.strerror})") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_generate(args.config, args.out)
         else:
             cfg = RunConfig.from_file(args.config)
-            args.out.mkdir(parents=True, exist_ok=True)
+            _make_out_dir(args.out)
             if args.command == "train":
                 cmd_train(cfg, args.out)
             elif args.command == "score":

@@ -42,7 +42,6 @@ from .pipeline import (
     fit_minmax,
     make_windows,
     semi_supervised_filter,
-    time_consistency_segments,
 )
 from .scoring import MAX_ERROR_FLOOR, ScoreSeries, anomaly_probability
 from .telemetry import NodeDataset
@@ -91,6 +90,8 @@ class ModelSpec:
             raise DataError("input_dim must be >= 1")
         if self.window < 1:
             raise DataError("window must be >= 1")
+        if self.kind == "dense" and self.window != 1:
+            raise DataError(f"a dense model reads one row, not a window of {self.window}")
 
 
 def build_model(spec: ModelSpec, seed: int) -> nn.NetworkParams:
@@ -141,18 +142,6 @@ def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
     return errors
 
 
-def _train_windows(dataset: NodeDataset, window: int, scaler: ScalerParams):
-    """Scale, segment and window a training set; explain an empty result."""
-    scaled = apply_minmax(scaler, dataset)
-    windows = make_windows(time_consistency_segments(scaled), window)
-    if len(windows) == 0:
-        raise DataError(
-            f"{dataset.node_id}: no training windows survive time-consistency "
-            f"filtering with W={window} ({len(dataset)} rows available)"
-        )
-    return windows
-
-
 def train_node_model(
     dataset: NodeDataset,
     spec: ModelSpec,
@@ -175,8 +164,12 @@ def train_node_model(
         except DataError as exc:
             raise DataError(f"semi-supervised filter emptied the training set: {exc}") from exc
     scaler = fit_minmax(train)
-    window = spec.window if spec.kind == "ruad" else 1
-    windows = _train_windows(train, window, scaler)
+    windows = make_windows(apply_minmax(scaler, train), spec.window)
+    if len(windows) == 0:
+        raise DataError(
+            f"{dataset.node_id}: no training windows survive time-consistency "
+            f"filtering with W={spec.window} ({len(train)} rows available)"
+        )
 
     network = build_model(spec, cfg.seed)
     network, history = nn.train_autoencoder(network, windows, cfg)
@@ -198,30 +191,23 @@ def train_node_model(
 def score_node_model(model: TrainedModel, test: NodeDataset) -> ScoreSeries:
     """Score a test set with a trained autoencoder.
 
-    The stored scaler is applied as-is, windows are cut from gap-free
-    segments only, and each window's target timestep receives the clamped
+    The stored scaler is applied as-is, windows never cross a gap between
+    buckets, and each window's target timestep receives the clamped
     normalized reconstruction error. Labels pass through untouched; they
-    never influence the probabilities.
+    never influence the probabilities. A test set too short or too gappy
+    for one window gives an empty series.
     """
     if test.feature_count != model.spec.input_dim:
         raise DataError(
             f"test set has {test.feature_count} features, model expects "
             f"{model.spec.input_dim}"
         )
-    window = model.spec.window if model.spec.kind == "ruad" else 1
-    scaled = apply_minmax(model.scaler, test)
-    windows = make_windows(time_consistency_segments(scaled), window)
+    windows = make_windows(apply_minmax(model.scaler, test), model.spec.window)
     if len(windows) == 0:
         log.warning(
             "%s: no scoreable windows (need >= %d consecutive buckets)",
             test.node_id,
-            window,
-        )
-        return ScoreSeries(
-            node_id=test.node_id,
-            bucket_starts=np.empty(0, dtype=np.int64),
-            probabilities=np.empty(0),
-            labels=np.empty(0, dtype=np.int64),
+            model.spec.window,
         )
     errors = reconstruction_errors(model.network, windows)
     return ScoreSeries(

@@ -3,8 +3,8 @@ min/max scaling, time-consistency segmentation, and fixed-length windowing.
 
 The order of operations mirrors how models are fed: split first (training
 never sees the future), optionally drop anomalous rows, fit the scaler on
-the training rows only, then cut gap-free segments and slide windows over
-them.
+the training rows only, then cut windows that cross no gap between
+buckets.
 """
 
 from __future__ import annotations
@@ -41,34 +41,24 @@ class ScalerParams:
 
 
 @dataclass
-class Segment:
-    """A gap-free slice of a NodeDataset (consecutive buckets 900 s apart)."""
-
-    bucket_starts: np.ndarray
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.bucket_starts)
-
-
-@dataclass
 class WindowSet:
-    """Sliding windows of length W with the final row as target.
+    """Sliding windows of length W whose final row is the target.
 
-    ``sequences`` is (K, W, N); ``targets`` is (K, N) and always equals the
-    last row of each sequence; labels and bucket starts are those of the
+    ``sequences`` is (K, W, N); labels and bucket starts are those of the
     target timestep.
     """
 
     sequences: np.ndarray
-    targets: np.ndarray
     target_labels: np.ndarray
     target_bucket_starts: np.ndarray
-    window_length: int
 
     def __len__(self) -> int:
         return len(self.sequences)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """(K, N): the last row of each sequence."""
+        return self.sequences[:, -1]
 
 
 @dataclass
@@ -147,59 +137,31 @@ def apply_minmax(params: ScalerParams, dataset: NodeDataset) -> NodeDataset:
     )
 
 
-def time_consistency_segments(dataset: NodeDataset) -> list[Segment]:
-    """Cut the dataset into maximal runs of exactly-consecutive buckets."""
-    if len(dataset) == 0:
-        return []
+def time_consistency_segments(dataset: NodeDataset) -> list[slice]:
+    """The maximal runs of exactly-consecutive buckets, as row slices."""
     gaps = np.flatnonzero(np.diff(dataset.bucket_starts) != BUCKET_SECONDS)
-    bounds = np.concatenate(([0], gaps + 1, [len(dataset)]))
-    return [
-        Segment(
-            bucket_starts=dataset.bucket_starts[lo:hi],
-            features=dataset.features[lo:hi],
-            labels=dataset.labels[lo:hi],
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    bounds = [0, *(gaps + 1).tolist(), len(dataset)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def make_windows(segments: list[Segment], window_length: int) -> WindowSet:
-    """Slide windows of length W over each segment; short segments drop out.
+def make_windows(dataset: NodeDataset, window_length: int) -> WindowSet:
+    """Every window of W consecutive buckets that crosses no gap.
 
-    A segment of length L contributes max(0, L - W + 1) windows. The target
-    of a window is its final row, labelled by that row's label.
+    A gap-free run of length L contributes max(0, L - W + 1) windows. The
+    target of a window is its final row, labelled by that row's label.
     """
     if window_length < 1:
         raise DataError(f"window length must be >= 1, got {window_length}")
-    seq_parts, tgt_parts, lab_parts, bkt_parts = [], [], [], []
-    for seg in segments:
-        length = len(seg)
-        if length < window_length:
-            continue
-        view = np.lib.stride_tricks.sliding_window_view(
-            seg.features, window_length, axis=0
-        )
-        # view is (L-W+1, N, W); reorder to (K, W, N)
-        seq_parts.append(np.ascontiguousarray(view.transpose(0, 2, 1)))
-        tgt_parts.append(seg.features[window_length - 1 :])
-        lab_parts.append(seg.labels[window_length - 1 :])
-        bkt_parts.append(seg.bucket_starts[window_length - 1 :])
-    if not seq_parts:
-        n_features = segments[0].features.shape[1] if segments else 0
-        return WindowSet(
-            sequences=np.empty((0, window_length, n_features)),
-            targets=np.empty((0, n_features)),
-            target_labels=np.empty((0,), dtype=np.int64),
-            target_bucket_starts=np.empty((0,), dtype=np.int64),
-            window_length=window_length,
-        )
-    windows = WindowSet(
-        sequences=np.concatenate(seq_parts),
-        targets=np.concatenate(tgt_parts),
-        target_labels=np.concatenate(lab_parts),
-        target_bucket_starts=np.concatenate(bkt_parts),
-        window_length=window_length,
-    )
-    if not np.all(np.isfinite(windows.sequences)):
+    run_start = np.zeros(len(dataset), dtype=np.intp)
+    for run in time_consistency_segments(dataset):
+        run_start[run] = run.start
+    # rows that end a full window
+    ends = np.flatnonzero(np.arange(len(dataset)) - run_start >= window_length - 1)
+    sequences = dataset.features[ends[:, None] + np.arange(1 - window_length, 1)]
+    if not np.all(np.isfinite(sequences)):
         raise DataError("windows contain non-finite values")
-    return windows
+    return WindowSet(
+        sequences=sequences,
+        target_labels=dataset.labels[ends],
+        target_bucket_starts=dataset.bucket_starts[ends],
+    )

@@ -10,7 +10,6 @@ resulting ROC curve, per node or pooled across nodes.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,11 +54,11 @@ class ScoreSeries:
 class RocReport:
     """Threshold sweep (descending) with trapezoidal AUC.
 
-    ``points`` holds (threshold, fpr, tpr) from the +inf sentinel at (0, 0)
-    down to the smallest observed score at (1, 1).
+    ``points`` is an (n, 3) array of (threshold, fpr, tpr) rows from the
+    +inf sentinel at (0, 0) down to the smallest observed score at (1, 1).
     """
 
-    points: list[tuple[float, float, float]]
+    points: np.ndarray
     auc: float
     positives: int
     negatives: int
@@ -75,8 +74,7 @@ class RocReport:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = [csv_line(["threshold", "fpr", "tpr"])]
-        rows = np.array(self.points, dtype=np.float64).tolist()
-        lines.extend(",".join(map(repr, row)) + "\r\n" for row in rows)
+        lines.extend(",".join(map(repr, row)) + "\r\n" for row in self.points.tolist())
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("".join(lines))
 
@@ -113,16 +111,13 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocReport:
     distinct = np.flatnonzero(np.diff(sorted_scores) != 0)
     group_ends = np.concatenate((distinct, [len(scores) - 1]))
 
-    tp = np.cumsum(sorted_labels == 1)[group_ends]
-    fp = np.cumsum(sorted_labels == 0)[group_ends]
-    points = [(math.inf, 0.0, 0.0)]
-    points.extend(
-        (float(sorted_scores[end]), fp_i / negatives, tp_i / positives)
-        for end, fp_i, tp_i in zip(group_ends, fp, tp)
-    )
+    points = np.empty((len(group_ends) + 1, 3))
+    points[0] = (np.inf, 0.0, 0.0)
+    points[1:, 0] = sorted_scores[group_ends]
+    points[1:, 1] = np.cumsum(sorted_labels == 0)[group_ends] / negatives
+    points[1:, 2] = np.cumsum(sorted_labels == 1)[group_ends] / positives
 
-    fpr = np.array([p[1] for p in points])
-    tpr = np.array([p[2] for p in points])
+    fpr, tpr = points[:, 1], points[:, 2]
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
     return RocReport(points=points, auc=auc, positives=positives, negatives=negatives)
 

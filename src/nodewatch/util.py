@@ -58,13 +58,15 @@ def read_json(path: str | Path) -> dict:
 def read_config(cls: type[T], path: str | Path) -> T:
     """Build the config dataclass ``cls`` from the JSON object in a file.
 
-    Invalid JSON, a top level that is not an object, a key that is not a
-    field of ``cls``, a TypeError from ``cls`` (a missing field, a value of
-    the wrong type) and a ConfigError from its own checks are each a
-    ConfigError naming the file.
+    A file that cannot be opened (missing, a directory), invalid JSON, a top
+    level that is not an object, a key that is not a field of ``cls``, a
+    TypeError from ``cls`` (a missing field, a value of the wrong type) and
+    a ConfigError from its own checks are each a ConfigError naming the file.
     """
     try:
         raw = read_json(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file ({exc.strerror})") from None
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):

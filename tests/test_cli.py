@@ -332,10 +332,18 @@ class TestEvaluateCommand:
         )
         write_scores_csv(out / "scores" / "EXP.csv", [broken])
         main(["train", "--config", str(cfg), "--out", str(out)])
-        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        # RUAD was never trained, so no node scores it
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "RUAD"])
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert "error" in summary["EXP"] and "no positive" in summary["EXP"]["error"]
+        assert summary["EXP"] == {"error": "ROC undefined: no positive (label 1) samples"}
+        assert summary["RUAD_W5"] == {"error": "RUAD_W5: no node produced any scores"}
         assert "auc" in summary["CLU"]
+        assert [line for line in proc.stderr.splitlines() if line.startswith("ERROR")] == [
+            "ERROR nodewatch: EXP: ROC undefined: no positive (label 1) samples",
+            "ERROR nodewatch: RUAD_W5: no node produced any scores",
+        ]
 
     @pytest.mark.parametrize("damage", ["truncated", "unparsable cell", "nan cell"])
     def test_damaged_score_file_exits_two_with_one_line(
@@ -463,12 +471,13 @@ class TestRunConfig:
             {"data_dir": 5},
             {"split_ratio": "0.8"},
             {"training": [1]},
+            {"nodes": []},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
             "alpha-0", "duplicate-nodes", "non-integer-workers", "alpha-true",
             "learning-rate-true", "seed-true", "nodes-string", "methods-string",
-            "data-dir-number", "split-ratio-string", "training-list",
+            "data-dir-number", "split-ratio-string", "training-list", "nodes-empty",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):
@@ -502,3 +511,24 @@ class TestRunConfig:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("ERROR") and str(path) in lines[0]
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("bad", ["out-is-a-file", "config-is-a-directory", "config-missing"])
+    def test_bad_path_exits_one_with_one_line(self, tmp_path, command, bad):
+        if command == "generate":
+            cfg = tiny_synth_config(tmp_path)
+        else:
+            cfg = write_config(tmp_path / "run.json", data_dir=str(tmp_path), methods=["EXP"])
+        out = tmp_path / "o"
+        if bad == "out-is-a-file":
+            out.write_text("not a directory")
+            named = out
+        elif bad == "config-is-a-directory":
+            cfg = named = tmp_path
+        else:
+            cfg = named = tmp_path / "missing.json"
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(named) in lines[0]

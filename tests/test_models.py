@@ -79,6 +79,8 @@ class TestBuildModel:
             mdl.ModelSpec(kind="transformer", input_dim=4)
         with pytest.raises(DataError):
             mdl.ModelSpec(kind="dense", input_dim=0)
+        with pytest.raises(DataError, match="dense model reads one row"):
+            mdl.ModelSpec(kind="dense", input_dim=4, window=5)
 
 
 class TestTrainNodeModel:
@@ -134,14 +136,14 @@ def identity_scaler(n):
     return ScalerParams(minimum=np.zeros(n), maximum=np.ones(n))
 
 
-def constant_output_model(n, value, max_train_error=1.0, window=1):
+def constant_output_model(n, value, max_train_error=1.0):
     """Network that ignores its input and emits `value` everywhere."""
     layer = nn.DenseLayer(
         weights=np.zeros((n, n)), bias=np.full(n, value), activation="linear"
     )
     return mdl.TrainedModel(
         node_id="crafted",
-        spec=mdl.ModelSpec(kind="dense", input_dim=n, window=window),
+        spec=mdl.ModelSpec(kind="dense", input_dim=n),
         network=nn.NetworkParams([layer]),
         scaler=identity_scaler(n),
         max_train_error=max_train_error,
@@ -227,12 +229,14 @@ class TestScoreNodeModel:
         expected = np.minimum(errors / model.max_train_error, 1.0)
         npt.assert_allclose(series.probabilities, expected, atol=1e-12)
 
-    def test_no_scoreable_windows_gives_empty_series(self):
+    def test_no_scoreable_windows_gives_empty_series(self, caplog):
         ds = build_dataset([0, 0], features=np.ones((2, 3)))
-        model = constant_output_model(3, 0.5, window=5)
+        model = constant_output_model(3, 0.5)
         model.spec = mdl.ModelSpec(kind="ruad", input_dim=3, window=5)
         series = mdl.score_node_model(model, ds)
-        assert len(series) == 0
+        assert len(series) == 0 and series.node_id == "test_node"
+        assert series.bucket_starts.dtype == series.labels.dtype == np.int64
+        assert "no scoreable windows (need >= 5 consecutive buckets)" in caplog.text
 
     def test_feature_count_mismatch_rejected(self):
         ds = build_dataset([0], features=np.ones((1, 2)))

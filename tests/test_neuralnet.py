@@ -64,14 +64,13 @@ def reference_lstm(layer, sequence):
     return np.array(outputs)
 
 
-def windows_from_arrays(sequences, targets, labels=None):
-    k, w, _ = sequences.shape
+def windows_from_arrays(sequences):
+    """A WindowSet over (K, W, N) sequences; each target is the last row."""
+    k = len(sequences)
     return WindowSet(
         sequences=sequences,
-        targets=targets,
-        target_labels=np.zeros(k, dtype=np.int64) if labels is None else labels,
+        target_labels=np.zeros(k, dtype=np.int64),
         target_bucket_starts=np.arange(k) * 900,
-        window_length=w,
     )
 
 
@@ -347,7 +346,7 @@ class TestTraining:
         base = 0.5 + 0.4 * np.sin(2 * np.pi * t / 24.0)
         rows = np.stack([base * (0.5 + 0.2 * j) for j in range(n)], axis=1)
         sequences = np.stack([rows[i : i + w] for i in range(count)])
-        return windows_from_arrays(sequences, sequences[:, -1])
+        return windows_from_arrays(sequences)
 
     def test_overfits_noiseless_sinusoid(self):
         windows = self.sinusoid_windows()
@@ -383,7 +382,7 @@ class TestTraining:
         assert len(set(history)) == 1
 
     def test_empty_window_set_rejected(self):
-        empty = windows_from_arrays(np.empty((0, 5, 3)), np.empty((0, 3)))
+        empty = windows_from_arrays(np.empty((0, 5, 3)))
         cfg = nn.TrainingConfig(seed=0)
         params = nn.init_params([nn.DenseSpec(3, 3)], seed=0)
         with pytest.raises(DataError, match="empty window set|empty"):

@@ -135,37 +135,50 @@ class TestMinMaxScaler:
 class TestTimeConsistency:
     def test_gap_splits_segments(self):
         ds = build_dataset([0] * 4, bucket_starts=[0, 900, 1800, 3600])
-        segments = time_consistency_segments(ds)
-        assert [len(s) for s in segments] == [3, 1]
-        npt.assert_array_equal(segments[0].bucket_starts, [0, 900, 1800])
+        assert time_consistency_segments(ds) == [slice(0, 3), slice(3, 4)]
 
     def test_no_gaps_one_segment(self):
-        segments = time_consistency_segments(build_dataset([0] * 6))
-        assert len(segments) == 1 and len(segments[0]) == 6
+        assert time_consistency_segments(build_dataset([0] * 6)) == [slice(0, 6)]
+
+    def test_empty_dataset_has_no_segments(self):
+        assert time_consistency_segments(build_dataset([])) == []
 
     def test_filter_then_segment_matches_hand_enumeration(self):
         # 5 consecutive rows, middle one anomalous: filtering must leave two
         # runs, {0, 900} and {2700, 3600}
-        ds = build_dataset([0, 0, 1, 0, 0])
-        segments = time_consistency_segments(semi_supervised_filter(ds))
-        assert [list(s.bucket_starts) for s in segments] == [[0, 900], [2700, 3600]]
+        filtered = semi_supervised_filter(build_dataset([0, 0, 1, 0, 0]))
+        runs = time_consistency_segments(filtered)
+        assert [filtered.bucket_starts[run].tolist() for run in runs] == [[0, 900], [2700, 3600]]
+
+
+def sliding_windows_per_run(ds, w):
+    """Reference windowing: walk the rows, restart the run at every gap, and
+    emit the last W rows of the run whenever it holds W of them."""
+    windows, run, previous = [], [], None
+    for bucket, row in zip(ds.bucket_starts.tolist(), ds.features):
+        if previous is not None and bucket - previous != BUCKET_SECONDS:
+            run = []
+        run.append(row)
+        previous = bucket
+        if len(run) >= w:
+            windows.append(run[-w:])
+    return np.array(windows).reshape(-1, w, ds.feature_count)
 
 
 class TestWindowing:
     def test_count_for_single_segment(self):
-        segments = time_consistency_segments(build_dataset([0] * 12))
-        assert len(make_windows(segments, 5)) == 8
+        assert len(make_windows(build_dataset([0] * 12), 5)) == 8
 
     def test_short_segment_dropped(self):
-        segments = time_consistency_segments(build_dataset([0] * 4))
-        assert len(make_windows(segments, 5)) == 0
+        windows = make_windows(build_dataset([0] * 4, n_features=3), 5)
+        assert windows.sequences.shape == (0, 5, 3)
+        assert windows.targets.shape == (0, 3)
 
     def test_counts_add_over_segments(self):
         buckets = list(range(10)) + list(range(20, 27))  # lengths 10 and 7
         ds = build_dataset([0] * 17, bucket_starts=[b * 900 for b in buckets])
-        segments = time_consistency_segments(ds)
-        assert [len(s) for s in segments] == [10, 7]
-        assert len(make_windows(segments, 5)) == 6 + 3
+        assert time_consistency_segments(ds) == [slice(0, 10), slice(10, 17)]
+        assert len(make_windows(ds, 5)) == 6 + 3
 
     def test_window_count_formula_on_random_gap_patterns(self, rng):
         for _ in range(20):
@@ -174,25 +187,42 @@ class TestWindowing:
             if len(buckets) == 0:
                 continue
             ds = build_dataset([0] * len(buckets), bucket_starts=buckets)
-            segments = time_consistency_segments(ds)
+            runs = time_consistency_segments(ds)
             for w in (1, 3, 7):
-                expected = sum(max(0, len(s) - w + 1) for s in segments)
-                assert len(make_windows(segments, w)) == expected
+                expected = sum(max(0, run.stop - run.start - w + 1) for run in runs)
+                assert len(make_windows(ds, w)) == expected
+
+    def test_windows_equal_a_per_run_slide_bit_for_bit(self, rng):
+        for _ in range(30):
+            keep = rng.random(80) < 0.85
+            buckets = np.flatnonzero(keep) * BUCKET_SECONDS
+            ds = build_dataset(
+                rng.integers(0, 2, size=len(buckets)),
+                bucket_starts=buckets,
+                features=rng.normal(size=(len(buckets), 3)),
+            )
+            for w in (1, 2, 5, 10, 20):
+                windows = make_windows(ds, w)
+                npt.assert_array_equal(windows.sequences, sliding_windows_per_run(ds, w))
+                # each target is a row of the dataset, with its own bucket and label
+                rows = np.searchsorted(ds.bucket_starts, windows.target_bucket_starts)
+                npt.assert_array_equal(windows.targets, ds.features[rows])
+                npt.assert_array_equal(windows.target_labels, ds.labels[rows])
 
     def test_target_is_last_row_with_its_label(self, rng):
         labels = rng.integers(0, 2, size=15)
         ds = build_dataset(labels)
-        windows = make_windows(time_consistency_segments(ds), 4)
-        npt.assert_array_equal(windows.targets, windows.sequences[:, -1, :])
+        windows = make_windows(ds, 4)
+        npt.assert_array_equal(windows.targets, ds.features[3:])
         npt.assert_array_equal(windows.target_labels, labels[3:])
         npt.assert_array_equal(windows.target_bucket_starts, ds.bucket_starts[3:])
 
     def test_window_of_one_reduces_to_rows(self):
         ds = build_dataset([0, 1, 0], bucket_starts=[0, 1800, 3600])  # all gaps
-        windows = make_windows(time_consistency_segments(ds), 1)
+        windows = make_windows(ds, 1)
         assert len(windows) == 3
         npt.assert_array_equal(windows.sequences[:, 0, :], ds.features)
 
     def test_invalid_window_length(self):
         with pytest.raises(DataError, match="window length"):
-            make_windows([], 0)
+            make_windows(build_dataset([0]), 0)

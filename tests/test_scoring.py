@@ -81,14 +81,26 @@ class TestRocCurve:
         labels = rng.integers(0, 2, size=100)
         labels[:2] = [0, 1]
         report = roc_curve(scores, labels)
-        thresholds = [p[0] for p in report.points]
-        fpr = [p[1] for p in report.points]
-        tpr = [p[2] for p in report.points]
-        assert thresholds[0] == math.inf
-        assert thresholds == sorted(thresholds, reverse=True)
-        assert (fpr[0], tpr[0]) == (0.0, 0.0)
-        assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
-        assert fpr == sorted(fpr) and tpr == sorted(tpr)
+        assert report.points.shape == (len(np.unique(scores)) + 1, 3)
+        thresholds, fpr, tpr = report.points.T
+        assert np.array_equal(report.points[0], [math.inf, 0.0, 0.0])
+        assert np.array_equal(report.points[-1, 1:], [1.0, 1.0])
+        assert np.array_equal(thresholds, np.sort(thresholds)[::-1])
+        assert np.array_equal(fpr, np.sort(fpr)) and np.array_equal(tpr, np.sort(tpr))
+
+    def test_points_match_per_threshold_counts(self, rng):
+        scores = np.round(rng.random(60), 1)
+        labels = rng.integers(0, 2, size=60)
+        labels[:2] = [0, 1]
+        report = roc_curve(scores, labels)
+        expected = [(math.inf, 0.0, 0.0)]
+        for t in sorted(set(scores.tolist()), reverse=True):
+            flagged = scores >= t
+            expected.append(
+                (t, flagged[labels == 0].sum() / (labels == 0).sum(),
+                 flagged[labels == 1].sum() / (labels == 1).sum())
+            )
+        assert np.array_equal(report.points, expected)
 
     def test_matches_mann_whitney_on_random_instances(self, rng):
         for _ in range(300):
@@ -146,7 +158,7 @@ class TestPooling:
         base = pool_nodes(nodes)
         shuffled = pool_nodes(nodes[::-1])
         assert base.auc == shuffled.auc
-        assert base.points == shuffled.points
+        assert np.array_equal(base.points, shuffled.points)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(DataError):
