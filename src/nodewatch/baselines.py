@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError
 from .methods import check_alpha
 from .pipeline import time_consistency_segments
-from .scoring import ScoreSeries, anomaly_probability
+from .scoring import ScoreSeries
 from .telemetry import NodeDataset
 
 KMEANS_MAX_ITER = 300
@@ -56,6 +56,18 @@ class KMeansModel:
 
 # ---------------------------------------------------------------------------
 # exponential smoothing
+
+
+def anomaly_probability(normalized_errors: np.ndarray) -> np.ndarray:
+    """Clamp normalized errors at 1 to form probabilities.
+
+    The last link of every error-based detector's chain: an error (L1 for
+    the autoencoders, the smoothing deviation for EXP) divided by its
+    normalizer, then clamped to [0, 1].
+    """
+    if np.any(normalized_errors < 0):
+        raise DataError(f"normalized errors must be >= 0, got {normalized_errors.min()}")
+    return np.minimum(normalized_errors, 1.0)
 
 
 def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:

@@ -25,7 +25,7 @@ from .methods import (
     method_instance_name,
     model_path,
 )
-from .util import derive_seed, is_int, is_real, read_config, write_json
+from .util import derive_seed, is_int, is_real, make_dir, read_config, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -135,7 +135,7 @@ def _load_dataset(cfg: RunConfig, node_id: str):
 
 
 def _write_loss_history(path: Path, history: list[float]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(history):
@@ -245,10 +245,9 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     written in config order. A node is skipped for an instance without a
     stored model (training skipped it), and for every instance when its
     dataset cannot be read. An instance that no node produced scores for
-    maps to an empty list and gets no file.
+    maps to an empty list and gets no file. The detectors (and numpy) load
+    only when some instance has no score file.
     """
-    from . import models as mdl
-    from .pipeline import chronological_split
     from .scoring import read_scores_csv, write_scores_csv
 
     nodes = _discover_nodes(cfg)
@@ -263,7 +262,12 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
         else:
             scores[name] = []
             pending.append((method, name))
-    for node_id in nodes if pending else []:
+    if not pending:
+        return scores
+    from . import models as mdl
+    from .pipeline import chronological_split
+
+    for node_id in nodes:
         try:
             dataset = _load_dataset(cfg, node_id)
         except DataError as exc:
@@ -340,7 +344,6 @@ def cmd_generate(config_path: Path, out_dir: Path) -> None:
     from .synthgen import SynthConfig, generate_dataset
 
     cfg = read_config(SynthConfig, config_path)
-    _make_out_dir(out_dir)
     generate_dataset(cfg, out_dir)
     log.info(
         "generated %d nodes x %d buckets into %s",
@@ -352,13 +355,6 @@ def cmd_generate(config_path: Path, out_dir: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _make_out_dir(out_dir: Path) -> None:
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, say
-        raise ConfigError(f"--out {out_dir}: cannot make the directory ({exc.strerror})") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_generate(args.config, args.out)
         else:
             cfg = RunConfig.from_file(args.config)
-            _make_out_dir(args.out)
+            make_dir(args.out)
             if args.command == "train":
                 cmd_train(cfg, args.out)
             elif args.command == "score":

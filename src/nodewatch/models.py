@@ -20,6 +20,7 @@ import numpy as np
 from . import neuralnet as nn
 from .baselines import (
     KMeansModel,
+    anomaly_probability,
     assign_clusters,
     cluster_anomaly_probabilities,
     exp_smoothing_scores,
@@ -43,7 +44,7 @@ from .pipeline import (
     make_windows,
     semi_supervised_filter,
 )
-from .scoring import MAX_ERROR_FLOOR, ScoreSeries, anomaly_probability
+from .scoring import ScoreSeries
 from .telemetry import NodeDataset
 from .util import read_json, write_json
 
@@ -54,6 +55,9 @@ LATENT_DIM = 8
 DECODER_DIM = 16
 
 SCORE_BATCH = 512
+
+# keeps the error normalizer positive when a model reconstructs its training set exactly
+MAX_ERROR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

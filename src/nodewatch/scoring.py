@@ -1,49 +1,56 @@
-"""Anomaly scoring and ROC evaluation.
+"""Score files and ROC evaluation, in plain Python.
 
-Scores follow the reconstruction-error chain: L1 error against the target
-vector, normalization by the training-set maximum error, and a clamp to
-[0, 1] to form an anomaly probability. Evaluation sweeps every observed
-probability as a decision threshold and reports the area under the
-resulting ROC curve, per node or pooled across nodes.
+A score series holds one node's per-bucket anomaly probabilities and
+labels. Evaluation sweeps every observed probability as a decision
+threshold and reports the area under the resulting ROC curve, per node or
+pooled across nodes. Nothing here imports numpy, so evaluating cached score
+files loads no numpy; the arithmetic reproduces the numpy formulation bit
+for bit (see :func:`_pairwise_sum`).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
+from typing import Sequence
 
 from .errors import DataError
-from .util import csv_line
-
-MAX_ERROR_FLOOR = 1e-12
+from .util import csv_line, make_dir
 
 SCORE_COLUMNS = ["node_id", "bucket_start", "probability", "label"]
 
 
+def _plain(column: Sequence) -> list:
+    """A column as a list of Python numbers; ``tolist`` converts a numpy
+    array several times faster than iterating over its elements."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
+
+
 @dataclass
 class ScoreSeries:
-    """Per-bucket anomaly probabilities (and labels) for one node."""
+    """Per-bucket anomaly probabilities (and labels) for one node.
+
+    The columns are any sequences: the detectors give numpy arrays, and a
+    score file reads back as lists.
+    """
 
     node_id: str
-    bucket_starts: np.ndarray
-    probabilities: np.ndarray
-    labels: np.ndarray
+    bucket_starts: Sequence[int]
+    probabilities: Sequence[float]
+    labels: Sequence[int]
 
     def __post_init__(self) -> None:
-        self.bucket_starts = np.asarray(self.bucket_starts, dtype=np.int64)
-        self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = len(self.bucket_starts)
-        if not (len(self.probabilities) == n == len(self.labels)):
+        starts, probabilities = _plain(self.bucket_starts), _plain(self.probabilities)
+        if not (len(probabilities) == len(starts) == len(self.labels)):
             raise DataError("score series columns must align")
-        if n > 1 and not np.all(np.diff(self.bucket_starts) > 0):
+        if any(a >= b for a, b in zip(starts, starts[1:])):
             raise DataError("score series bucket_starts must be strictly increasing")
-        if not np.all(np.isfinite(self.probabilities)):
+        if not all(map(math.isfinite, probabilities)):
             raise DataError("probabilities must be finite")
-        if n and (self.probabilities.min() < 0.0 or self.probabilities.max() > 1.0):
+        if not all(0.0 <= p <= 1.0 for p in probabilities):
             raise DataError("probabilities must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -54,72 +61,100 @@ class ScoreSeries:
 class RocReport:
     """Threshold sweep (descending) with trapezoidal AUC.
 
-    ``points`` is an (n, 3) array of (threshold, fpr, tpr) rows from the
-    +inf sentinel at (0, 0) down to the smallest observed score at (1, 1).
+    ``points`` is a list of (threshold, fpr, tpr) tuples from the +inf
+    sentinel at (0, 0) down to the smallest observed score at (1, 1).
+    ``nodes`` maps each pooled node to its own figures (see
+    :func:`pool_nodes`); it is empty for a single :func:`roc_curve`.
     """
 
-    points: np.ndarray
+    points: list[tuple[float, float, float]]
     auc: float
     positives: int
     negatives: int
+    nodes: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "auc": self.auc,
             "positives": self.positives,
             "negatives": self.negatives,
+            "nodes": self.nodes,
         }
 
     def write_points_csv(self, path: str | Path) -> None:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(path.parent)
         lines = [csv_line(["threshold", "fpr", "tpr"])]
-        lines.extend(",".join(map(repr, row)) + "\r\n" for row in self.points.tolist())
+        lines.extend(",".join(map(repr, row)) + "\r\n" for row in self.points)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("".join(lines))
 
 
-def anomaly_probability(normalized_errors: np.ndarray) -> np.ndarray:
-    """Clamp normalized errors at 1 to form probabilities."""
-    if np.any(normalized_errors < 0):
-        raise DataError(f"normalized errors must be >= 0, got {normalized_errors.min()}")
-    return np.minimum(normalized_errors, 1.0)
+def _pairwise_sum(values: list[float], lo: int = 0, hi: int | None = None) -> float:
+    """Sum ``values[lo:hi]`` in the order numpy's float64 ``np.sum`` uses.
+
+    A port of numpy's pairwise summation: below 8 terms a plain loop from
+    0.0; up to 128 terms eight running sums, combined as a tree, then the
+    remainder; above that, split at half the length rounded down to a
+    multiple of 8 and recurse. The AUCs therefore keep the bits they had
+    when the area was an ``np.sum``; ``math.fsum`` would round differently.
+    """
+    hi = len(values) if hi is None else hi
+    n = hi - lo
+    if n < 8:
+        res = 0.0
+        for i in range(lo, hi):
+            res += values[i]
+        return res
+    if n <= 128:
+        r = values[lo : lo + 8]
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            r = [a + b for a, b in zip(r, values[i : i + 8])]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, hi):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
 
 
-def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocReport:
+def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocReport:
     """Exact ROC over all observed score thresholds.
 
     Tied scores move between classes together, which makes the trapezoidal
     area identical to the Mann-Whitney pairwise statistic with ties counted
     as one half.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.shape != labels.shape or scores.ndim != 1:
+    scores = [float(s) for s in _plain(scores)]
+    labels = _plain(labels)
+    if len(scores) != len(labels):
         raise DataError("scores and labels must be equal-length vectors")
-    positives = int((labels == 1).sum())
-    negatives = int((labels == 0).sum())
+    positives = labels.count(1)
+    negatives = labels.count(0)
     if positives == 0:
         raise DataError("ROC undefined: no positive (label 1) samples")
     if negatives == 0:
         raise DataError("ROC undefined: no negative (label 0) samples")
 
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # last index of each tie group
-    distinct = np.flatnonzero(np.diff(sorted_scores) != 0)
-    group_ends = np.concatenate((distinct, [len(scores) - 1]))
+    # stable descending sort; a point closes each run of equal scores
+    ranked = sorted(zip(scores, labels), key=itemgetter(0), reverse=True)
+    points = [(math.inf, 0.0, 0.0)]
+    tp = fp = 0
+    for i, (score, label) in enumerate(ranked, 1):
+        tp += label == 1
+        fp += label == 0
+        if i == len(ranked) or ranked[i][0] != score:
+            points.append((score, fp / negatives, tp / positives))
 
-    points = np.empty((len(group_ends) + 1, 3))
-    points[0] = (np.inf, 0.0, 0.0)
-    points[1:, 0] = sorted_scores[group_ends]
-    points[1:, 1] = np.cumsum(sorted_labels == 0)[group_ends] / negatives
-    points[1:, 2] = np.cumsum(sorted_labels == 1)[group_ends] / positives
-
-    fpr, tpr = points[:, 1], points[:, 2]
-    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return RocReport(points=points, auc=auc, positives=positives, negatives=negatives)
+    terms = [
+        (f1 - f0) * (t1 + t0) / 2.0
+        for (_, f0, t0), (_, f1, t1) in zip(points, points[1:])
+    ]
+    return RocReport(
+        points=points, auc=_pairwise_sum(terms), positives=positives, negatives=negatives
+    )
 
 
 def pool_nodes(series_list: list[ScoreSeries]) -> RocReport:
@@ -127,23 +162,39 @@ def pool_nodes(series_list: list[ScoreSeries]) -> RocReport:
 
     Nodes are unweighted: a node with more scored buckets contributes more
     pairs, exactly as if its rows had been appended to one big test set.
+    The report's ``nodes`` holds each node's positives, negatives, scored
+    buckets and own AUC (None where the node lacks a class).
     """
     if not series_list:
         raise DataError("cannot pool an empty list of score series")
-    scores = np.concatenate([s.probabilities for s in series_list])
-    labels = np.concatenate([s.labels for s in series_list])
-    return roc_curve(scores, labels)
+    scores: list = []
+    labels: list = []
+    nodes = {}
+    for s in series_list:
+        node_scores, node_labels = _plain(s.probabilities), _plain(s.labels)
+        positives, negatives = node_labels.count(1), node_labels.count(0)
+        nodes[s.node_id] = {
+            "auc": roc_curve(node_scores, node_labels).auc if positives and negatives else None,
+            "positives": positives,
+            "negatives": negatives,
+            "scored": len(s),
+        }
+        scores.extend(node_scores)
+        labels.extend(node_labels)
+    pooled = roc_curve(scores, labels)
+    pooled.nodes = nodes
+    return pooled
 
 
 def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
     """Write pooled score rows as ``node_id,bucket_start,probability,label``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent)
     lines = [csv_line(SCORE_COLUMNS)]
     for series in series_list:
         node = csv_line([series.node_id, ""])[:-2]  # the node id as quoted, and its comma
         rows = zip(
-            series.bucket_starts.tolist(), series.probabilities.tolist(), series.labels.tolist()
+            _plain(series.bucket_starts), _plain(series.probabilities), _plain(series.labels)
         )
         lines.extend(node + ",".join(map(repr, row)) + "\r\n" for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -154,8 +205,8 @@ def read_scores_csv(path: str | Path) -> list[ScoreSeries]:
     """Read a score CSV back into per-node series (rows grouped by node).
 
     A wrong header, a row without exactly four cells, a cell that does not
-    parse and rows that break a ScoreSeries rule are each a DataError naming
-    the file.
+    parse, a label other than 0 or 1 and rows that break a ScoreSeries rule
+    are each a DataError naming the file.
     """
     rows_by_node: dict[str, list[tuple[int, float, int]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -168,19 +219,14 @@ def read_scores_csv(path: str | Path) -> list[ScoreSeries]:
                 parsed = (int(bucket), float(probability), int(label))
             except ValueError as exc:
                 raise DataError(f"{path}, line {reader.line_num}: bad score row ({exc})") from None
+            if parsed[2] not in (0, 1):
+                raise DataError(f"{path}, line {reader.line_num}: label {label} is not 0 or 1")
             rows_by_node.setdefault(node_id, []).append(parsed)
     series_list = []
     for node_id in sorted(rows_by_node):
-        rows = sorted(rows_by_node[node_id])
+        buckets, probabilities, labels = zip(*sorted(rows_by_node[node_id]))
         try:
-            series_list.append(
-                ScoreSeries(
-                    node_id=node_id,
-                    bucket_starts=np.array([r[0] for r in rows], dtype=np.int64),
-                    probabilities=np.array([r[1] for r in rows], dtype=np.float64),
-                    labels=np.array([r[2] for r in rows], dtype=np.int64),
-                )
-            )
+            series_list.append(ScoreSeries(node_id, buckets, probabilities, labels))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
     return series_list

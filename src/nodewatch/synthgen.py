@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .telemetry import BUCKET_SECONDS, NodeDataset, feature_names_for
-from .util import derive_seed, is_int, is_real, write_json
+from .util import derive_seed, is_int, is_real, make_dir, write_json
 
 SIGNATURE_KINDS = ("level_shift", "correlation_break", "temporal_disruption")
 
@@ -338,7 +338,7 @@ def generate_node(
 def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> dict:
     """Generate every node, write per-node CSVs plus a manifest, return it."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     manifest: dict = {"config": asdict(cfg), "nodes": {}}
     for i in range(cfg.node_count):
         node_id = f"node_{i:03d}"

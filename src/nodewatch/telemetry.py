@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .util import csv_line
+from .util import csv_line, make_dir
 
 BUCKET_SECONDS = 900
 
@@ -80,7 +80,7 @@ class NodeDataset:
 
     def to_csv(self, path: str | Path) -> None:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(path.parent)
         lines = [csv_line(["bucket_start", "label", *self.feature_names])]
         rows = zip(self.bucket_starts.tolist(), self.labels.tolist(), self.features.tolist())
         lines.extend(",".join(map(repr, [b, y, *f])) + "\r\n" for b, y, f in rows)

@@ -43,10 +43,22 @@ def csv_line(cells: list) -> str:
     return buf.getvalue()
 
 
+def make_dir(path: Path) -> None:
+    """Make an output directory and its parents, as every writer does.
+
+    A file in the way (or a directory that cannot be written) is a one-line
+    ConfigError naming the path, like a bad ``--out``.
+    """
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {path} ({exc.strerror})") from None
+
+
 def write_json(path: str | Path, obj: object) -> None:
     """Write JSON deterministically (sorted keys, fixed separators)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(path.parent)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 

@@ -219,6 +219,42 @@ class TestImportCost:
         jobs = json.loads((out / "train_log.json").read_text())["jobs"]
         assert len(jobs) == 6 and {j["status"] for j in jobs} == {"skipped-exists"}
 
+    def test_scoring_import_loads_no_numpy(self):
+        (loaded,) = python_in_child(f"import json, sys\nimport nodewatch.scoring\n{LOADED}")
+        assert not any(m.split(".")[0] == "numpy" for m in loaded)
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_fully_cached_command_loads_no_numpy(self, tmp_path, generated_data, command):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "DENSE_un", "RUAD"])
+        out = tmp_path / "run"
+        for step in ("train", "score"):
+            assert main([step, "--config", str(cfg), "--out", str(out)]) == 0
+        (loaded,) = python_in_child(
+            "import json, sys\nfrom nodewatch import cli\n"
+            f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            f"{LOADED}"
+        )
+        assert not any(m.split(".")[0] == "numpy" for m in loaded)
+        assert "nodewatch.scoring" in loaded
+
+    def test_evaluate_computes_a_missing_score_file_as_score_would(self, tmp_path, generated_data):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "RUAD"])
+        stepwise, direct = tmp_path / "stepwise", tmp_path / "direct"
+        assert main(["train", "--config", str(cfg), "--out", str(stepwise)]) == 0
+        shutil.copytree(stepwise, direct)
+        for command in ("score", "evaluate"):
+            assert main([command, "--config", str(cfg), "--out", str(stepwise)]) == 0
+        assert main(["score", "--config", str(cfg), "--out", str(direct)]) == 0
+        (direct / "scores" / "CLU.csv").unlink()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(direct)]) == 0
+        files = sorted(
+            p.relative_to(stepwise) for p in stepwise.rglob("*") if p.is_file()
+        )
+        assert files == sorted(p.relative_to(direct) for p in direct.rglob("*") if p.is_file())
+        assert Path("scores/CLU.csv") in files and Path("reports/CLU_roc.json") in files
+        for path in files:
+            assert (stepwise / path).read_bytes() == (direct / path).read_bytes(), path
+
     def test_package_names_still_import(self):
         from nodewatch import METHODS, NodeDataset, TrainingConfig
 
@@ -314,8 +350,15 @@ class TestEvaluateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert sorted(summary) == ["CLU", "DENSE_un", "EXP", "RUAD_W10", "RUAD_W5"]
         for name in ("EXP", "CLU", "DENSE_un"):
-            assert (out / "reports" / f"{name}_roc.json").exists()
+            report = json.loads((out / "reports" / f"{name}_roc.json").read_text())
             assert (out / "reports" / f"{name}_roc.csv").exists()
+            nodes = report["nodes"]
+            assert sorted(nodes) == ["node_000", "node_001"]
+            for key in ("positives", "negatives"):
+                assert sum(node[key] for node in nodes.values()) == summary[name][key]
+            for node in nodes.values():
+                assert node["scored"] == node["positives"] + node["negatives"]
+                assert (node["auc"] is None) == (0 in (node["positives"], node["negatives"]))
 
     def test_single_class_method_error_does_not_poison_others(
         self, tmp_path, generated_data
@@ -345,7 +388,7 @@ class TestEvaluateCommand:
             "ERROR nodewatch: RUAD_W5: no node produced any scores",
         ]
 
-    @pytest.mark.parametrize("damage", ["truncated", "unparsable cell", "nan cell"])
+    @pytest.mark.parametrize("damage", ["truncated", "unparsable cell", "nan cell", "label 7"])
     def test_damaged_score_file_exits_two_with_one_line(
         self, tmp_path, generated_data, damage
     ):
@@ -359,14 +402,20 @@ class TestEvaluateCommand:
             path.write_text(text[:300])
         elif damage == "unparsable cell":
             path.write_text(text.replace(",0.0,", ",zero,", 1))
-        else:
+        elif damage == "nan cell":
             # parses as a float, and NaN compares false against [0, 1]
             path.write_text(text.replace(",0.0,", ",nan,", 1))
-        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "Traceback" not in proc.stderr
-        assert lines[0].startswith("ERROR") and str(path) in lines[0]
+        else:
+            head, row, rest = text.split("\n", 2)
+            path.write_text("\n".join([head, row.rsplit(",", 1)[0] + ",7", rest]))
+        for command in ("score", "evaluate"):
+            proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 2
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and "Traceback" not in proc.stderr
+            assert lines[0].startswith("ERROR") and str(path) in lines[0]
+            if damage == "label 7":
+                assert "line 2" in lines[0] and "label 7" in lines[0]
         assert not (out / "summary.json").exists()
 
     def test_roc_csv_cells_are_plain_numbers(self, tmp_path, generated_data):
@@ -381,6 +430,30 @@ class TestEvaluateCommand:
             values = [[float(cell) for cell in row] for row in rows]
             assert all(len(row) == 3 for row in values)
             assert values[0] == [float("inf"), 0.0, 0.0] and values[-1][1:] == [1.0, 1.0]
+
+
+class TestOutputDirectories:
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("score", "scores"), ("evaluate", "reports"), ("train", "models/node_000")],
+    )
+    def test_file_in_the_way_exits_one_with_one_line(
+        self, tmp_path, generated_data, command, blocked
+    ):
+        methods = ["CLU"] if command == "train" else ["EXP"]
+        cfg = tiny_run_config(tmp_path, generated_data, methods=methods)
+        out = tmp_path / "run"
+        if command == "evaluate":
+            assert main(["score", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / blocked).parent.mkdir(parents=True, exist_ok=True)
+        (out / blocked).write_text("not a directory")
+        proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        errors = [line for line in lines if line.startswith("ERROR")]
+        assert len(errors) == 1 and "Traceback" not in proc.stderr
+        assert str(out / blocked) in errors[0]
+        assert not (out / "summary.json").exists()
 
 
 class TestNodeMajorCommands:

@@ -5,12 +5,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nodewatch.baselines import anomaly_probability
 from nodewatch.errors import DataError
 from nodewatch.scoring import (
     SCORE_COLUMNS,
     RocReport,
     ScoreSeries,
-    anomaly_probability,
+    _pairwise_sum,
     pool_nodes,
     read_scores_csv,
     roc_curve,
@@ -26,6 +27,22 @@ def mann_whitney_auc(scores, labels):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def numpy_roc(scores, labels):
+    """The array formulation of the exact ROC, kept as the oracle for the
+    plain-Python sweep: (n, 3) points and the ``np.sum`` trapezoid area."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    group_ends = np.concatenate((np.flatnonzero(np.diff(sorted_scores) != 0), [len(scores) - 1]))
+    points = np.empty((len(group_ends) + 1, 3))
+    points[0] = (np.inf, 0.0, 0.0)
+    points[1:, 0] = sorted_scores[group_ends]
+    points[1:, 1] = np.cumsum(sorted_labels == 0)[group_ends] / (labels == 0).sum()
+    points[1:, 2] = np.cumsum(sorted_labels == 1)[group_ends] / (labels == 1).sum()
+    fpr, tpr = points[:, 1], points[:, 2]
+    return points, float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
 def series(node_id, probs, labels):
@@ -80,11 +97,11 @@ class TestRocCurve:
         scores = np.round(rng.random(100), 1)  # heavy ties
         labels = rng.integers(0, 2, size=100)
         labels[:2] = [0, 1]
-        report = roc_curve(scores, labels)
-        assert report.points.shape == (len(np.unique(scores)) + 1, 3)
-        thresholds, fpr, tpr = report.points.T
-        assert np.array_equal(report.points[0], [math.inf, 0.0, 0.0])
-        assert np.array_equal(report.points[-1, 1:], [1.0, 1.0])
+        points = np.array(roc_curve(scores, labels).points)
+        assert points.shape == (len(np.unique(scores)) + 1, 3)
+        thresholds, fpr, tpr = points.T
+        assert np.array_equal(points[0], [math.inf, 0.0, 0.0])
+        assert np.array_equal(points[-1, 1:], [1.0, 1.0])
         assert np.array_equal(thresholds, np.sort(thresholds)[::-1])
         assert np.array_equal(fpr, np.sort(fpr)) and np.array_equal(tpr, np.sort(tpr))
 
@@ -112,6 +129,26 @@ class TestRocCurve:
             scores = np.round(rng.random(n), int(rng.integers(1, 3)))
             report = roc_curve(scores, labels)
             assert abs(report.auc - mann_whitney_auc(scores, labels)) < 1e-9
+
+    def test_matches_numpy_formulation_bit_for_bit(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 3000))
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            # few distinct values: long tie groups, as clamped probabilities give
+            scores = np.minimum(np.round(rng.random(n) * 1.3, int(rng.integers(1, 4))), 1.0)
+            report = roc_curve(scores, labels)
+            points, auc = numpy_roc(scores, labels)
+            assert report.auc == auc
+            assert np.array_equal(np.array(report.points), points)
+            assert report.positives == (labels == 1).sum() and report.negatives == (labels == 0).sum()
+
+    def test_pairwise_sum_equals_numpy_sum_bit_for_bit(self, rng):
+        lengths = [*range(600), 1000, 2047, 4096, 8191, 8192, 8193, 9000, 16384, 20001, 50000]
+        for n in lengths:
+            # mixed signs and magnitudes, so the summation order shows in the bits
+            values = rng.random(n) * 10.0 ** rng.integers(-12, 6, size=n) * rng.choice([-1, 1], size=n)
+            assert _pairwise_sum(values.tolist()) == np.sum(values), n
 
     def test_auc_invariant_under_increasing_transform(self, rng):
         scores = rng.random(200)
@@ -186,7 +223,20 @@ class TestScoreSeriesAndFiles:
 
     def test_roc_report_dict_shape(self):
         report = roc_curve(np.array([0.9, 0.1]), np.array([1, 0]))
-        assert report.to_dict() == {"auc": 1.0, "positives": 1, "negatives": 1}
+        assert report.to_dict() == {"auc": 1.0, "positives": 1, "negatives": 1, "nodes": {}}
+        pooled = pool_nodes([
+            series("a", [0.9, 0.1, 0.5], [1, 0, 0]),
+            series("b", [0.3, 0.2], [0, 0]),
+        ])
+        assert pooled.to_dict() == {
+            "auc": 1.0,
+            "positives": 1,
+            "negatives": 4,
+            "nodes": {
+                "a": {"auc": 1.0, "positives": 1, "negatives": 2, "scored": 3},
+                "b": {"auc": None, "positives": 0, "negatives": 2, "scored": 2},
+            },
+        }
 
 
 def csv_writer_bytes(path, header, rows):
