@@ -25,7 +25,7 @@ from .methods import (
     method_instance_name,
     model_path,
 )
-from .util import derive_seed, is_int, is_real, make_dir, read_config, write_json
+from .util import derive_seed, is_int, is_real, make_dir, read_config, write_atomic, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -135,11 +135,8 @@ def _load_dataset(cfg: RunConfig, node_id: str):
 
 
 def _write_loss_history(path: Path, history: list[float]) -> None:
-    make_dir(path.parent)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(history):
-            fh.write(f"{epoch},{loss!r}\n")
+    lines = [f"{epoch},{loss!r}\n" for epoch, loss in enumerate(history)]
+    write_atomic(path, "epoch,loss\n" + "".join(lines))
 
 
 def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
@@ -237,20 +234,35 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
 # score / evaluate
 
 
+def _read_cached_scores(cfg: RunConfig, name: str, path: Path) -> list:
+    """A cached score file's series, narrowed to the configured ``nodes``
+    (all of them when the config lists none); one warning names the
+    configured nodes the file lacks."""
+    from .scoring import read_scores_csv
+
+    series_list = read_scores_csv(path)
+    if cfg.nodes is None:
+        return series_list
+    missing = sorted(set(cfg.nodes) - {s.node_id for s in series_list})
+    if missing:
+        log.warning("%s: the cached %s has no scores for %s", name, path, missing)
+    return [s for s in series_list if s.node_id in cfg.nodes]
+
+
 def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     """Each method instance's per-node score series, in config order.
 
-    A cached ``scores/<name>.csv`` is read back. The other instances are
-    scored node by node, one dataset load per node, and their files are
-    written in config order. A node is skipped for an instance without a
-    stored model (training skipped it), and for every instance when its
-    dataset cannot be read. An instance that no node produced scores for
-    maps to an empty list and gets no file. The detectors (and numpy) load
+    A cached ``scores/<name>.csv`` is read back, keeping the configured
+    nodes. The other instances are scored node by node, one dataset load
+    per node, and their files are written in config order. A node is
+    skipped for an instance without a stored model (training skipped it),
+    and for every instance when its dataset cannot be read. An instance
+    that no node produced scores for maps to an empty list and gets no
+    file. The data directory is read, and the detectors (and numpy) load,
     only when some instance has no score file.
     """
-    from .scoring import read_scores_csv, write_scores_csv
+    from .scoring import write_scores_csv
 
-    nodes = _discover_nodes(cfg)
     store = out_dir / "models"
     scores: dict[str, list] = {}
     pending = []
@@ -258,12 +270,13 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
         name = method_instance_name(method, window)
         score_path = out_dir / "scores" / f"{name}.csv"
         if score_path.exists():
-            scores[name] = read_scores_csv(score_path)
+            scores[name] = _read_cached_scores(cfg, name, score_path)
         else:
             scores[name] = []
             pending.append((method, name))
     if not pending:
         return scores
+    nodes = _discover_nodes(cfg)
     from . import models as mdl
     from .pipeline import chronological_split
 

@@ -237,8 +237,9 @@ def _dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def _dense_backward(
-    layer: DenseLayer, cache: dict, d_out: np.ndarray
-) -> tuple[dict, np.ndarray]:
+    layer: DenseLayer, cache: dict, d_out: np.ndarray, input_grad: bool
+) -> tuple[dict, np.ndarray | None]:
+    """Parameter gradients, and the input gradient when ``input_grad``."""
     out = cache["out"]
     if layer.activation == "relu":
         d_pre = d_out * (out > 0.0)
@@ -247,7 +248,7 @@ def _dense_backward(
     else:
         d_pre = d_out
     grads = {"weights": d_pre.T @ cache["x"], "bias": d_pre.sum(axis=0)}
-    return grads, d_pre @ layer.weights
+    return grads, d_pre @ layer.weights if input_grad else None
 
 
 def _batch_first(a: np.ndarray) -> np.ndarray:
@@ -313,13 +314,15 @@ def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def _lstm_backward(
-    layer: LstmLayer, cache: dict, d_out: np.ndarray
-) -> tuple[dict, np.ndarray]:
+    layer: LstmLayer, cache: dict, d_out: np.ndarray, input_grad: bool
+) -> tuple[dict, np.ndarray | None]:
     """Backpropagation through time over the whole window.
 
     Each gate's pre-activation gradient is dc (dh for the output gate) times
     a factor built for all steps at once: the gate's derivative times its
-    partner in the cell update (g, c_prev, tanh c, i for i, f, o, g).
+    partner in the cell update (g, c_prev, tanh c, i for i, f, o, g). The
+    gradient with respect to the input sequence is built only when
+    ``input_grad``.
     """
     x, gates, cells, hidden, tanh_c = (
         _step_major(cache[k]) for k in ("x", "gates", "cells", "hidden", "tanh_c")
@@ -364,6 +367,8 @@ def _lstm_backward(
         "u": np.matmul(d_all, hidden[:-1].transpose(0, 2, 1)).sum(axis=0),
         "b": d_all.sum(axis=0).sum(axis=1),
     }
+    if not input_grad:
+        return grads, None
     return grads, _batch_first(np.matmul(np.ascontiguousarray(layer.w.T), d_all))
 
 
@@ -445,11 +450,12 @@ def backward(
     for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
         cache = caches[idx + 1]
+        # nothing reads the gradient with respect to the network input
         if isinstance(layer, LstmLayer):
-            grads[idx], d_act = _lstm_backward(layer, cache, d_act)
+            grads[idx], d_act = _lstm_backward(layer, cache, d_act, input_grad=idx > 0)
         else:
-            grads[idx], d_act = _dense_backward(layer, cache, d_act)
-            if d_act.ndim == 2 and idx > 0:
+            grads[idx], d_act = _dense_backward(layer, cache, d_act, input_grad=idx > 0)
+            if idx > 0 and d_act.ndim == 2:
                 prev = params.layers[idx - 1]
                 if isinstance(prev, LstmLayer) and prev.return_sequence:
                     # dense consumed a squeezed W=1 sequence

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError
-from .util import csv_line, make_dir
+from .util import csv_line, write_atomic
 
 SCORE_COLUMNS = ["node_id", "bucket_start", "probability", "label"]
 
@@ -82,12 +82,9 @@ class RocReport:
         }
 
     def write_points_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        make_dir(path.parent)
         lines = [csv_line(["threshold", "fpr", "tpr"])]
         lines.extend(",".join(map(repr, row)) + "\r\n" for row in self.points)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+        write_atomic(path, "".join(lines))
 
 
 def _pairwise_sum(values: list[float], lo: int = 0, hi: int | None = None) -> float:
@@ -188,8 +185,6 @@ def pool_nodes(series_list: list[ScoreSeries]) -> RocReport:
 
 def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
     """Write pooled score rows as ``node_id,bucket_start,probability,label``."""
-    path = Path(path)
-    make_dir(path.parent)
     lines = [csv_line(SCORE_COLUMNS)]
     for series in series_list:
         node = csv_line([series.node_id, ""])[:-2]  # the node id as quoted, and its comma
@@ -197,8 +192,7 @@ def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
             _plain(series.bucket_starts), _plain(series.probabilities), _plain(series.labels)
         )
         lines.extend(node + ",".join(map(repr, row)) + "\r\n" for row in rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    write_atomic(path, "".join(lines))
 
 
 def read_scores_csv(path: str | Path) -> list[ScoreSeries]:

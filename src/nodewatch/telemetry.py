@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .util import csv_line, make_dir
+from .util import csv_line, write_atomic
 
 BUCKET_SECONDS = 900
 
@@ -79,13 +79,10 @@ class NodeDataset:
         )
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        make_dir(path.parent)
         lines = [csv_line(["bucket_start", "label", *self.feature_names])]
         rows = zip(self.bucket_starts.tolist(), self.labels.tolist(), self.features.tolist())
         lines.extend(",".join(map(repr, [b, y, *f])) + "\r\n" for b, y, f in rows)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+        write_atomic(path, "".join(lines))
 
     @classmethod
     def from_csv(cls, path: str | Path, node_id: str | None = None) -> "NodeDataset":

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 from typing import TypeVar
@@ -55,11 +56,27 @@ def make_dir(path: Path) -> None:
         raise ConfigError(f"cannot make the output directory {path} ({exc.strerror})") from None
 
 
-def write_json(path: str | Path, obj: object) -> None:
-    """Write JSON deterministically (sorted keys, fixed separators)."""
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` (UTF-8, newlines as given) to ``path`` atomically.
+
+    The text goes to a temp file in the same directory, which then replaces
+    ``path`` in one ``os.replace``; a write that fails part-way leaves the
+    previous file as it was. The parent directory is made as by ``make_dir``.
+    """
     path = Path(path)
     make_dir(path.parent)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once replaced
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    """Write JSON deterministically (sorted keys, fixed separators)."""
+    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> dict:

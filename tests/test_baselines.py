@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nodewatch.baselines as bl
 from nodewatch.baselines import (
-    KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     KMeansModel,
     assign_clusters,
     cluster_anomaly_probabilities,
@@ -17,6 +18,7 @@ from nodewatch.baselines import (
     select_k,
     silhouette,
     _lloyd,
+    _pairwise_distances,
     _plus_plus_seeds,
     _row_norms,
 )
@@ -206,25 +208,6 @@ class TestKMeans:
         rows = rng.normal(size=(40, 2))
         npt.assert_array_equal(kmeans_fit(rows, 3, seed=7), kmeans_fit(rows, 3, seed=7))
 
-    def reference_lloyd(self, rows, seeds):
-        """Lloyd's algorithm one cluster at a time, empty clusters re-seeded
-        on the worst-fit point as they come up."""
-        centroids = seeds.copy()
-        assignment = assign_clusters(rows, centroids)
-        for _ in range(KMEANS_MAX_ITER):
-            for j in range(len(centroids)):
-                mask = assignment == j
-                if np.any(mask):
-                    centroids[j] = rows[mask].mean(axis=0)
-                else:
-                    far = np.argmax(np.sum((rows - centroids[assignment]) ** 2, axis=1))
-                    centroids[j] = rows[far]
-            new_assignment = assign_clusters(rows, centroids)
-            if np.array_equal(new_assignment, assignment):
-                break
-            assignment = new_assignment
-        return centroids, assignment, float(np.sum((rows - centroids[assignment]) ** 2))
-
     @pytest.mark.parametrize("width", [1, 3, 8])
     @pytest.mark.parametrize("seed", range(4))
     def test_lloyd_matches_per_cluster_loop_bit_for_bit(self, width, seed):
@@ -234,11 +217,11 @@ class TestKMeans:
         # start empty while 2 and 4 between and after them hold members
         seeds = rows[[0, 0, 7, 7, 11]]
         assert set(assign_clusters(rows, seeds).tolist()) == {0, 2, 4}
-        got = _lloyd(rows, seeds)
-        want = self.reference_lloyd(rows, seeds)
-        npt.assert_array_equal(got[0], want[0])
-        npt.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        got = _lloyd(rows, seeds[None])
+        want = reference_lloyd(rows, seeds)
+        npt.assert_array_equal(got[0][0], want[0])
+        npt.assert_array_equal(got[1][0], want[1])
+        assert got[2] == [want[2]]
 
     @pytest.mark.parametrize("width", [1, 3, 8])
     @pytest.mark.parametrize("seed", range(4))
@@ -246,18 +229,127 @@ class TestKMeans:
         rng = np.random.default_rng(seed)
         rows = rng.uniform(size=(300, width)) ** 3
         seeds = rows[[0, 0, 7, 7, 11]]
-        got = _lloyd(rows, seeds, _row_norms(rows))
-        want = self.reference_lloyd(rows, seeds)
-        npt.assert_array_equal(got[0], want[0])
-        npt.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        got = _lloyd(rows, seeds[None], _row_norms(rows))
+        want = reference_lloyd(rows, seeds)
+        npt.assert_array_equal(got[0][0], want[0])
+        npt.assert_array_equal(got[1][0], want[1])
+        assert got[2] == [want[2]]
 
     def test_wcss_non_increasing_within_lloyd(self, rng):
         rows = rng.normal(size=(60, 2))
         seeds = _plus_plus_seeds(rows, 4, np.random.default_rng(0))
         at_seeds = np.sum((rows - seeds[assign_clusters(rows, seeds)]) ** 2)
-        _, _, wcss = _lloyd(rows, seeds)
-        assert wcss <= at_seeds + 1e-12
+        _, _, wcss = _lloyd(rows, seeds[None])
+        assert wcss[0] <= at_seeds + 1e-12
+
+
+def reference_lloyd(rows, seeds):
+    """Lloyd's algorithm one cluster at a time, empty clusters re-seeded on
+    the worst-fit point as they come up. Also returns the iteration that
+    converged (None when the iteration cap stopped it)."""
+    centroids = seeds.copy()
+    assignment = assign_clusters(rows, centroids)
+    converged_at = None
+    for iteration in range(bl.KMEANS_MAX_ITER):
+        for j in range(len(centroids)):
+            mask = assignment == j
+            if np.any(mask):
+                centroids[j] = rows[mask].mean(axis=0)
+            else:
+                far = np.argmax(np.sum((rows - centroids[assignment]) ** 2, axis=1))
+                centroids[j] = rows[far]
+        new_assignment = assign_clusters(rows, centroids)
+        if np.array_equal(new_assignment, assignment):
+            converged_at = iteration
+            break
+        assignment = new_assignment
+    wcss = float(np.sum((rows - centroids[assignment]) ** 2))
+    return centroids, assignment, wcss, converged_at
+
+
+def reference_kmeans_fit(rows, k, seed):
+    """Best of the restarts, each run on its own; the first lowest WCSS wins."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(KMEANS_RESTARTS):
+        centroids, _, wcss, _ = reference_lloyd(rows, _plus_plus_seeds(rows, k, rng))
+        if best is None or wcss < best[0]:
+            best = (wcss, centroids)
+    return best[1]
+
+
+def assert_batch_matches_reference(rows, stack):
+    centroids, assignment, wcss = _lloyd(rows, stack)
+    want = [reference_lloyd(rows, seeds) for seeds in stack]
+    for r, (c, a, w, _) in enumerate(want):
+        npt.assert_array_equal(centroids[r], c)
+        npt.assert_array_equal(assignment[r], a)
+        assert wcss[r] == w
+    return [w[3] for w in want]
+
+
+class TestStackedLloyd:
+    """Restarts run as one batch give each restart its own run's bits."""
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_batch_matches_reference(self, width, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(size=(300, width)) ** 3
+        # restart 0 starts with empty clusters; the others are k-means++ draws
+        stack = np.stack(
+            [rows[[0, 0, 7, 7, 11]]] + [_plus_plus_seeds(rows, 5, rng) for _ in range(5)]
+        )
+        assert len(set(assign_clusters(rows, stack[0]).tolist())) < 5
+        assert all(len(set(assign_clusters(rows, s).tolist())) == 5 for s in stack[1:])
+        converged_at = assert_batch_matches_reference(rows, stack)
+        assert None not in converged_at and len(set(converged_at)) > 1
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_one_restart_stops_at_the_iteration_cap(self, monkeypatch, width):
+        monkeypatch.setattr(bl, "KMEANS_MAX_ITER", 2)
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(size=(300, width)) ** 3
+        spread = _plus_plus_seeds(rows, 6, rng)
+        # seeded at its own fixed point, the first restart converges at once
+        with monkeypatch.context() as uncapped:
+            uncapped.setattr(bl, "KMEANS_MAX_ITER", 300)
+            fixed = reference_lloyd(rows, spread)[0]
+        stack = np.stack([fixed, spread, rows[[0, 0, 7, 7, 11, 11]]])
+        converged_at = assert_batch_matches_reference(rows, stack)
+        assert converged_at[0] == 0 and converged_at[1] is None
+
+    @pytest.mark.parametrize("shape", [(640, 32), (4800, 64)])
+    def test_stacked_distances_have_each_restarts_bits(self, shape):
+        rng = np.random.default_rng(11)
+        rows = rng.uniform(size=shape)
+        for k in (1, 2, 7, 10):
+            stack = rows[rng.integers(len(rows), size=(KMEANS_RESTARTS, k))]
+            dist = _pairwise_distances(rows, stack, _row_norms(rows))
+            for seeds, own in zip(stack, dist):
+                npt.assert_array_equal(own, _pairwise_distances(rows, seeds))
+                npt.assert_array_equal(own.argmin(axis=1), assign_clusters(rows, seeds))
+
+    # one batch of ten restarts, batches of 12 // k (the last one short),
+    # and one restart per batch
+    @pytest.mark.parametrize("cells", [1 << 16, 1440, 1])
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_kmeans_fit_matches_per_restart_reference(self, monkeypatch, width, cells):
+        monkeypatch.setattr(bl, "LLOYD_BATCH_CELLS", cells)
+        rng = np.random.default_rng(3)
+        # tight blobs: many restarts tie on WCSS with their clusters in another order
+        rows = blob_rows(rng, rng.uniform(-5, 5, size=(4, width)), per_blob=30, spread=0.3)
+        for k in range(1, 7):
+            npt.assert_array_equal(kmeans_fit(rows, k, seed=k), reference_kmeans_fit(rows, k, k))
+
+    def test_select_k_matches_per_restart_reference(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        rows = blob_rows(rng, [[0, 0, 0], [4, 4, 0], [0, 4, 4]], per_blob=40, spread=0.8)
+        k, centroids = select_k(rows, range(2, 7), seed=9)
+        monkeypatch.setattr(bl, "kmeans_fit", lambda r, k, seed=0, **_: reference_kmeans_fit(r, k, seed))
+        want_k, want_centroids = bl.select_k(rows, range(2, 7), seed=9)
+        assert k == want_k
+        npt.assert_array_equal(centroids, want_centroids)
 
 
 class TestSelectK:

@@ -432,6 +432,49 @@ class TestEvaluateCommand:
             assert values[0] == [float("inf"), 0.0, 0.0] and values[-1][1:] == [1.0, 1.0]
 
 
+class TestCachedScores:
+    def test_cached_scores_keep_only_the_configured_nodes(self, tmp_path, generated_data):
+        both = tiny_run_config(tmp_path, generated_data, methods=["EXP"])
+        cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+        assert main(["evaluate", "--config", str(both), "--out", str(cached)]) == 0
+        assert json.loads((cached / "summary.json").read_text())["EXP"]["nodes_scored"] == 2
+        # node_000's test split has no positives here, so keep node_001
+        one = tiny_run_config(tmp_path, generated_data, methods=["EXP"], nodes=["node_001"])
+        for out in (cached, fresh):
+            assert main(["evaluate", "--config", str(one), "--out", str(out)]) == 0
+        for name in ("summary.json", "reports/EXP_roc.json", "reports/EXP_roc.csv"):
+            assert (cached / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_configured_nodes_missing_from_the_file_warn_once(
+        self, tmp_path, generated_data, caplog
+    ):
+        one = tiny_run_config(tmp_path, generated_data, methods=["EXP"], nodes=["node_001"])
+        out = tmp_path / "run"
+        assert main(["score", "--config", str(one), "--out", str(out)]) == 0
+        both = tiny_run_config(
+            tmp_path, generated_data, methods=["EXP"], nodes=["node_000", "node_001"]
+        )
+        caplog.clear()
+        assert main(["evaluate", "--config", str(both), "--out", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if "node_000" in r.getMessage()]
+        assert len(warnings) == 1 and "EXP" in warnings[0]
+        assert json.loads((out / "summary.json").read_text())["EXP"]["nodes_scored"] == 1
+
+    @pytest.mark.parametrize("nodes", [None, ["node_001"]])
+    def test_cached_evaluate_needs_no_data_directory(self, tmp_path, generated_data, nodes):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP", "CLU"], nodes=nodes)
+        out = tmp_path / "run"
+        for step in ("train", "evaluate"):
+            assert main([step, "--config", str(cfg), "--out", str(out)]) == 0
+        first = (out / "summary.json").read_bytes()
+        data.rename(tmp_path / "moved")
+        (out / "summary.json").unlink()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "summary.json").read_bytes() == first
+
+
 class TestOutputDirectories:
     @pytest.mark.parametrize(
         "command, blocked",
