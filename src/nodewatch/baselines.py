@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .methods import check_alpha
 from .pipeline import time_consistency_segments
 from .scoring import ScoreSeries
 from .telemetry import NodeDataset
@@ -84,7 +83,6 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
     are normalized by the maximum error over the whole scored series; the
     first point of every segment scores 0.
     """
-    check_alpha(alpha)
     raw = np.zeros(len(series))
     for run in time_consistency_segments(series):
         rows = series.features[run]

@@ -17,15 +17,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError, TrainingError
-from .methods import (
-    METHODS,
-    WINDOWED_METHODS,
-    TrainingConfig,
-    check_alpha,
-    method_instance_name,
-    model_path,
-)
-from .util import derive_seed, is_int, is_real, make_dir, read_config, write_atomic, write_json
+from .methods import METHODS, WINDOWED_METHODS, TrainingConfig, method_instance_name, model_path
+from .util import check_fields, derive_seed, make_dir, ranged, read_config
+from .util import write_atomic, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -39,61 +33,29 @@ class RunConfig:
     data_dir: str
     nodes: list[str] | None = None
     methods: list[str] = field(default_factory=lambda: list(METHODS))
-    windows: list[int] = field(default_factory=lambda: list(DEFAULT_WINDOWS))
-    split_ratio: float = 0.8
+    windows: list[int] = ranged("[1, inf)", default_factory=lambda: list(DEFAULT_WINDOWS))
+    split_ratio: float = ranged("(0, 1)", 0.8)
     training: dict = field(default_factory=dict)
-    exp_alpha: float = 0.1
+    exp_alpha: float = ranged("(0, 1]", 0.1)
     seed: int = 0
-    workers: int = 1
+    workers: int = ranged("[1, inf)", 1)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.data_dir, (str, Path)):
-            raise ConfigError(f"data_dir must be a directory path, got {self.data_dir!r}")
-        for key, what in (("nodes", "node"), ("methods", "method")):
-            values = getattr(self, key)
-            if values is not None and not (
-                isinstance(values, list) and all(isinstance(v, str) for v in values)
-            ):
-                raise ConfigError(f"{key} must be a list of {what} names, got {values!r}")
+        check_fields(self)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ConfigError(
-                f"unknown methods {unknown}; valid names: {list(METHODS)}"
-            )
+            raise ConfigError(f"unknown methods {unknown}; valid names: {list(METHODS)}")
         for key in ("nodes", "methods"):
             if getattr(self, key) == []:
                 raise ConfigError(f"{key} list is empty")
-        if not is_real(self.split_ratio) or not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio!r}")
-        windows = self.windows
-        if not (isinstance(windows, list) and all(is_int(w) and w >= 1 for w in windows)):
-            raise ConfigError(f"window lengths must be integers >= 1, got {windows!r}")
-        for key in ("methods", "windows", "nodes"):
-            values = getattr(self, key) or []
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{key} list contains duplicates: {values}")
         needs_windows = any(m in WINDOWED_METHODS for m in self.methods)
         if needs_windows and not self.windows:
             raise ConfigError("windowed methods requested but windows list is empty")
-        if not is_int(self.workers) or self.workers < 1:
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.training, dict):
-            raise ConfigError(f"training must be an object, got {self.training!r}")
         # the seed is derived per job
         bad = set(self.training) - ({f.name for f in fields(TrainingConfig)} - {"seed"})
         if bad:
             raise ConfigError(f"unknown training keys: {sorted(bad)}")
-        try:
-            self.training_config(seed=0)
-            check_alpha(self.exp_alpha)
-        except DataError as exc:
-            raise ConfigError(str(exc)) from None
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        return read_config(cls, path)
+        self.training_config(seed=0)
 
     def method_instances(self) -> list[tuple[str, int | None]]:
         """Expand windowed methods over the configured window lengths."""
@@ -202,7 +164,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             results = list(pool.map(_run_train_job, jobs))
     else:
         results = map(_run_train_job, jobs)
@@ -215,12 +177,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
         out_dir / "train_log.json",
         {
             "config": {
-                "data_dir": cfg.data_dir,
-                "methods": cfg.methods,
-                "windows": cfg.windows,
-                "split_ratio": cfg.split_ratio,
-                "training": cfg.training,
-                "seed": cfg.seed,
+                key: getattr(cfg, key)
+                for key in ("data_dir", "methods", "windows", "split_ratio", "training", "seed")
             },
             "jobs": [
                 {"node": n, "model": m, "status": s, "detail": d}
@@ -392,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             cmd_generate(args.config, args.out)
         else:
-            cfg = RunConfig.from_file(args.config)
+            cfg = read_config(RunConfig, args.config)
             make_dir(args.out)
             if args.command == "train":
                 cmd_train(cfg, args.out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-from .util import is_int, is_real
+from .util import check_fields, ranged
 
 METHODS = ("EXP", "CLU", "DENSE_semi", "DENSE_un", "RUAD_semi", "RUAD")
 WINDOWED_METHODS = ("RUAD_semi", "RUAD")
@@ -34,23 +34,11 @@ def model_path(store_dir: str | Path, node_id: str, name: str) -> Path:
 
 @dataclass
 class TrainingConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 50
-    early_stop_patience: int = 5
+    learning_rate: float = ranged("[0, inf)", 1e-3)
+    batch_size: int = ranged("[1, inf)", 32)
+    max_epochs: int = ranged("[1, inf)", 50)
+    early_stop_patience: int = ranged("[1, inf)", 5)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not is_real(self.learning_rate) or self.learning_rate < 0:
-            raise DataError(f"learning_rate must be a number >= 0, got {self.learning_rate!r}")
-        counts = (self.batch_size, self.max_epochs, self.early_stop_patience)
-        if not all(is_int(c) and c >= 1 for c in counts):
-            raise DataError("batch_size, max_epochs and patience must be integers >= 1")
-        if not is_int(self.seed):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
-
-
-def check_alpha(alpha: float) -> None:
-    """The smoothing factor of the exponential baseline lies in (0, 1]."""
-    if not is_real(alpha) or not 0.0 < alpha <= 1.0:
-        raise DataError(f"alpha must be a number in (0, 1], got {alpha!r}")
+        check_fields(self)

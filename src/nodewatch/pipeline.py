@@ -102,12 +102,17 @@ def semi_supervised_filter(dataset: NodeDataset) -> NodeDataset:
 
 
 def fit_minmax(train: NodeDataset) -> ScalerParams:
-    """Per-feature min/max over the training rows."""
+    """Per-feature min/max over the training rows. A feature whose span
+    max - min overflows a float is a DataError naming it."""
     if len(train) == 0:
         raise DataError("cannot fit scaler on an empty training set")
-    return ScalerParams(
-        minimum=train.features.min(axis=0), maximum=train.features.max(axis=0)
-    )
+    params = ScalerParams(train.features.min(axis=0), train.features.max(axis=0))
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(params.maximum - params.minimum))
+    if len(wide):
+        name = train.feature_names[wide[0]]
+        raise DataError(f"{train.node_id}: feature {name} spans more than a float can hold")
+    return params
 
 
 def apply_minmax(params: ScalerParams, dataset: NodeDataset) -> NodeDataset:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .telemetry import BUCKET_SECONDS, NodeDataset, feature_names_for
-from .util import derive_seed, is_int, is_real, make_dir, write_json
+from .util import check_fields, derive_seed, make_dir, ranged, write_json
 
 SIGNATURE_KINDS = ("level_shift", "correlation_break", "temporal_disruption")
 
@@ -40,10 +40,10 @@ REGIME_SWITCH_PROB = 0.015  # per bucket: a workload regime lasts ~17 h on avera
 
 @dataclass
 class SynthConfig:
-    node_count: int = 8
-    metric_count: int = 16
-    timestep_count: int = 6000
-    anomaly_rate: float = 0.01
+    node_count: int = ranged("[1, inf)", 8)
+    metric_count: int = ranged("[1, inf)", 16)
+    timestep_count: int = ranged("[1, inf)", 6000)
+    anomaly_rate: float = ranged("[0, 1)", 0.01)
     anomaly_mix: dict[str, float] = field(
         default_factory=lambda: {
             "level_shift": 0.2,
@@ -51,24 +51,12 @@ class SynthConfig:
             "temporal_disruption": 0.6,
         }
     )
-    regime_count: int = 3
-    noise_std: float = 0.1
+    regime_count: int = ranged("[1, inf)", 3)
+    noise_std: float = ranged("(0, inf)", 0.1)
     seed: int = 20240817
 
     def __post_init__(self) -> None:
-        for key in ("node_count", "metric_count", "timestep_count", "regime_count"):
-            value = getattr(self, key)
-            if not is_int(value) or value < 1:
-                raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-        if not is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not is_real(self.anomaly_rate) or not 0.0 <= self.anomaly_rate < 1.0:
-            raise ConfigError(f"anomaly_rate must lie in [0, 1), got {self.anomaly_rate!r}")
-        if not is_real(self.noise_std) or self.noise_std <= 0:
-            raise ConfigError(f"noise_std must be a positive number, got {self.noise_std!r}")
-        mix = self.anomaly_mix
-        if not (isinstance(mix, dict) and all(is_real(w) for w in mix.values())):
-            raise ConfigError(f"anomaly_mix must map anomaly kinds to weights, got {mix!r}")
+        check_fields(self)
         unknown = set(self.anomaly_mix) - set(SIGNATURE_KINDS)
         if unknown:
             raise ConfigError(f"unknown anomaly kinds in mix: {sorted(unknown)}")

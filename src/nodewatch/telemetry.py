@@ -30,8 +30,8 @@ AGGREGATES = ("min", "max", "avg", "var")
 class NodeDataset:
     """Aligned feature matrix and labels for one node.
 
-    ``bucket_starts`` are strictly increasing multiples of 900 s; gaps are
-    allowed and meaningful (the time-consistency filter keys on them).
+    ``bucket_starts`` are strictly increasing seconds; a step other than
+    900 s is a gap, which the time-consistency filter keys on.
     ``features`` is row-per-bucket with a fixed, named column order.
     """
 

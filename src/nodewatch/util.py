@@ -6,24 +6,79 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
-from dataclasses import fields
+from dataclasses import MISSING, field, fields
 from pathlib import Path
-from typing import TypeVar
+from types import UnionType
+from typing import TypeVar, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
 T = TypeVar("T")
 
+# What a value of each plain annotation must be, and the plural for a list's
+# items. bool is an int in Python (JSON ``true`` loads as one), and
+# ``json.load`` takes NaN and Infinity as floats: neither passes a number field.
+_KINDS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          str: ("a string", "strings"), dict: ("an object", "objects")}
 
-def is_int(value: object) -> bool:
-    """An integer, but not a bool (JSON ``true`` loads as one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+
+def ranged(interval: str, default: object = MISSING, **kwargs):
+    """A dataclass field whose number, or each number of whose list, lies in
+    ``interval``, written as in mathematics: ``"(0, 1]"``, ``"[1, inf)"``."""
+    return field(default=default, metadata={"range": interval}, **kwargs)
 
 
-def is_real(value: object) -> bool:
-    """A real number, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _fits(value: object, kind: type, interval: str | None = None) -> bool:
+    if kind is float:
+        fits = _fits(value, int) or (isinstance(value, float) and math.isfinite(value))
+    else:
+        fits = isinstance(value, kind) and not isinstance(value, bool)
+    if not fits or interval is None:
+        return fits
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    return above and (value < high if interval[-1] == ")" else value <= high)
+
+
+def field_rule(name: str, hint: object, interval: str | None = None):
+    """The test a value of field ``name`` must pass, and what it must be,
+    from its annotation ``hint``: ``int``, ``float``, ``str``, ``dict``,
+    ``list[X]`` without repeats, ``dict[str, X]`` or ``X | None``, where X
+    is one of the first four. ``interval`` bounds a number or each number of
+    a list, and a ``list[str]`` holds names: ``nodes`` is a list of node
+    names. Any other annotation is a TypeError, so no field goes unchecked."""
+    origin, args = get_origin(hint), get_args(hint)
+    within = f" in {interval}" if interval else ""
+    if origin is UnionType and args[1:] == (type(None),):
+        fits, what = field_rule(name, args[0], interval)
+        return (lambda v: v is None or fits(v)), what
+    if origin is list and args[0] in _KINDS:
+        items = f"{name.removesuffix('s')} names" if args[0] is str else _KINDS[args[0]][1]
+        return (
+            lambda v: isinstance(v, list)
+            and all(_fits(x, args[0], interval) for x in v)
+            and len(set(v)) == len(v)
+        ), f"a list of {items}{within}, without repeats"
+    if origin is dict and args[0] is str and args[1] in _KINDS:
+        what = f"an object of {_KINDS[args[1]][1]}"
+        return (lambda v: isinstance(v, dict) and all(_fits(x, args[1]) for x in v.values())), what
+    if hint in _KINDS:
+        return (lambda v: _fits(v, hint, interval)), _KINDS[hint][0] + within
+    raise TypeError(f"config field {name} has an annotation with no rule: {hint!r}")
+
+
+def check_fields(config: object) -> None:
+    """Check each field of the dataclass ``config`` against its annotation
+    and its ``ranged`` interval, as :func:`field_rule` says; the first value
+    that fails is a ConfigError naming the field."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        fits, what = field_rule(f.name, hints[f.name], f.metadata.get("range"))
+        if not fits(value):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
 
 def derive_seed(*parts: object) -> int:
@@ -89,8 +144,8 @@ def read_config(cls: type[T], path: str | Path) -> T:
 
     A file that cannot be opened (missing, a directory), invalid JSON, a top
     level that is not an object, a key that is not a field of ``cls``, a
-    TypeError from ``cls`` (a missing field, a value of the wrong type) and
-    a ConfigError from its own checks are each a ConfigError naming the file.
+    TypeError from ``cls`` (a missing field) and a ConfigError from its own
+    checks are each a ConfigError naming the file.
     """
     try:
         raw = read_json(path)

@@ -80,13 +80,6 @@ class TestExponentialSmoothing:
         out = exp_smoothing_scores(ds.take(np.array([], dtype=int)), 0.1)
         assert len(out) == 0
 
-    def test_alpha_validated(self):
-        ds = build_dataset([0], features=[[1.0]])
-        with pytest.raises(DataError):
-            exp_smoothing_scores(ds, 0.0)
-        with pytest.raises(DataError):
-            exp_smoothing_scores(ds, 1.5)
-
 
 class TestSilhouette:
     def hand_silhouette(self, data, assignment):

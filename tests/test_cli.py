@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,7 +16,7 @@ from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.scoring import ScoreSeries, write_scores_csv
 from nodewatch.telemetry import NodeDataset
-from nodewatch.util import write_json
+from nodewatch.util import read_config, write_json
 
 
 def write_config(path, **kwargs):
@@ -83,10 +85,12 @@ class TestGenerateCommand:
             ("seed", "abc"),
             ("noise_std", "0.1"),
             ("anomaly_mix", ["level_shift"]),
+            ("noise_std", math.nan),
+            ("anomaly_mix", {"level_shift": math.nan, "temporal_disruption": 1.0}),
         ],
         ids=[
             "node-count-2.5", "timestep-count-50.0", "node-count-true", "seed-abc",
-            "noise-std-string", "mix-list",
+            "noise-std-string", "mix-list", "noise-std-nan", "mix-weight-nan",
         ],
     )
     def test_mistyped_value_exits_one_with_one_line(self, tmp_path, key, value):
@@ -95,7 +99,7 @@ class TestGenerateCommand:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
-        assert lines[0].startswith("ERROR") and key in lines[0]
+        assert lines[0].startswith("ERROR") and key in lines[0] and str(cfg) in lines[0]
         assert not (tmp_path / "x").exists()
 
 
@@ -144,6 +148,51 @@ class TestTrainCommand:
     def test_missing_data_dir_is_a_data_error(self, tmp_path):
         cfg = tiny_run_config(tmp_path, tmp_path / "nowhere")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, generated_data, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and runs the jobs here: no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["CLU"], workers=500)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sizes == [2]  # one job per node
+        jobs = json.loads((out / "train_log.json").read_text())["jobs"]
+        assert [j["status"] for j in jobs] == ["trained", "trained"]
+
+    def test_feature_too_wide_for_a_float_skips_the_node_by_name(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [f"{i * 900},0,{(-1) ** i * 1e308!r},{float(i)!r}\n" for i in range(40)]
+        (data / "node_000.csv").write_text("bucket_start,label,wide,calm\n" + "".join(rows))
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP", "CLU", "DENSE_un"])
+        out = tmp_path / "run"
+        train = run_cli("train", "--config", str(cfg), "--out", str(out))
+        assert train.returncode == 0, train.stderr
+        jobs = json.loads((out / "train_log.json").read_text())["jobs"]
+        assert [(j["model"], j["status"]) for j in jobs] == [
+            ("CLU", "skipped-data"), ("DENSE_un", "skipped-data"),
+        ]
+        assert all("feature wide" in j["detail"] for j in jobs)
+        evaluate = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert evaluate.returncode == 0, evaluate.stderr
+        for proc in (train, evaluate):
+            assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def per_gate_layout(model):
@@ -563,7 +612,7 @@ class TestRunConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", data_dir=".", typo_key=1)
         with pytest.raises(ConfigError, match="unknown config keys"):
-            RunConfig.from_file(path)
+            read_config(RunConfig, path)
 
     def test_unknown_training_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="training keys"):
@@ -588,12 +637,14 @@ class TestRunConfig:
             {"split_ratio": "0.8"},
             {"training": [1]},
             {"nodes": []},
+            {"training": {"learning_rate": math.inf}},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
             "alpha-0", "duplicate-nodes", "non-integer-workers", "alpha-true",
             "learning-rate-true", "seed-true", "nodes-string", "methods-string",
             "data-dir-number", "split-ratio-string", "training-list", "nodes-empty",
+            "learning-rate-infinity",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):

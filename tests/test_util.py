@@ -1,13 +1,23 @@
 import errno
 import json
+import math
+from dataclasses import fields
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 from conftest import build_dataset
 
 from nodewatch import util
-from nodewatch.cli import _write_loss_history
+from nodewatch.cli import RunConfig, _write_loss_history
+from nodewatch.errors import ConfigError
+from nodewatch.methods import TrainingConfig
 from nodewatch.scoring import RocReport, ScoreSeries, write_scores_csv
-from nodewatch.util import write_atomic, write_json
+from nodewatch.synthgen import SynthConfig
+from nodewatch.util import field_rule, write_atomic, write_json
+
+# every config class, with the fields it needs beyond its defaults
+CONFIGS = [(RunConfig, {"data_dir": "."}), (SynthConfig, {}), (TrainingConfig, {})]
 
 
 def test_write_json_bytes_match_json_dump(tmp_path):
@@ -79,3 +89,76 @@ def test_write_atomic_keeps_the_text_as_given(tmp_path):
     text = "a,b\r\nc\né\n"
     write_atomic(tmp_path / "new" / "t.csv", text)
     assert (tmp_path / "new" / "t.csv").read_bytes() == text.encode("utf-8")
+
+
+def number_fields():
+    """One case per number a config holds, read from the field list: an
+    int or float field, the items of a list of numbers and the values of an
+    object of numbers. ``place`` puts a number where the field holds it."""
+    for cls, required in CONFIGS:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            origin, args = get_origin(hint), get_args(hint)
+            if hint in (int, float):
+                kind, place = hint, lambda v: v
+            elif origin is list and args[0] in (int, float):
+                kind, place = args[0], lambda v: [v]
+            elif origin is dict and args[1] in (int, float):
+                default = f.default_factory()
+                first = next(iter(default))
+                kind, place = args[1], lambda v, d=default, k=first: {**d, k: v}
+            else:
+                continue
+            interval = f.metadata.get("range")
+            yield pytest.param(
+                cls, required, f.name, kind, interval, place, id=f"{cls.__name__}.{f.name}"
+            )
+
+
+@pytest.mark.parametrize("cls, required, name, kind, interval, place", number_fields())
+def test_every_number_field_keeps_to_its_kind_and_range(
+    cls, required, name, kind, interval, place
+):
+    """NaN, the infinities, ``true``, a float for an integer and a number
+    just outside the range are refused; the default, a closed bound and the
+    number just inside an open bound are taken."""
+    rejected = [math.nan, math.inf, -math.inf, True] + ([2.0] if kind is int else [])
+    accepted = []
+    if interval:
+        low, high = (float(bound) for bound in interval[1:-1].split(","))
+        step = (lambda x, to: x + (1 if to > x else -1)) if kind is int else math.nextafter
+        for bound, closed, outward in (
+            (low, interval[0] == "[", -math.inf),
+            (high, interval[-1] == "]", math.inf),
+        ):
+            if math.isinf(bound):
+                continue
+            bound = kind(bound)
+            if closed:
+                accepted.append(bound)
+                rejected.append(step(bound, outward))
+            else:
+                rejected.append(bound)
+                accepted.append(step(bound, -outward))
+    for value in rejected:
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            cls(**required, **{name: place(value)})
+    cls(**required)  # the default
+    for value in accepted:
+        assert getattr(cls(**required, **{name: place(value)}), name) == place(value)
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in CONFIGS], ids=lambda cls: cls.__name__)
+def test_every_config_field_has_a_rule(cls):
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        field_rule(f.name, hints[f.name], f.metadata.get("range"))
+
+
+@pytest.mark.parametrize(
+    "hint", [Path, bool, tuple[int], set[str], list[float | None], int | str, list]
+)
+def test_an_annotation_without_a_rule_is_refused(hint):
+    with pytest.raises(TypeError, match="no rule"):
+        field_rule("x", hint)
