@@ -40,22 +40,24 @@ class KMeansModel:
     def __post_init__(self) -> None:
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
         self.cluster_anomaly_prob = np.asarray(self.cluster_anomaly_prob, dtype=np.float64)
+        if self.centroids.ndim != 2 or len(self.centroids) != self.k:
+            raise DataError(f"centroids have shape {self.centroids.shape}, not (k={self.k}, N)")
+        if self.cluster_anomaly_prob.shape != (self.k,):
+            raise DataError(
+                f"cluster anomaly probabilities have shape "
+                f"{self.cluster_anomaly_prob.shape}, not (k={self.k},)"
+            )
         if not np.all(np.isfinite(self.centroids)):
             raise DataError("centroids must be finite")
         if np.any((self.cluster_anomaly_prob < 0) | (self.cluster_anomaly_prob > 1)):
             raise DataError("cluster anomaly probabilities must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "centroids": self.centroids.tolist(),
-            "cluster_anomaly_prob": self.cluster_anomaly_prob.tolist(),
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "KMeansModel":
-        return cls(**d)  # __post_init__ makes the arrays
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ test set into a per-bucket score series. Also owns the on-disk model store
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -98,24 +100,27 @@ class ModelSpec:
             raise DataError(f"a dense model reads one row, not a window of {self.window}")
 
 
-def build_model(spec: ModelSpec, seed: int) -> nn.NetworkParams:
-    """Instantiate the architecture with seeded Glorot initialization."""
+def layer_specs(spec: ModelSpec) -> list[nn.LayerSpec]:
+    """The layers of the architecture ``spec`` names."""
     n = spec.input_dim
     if spec.kind == "dense":
-        layer_specs = [
+        return [
             nn.DenseSpec(n, ENCODER_DIM, "relu"),
             nn.DenseSpec(ENCODER_DIM, LATENT_DIM, "relu"),
             nn.DenseSpec(LATENT_DIM, DECODER_DIM, "relu"),
             nn.DenseSpec(DECODER_DIM, n, "sigmoid"),
         ]
-    else:
-        layer_specs = [
-            nn.LstmSpec(n, ENCODER_DIM, return_sequence=True),
-            nn.LstmSpec(ENCODER_DIM, LATENT_DIM, return_sequence=False),
-            nn.DenseSpec(LATENT_DIM, DECODER_DIM, "relu"),
-            nn.DenseSpec(DECODER_DIM, n, "sigmoid"),
-        ]
-    return nn.init_params(layer_specs, seed)
+    return [
+        nn.LstmSpec(n, ENCODER_DIM, return_sequence=True),
+        nn.LstmSpec(ENCODER_DIM, LATENT_DIM, return_sequence=False),
+        nn.DenseSpec(LATENT_DIM, DECODER_DIM, "relu"),
+        nn.DenseSpec(DECODER_DIM, n, "sigmoid"),
+    ]
+
+
+def build_model(spec: ModelSpec, seed: int) -> nn.NetworkParams:
+    """Instantiate the architecture with seeded Glorot initialization."""
+    return nn.init_params(layer_specs(spec), seed)
 
 
 @dataclass
@@ -288,11 +293,87 @@ def score_exp_method(
 
 # ---------------------------------------------------------------------------
 # model store
+#
+# A store is one JSON object: a header of plain values, ``"format": 2``, and
+# every float64 array as {"shape": [...], "f8": <base64 of its little-endian
+# bytes>}. Arrays pass through one codec, ``_encode_array`` on the way out and
+# ``_decode_array`` on the way in.
+
+STORE_FORMAT = 2
+
+
+def _encode_array(obj: object) -> dict:
+    """json ``default`` hook: a float64 array as its shape and base64 bytes."""
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"a model store cannot hold {type(obj).__name__}")
+    data = base64.b64encode(obj.astype("<f8", copy=False).tobytes())
+    return {"shape": list(obj.shape), "f8": data.decode("ascii")}
+
+
+def _decode_array(d: dict) -> object:
+    """json ``object_hook``: an encoded array back as a writable native
+    float64 copy, checked whole and finite; any other object as it is."""
+    if "f8" not in d:
+        return d
+    shape = d["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise DataError(f"array shape {shape!r} is not a list of sizes")
+    try:
+        data = base64.b64decode(d["f8"], validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise DataError(f"array payload is not base64 ({exc})") from None
+    if len(data) != 8 * math.prod(shape):
+        raise DataError(
+            f"array payload holds {len(data)} bytes, shape {shape} needs {8 * math.prod(shape)}"
+        )
+    array = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise DataError(f"array of shape {shape} holds a value that is not finite")
+    return array
+
+
+def _write_store(path: Path, header: dict) -> None:
+    write_json(path, {"format": STORE_FORMAT, **header}, default=_encode_array)
+
+
+def _read_store(path: str | Path) -> dict:
+    d = read_json(path, object_hook=_decode_array)
+    if not isinstance(d, dict):
+        raise DataError("not a model file: the top level is not a JSON object")
+    if d.get("format") != STORE_FORMAT:
+        raise DataError(
+            f"store format {d.get('format', 1)}, not {STORE_FORMAT}: written by an "
+            "older nodewatch, so it must be retrained"
+        )
+    return d
+
+
+def _spec_layout(spec: nn.LayerSpec) -> dict:
+    """A layer of ``spec`` as the store holds it, each array given by its shape."""
+    if isinstance(spec, nn.DenseSpec):
+        return {"type": "dense", "activation": spec.activation,
+                "weights": (spec.out_dim, spec.in_dim), "bias": (spec.out_dim,)}
+    gates = 4 * spec.hidden_dim
+    return {"type": "lstm", "return_sequence": spec.return_sequence,
+            "w": (gates, spec.in_dim), "u": (gates, spec.hidden_dim), "b": (gates,)}
+
+
+def _check_network(network: nn.NetworkParams, spec: ModelSpec) -> None:
+    """Refuse a stored network whose layers are not those ``build_model(spec)``
+    makes, in type, settings or the shape of any array."""
+    layers, expected = network.to_dict()["layers"], layer_specs(spec)
+    if len(layers) != len(expected):
+        raise DataError(f"network has {len(layers)} layers, model_spec gives {len(expected)}")
+    for i, (layer, layer_spec) in enumerate(zip(layers, expected)):
+        got = {k: v.shape if isinstance(v, np.ndarray) else v for k, v in layer.items()}
+        for key, value in _spec_layout(layer_spec).items():
+            if got.get(key) != value:
+                raise DataError(f"layer {i} {key} is {got.get(key)}, model_spec gives {value}")
 
 
 def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) -> Path:
     path = model_path(store_dir, model.node_id, name)
-    write_json(
+    _write_store(
         path,
         {
             "kind": model.spec.kind,
@@ -331,7 +412,8 @@ def _reading_store(path: str | Path):
         raise DataError(f"{path}: not a readable model file ({exc})") from exc
     except KeyError as exc:
         raise DataError(f"{path}: model file has no {exc} entry") from exc
-    except TypeError as exc:  # an entry of the wrong type or with a missing field
+    # an entry of the wrong type or with a missing field, or a value numpy cannot take
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -339,12 +421,20 @@ def _reading_store(path: str | Path):
 
 def load_trained_model(path: str | Path) -> TrainedModel:
     with _reading_store(path):
-        d = read_json(path)
+        d = _read_store(path)
+        spec = _from_stored(ModelSpec, d["model_spec"], "model_spec")
+        scaler = ScalerParams.from_dict(d["scaler"])
+        if scaler.minimum.shape != (spec.input_dim,):
+            raise DataError(
+                f"scaler has shape {scaler.minimum.shape}, model_spec gives ({spec.input_dim},)"
+            )
+        network = nn.NetworkParams.from_dict(d["network"])
+        _check_network(network, spec)
         return TrainedModel(
             node_id=d["node_id"],
-            spec=_from_stored(ModelSpec, d["model_spec"], "model_spec"),
-            network=nn.NetworkParams.from_dict(d["network"]),
-            scaler=ScalerParams.from_dict(d["scaler"]),
+            spec=spec,
+            network=network,
+            scaler=scaler,
             max_train_error=d["max_train_error"],
             regime=_from_stored(Regime, d["regime"], "regime"),
             seed=d["seed"],
@@ -354,7 +444,7 @@ def load_trained_model(path: str | Path) -> TrainedModel:
 
 def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) -> Path:
     path = model_path(store_dir, model.node_id, name)
-    write_json(
+    _write_store(
         path,
         {
             "kind": "clu",
@@ -370,10 +460,12 @@ def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) ->
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
     with _reading_store(path):
-        d = read_json(path)
-        return ClusterModel(
-            node_id=d["node_id"],
-            scaler=ScalerParams.from_dict(d["scaler"]),
-            kmeans=KMeansModel.from_dict(d["kmeans"]),
-            seed=d["seed"],
-        )
+        d = _read_store(path)
+        scaler = ScalerParams.from_dict(d["scaler"])
+        kmeans = KMeansModel.from_dict(d["kmeans"])
+        if kmeans.centroids.shape[1:] != scaler.minimum.shape:
+            raise DataError(
+                f"centroids have {kmeans.centroids.shape[1]} columns, the scaler "
+                f"{len(scaler.minimum)} features"
+            )
+        return ClusterModel(node_id=d["node_id"], scaler=scaler, kmeans=kmeans, seed=d["seed"])

@@ -64,14 +64,6 @@ class DenseLayer:
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         return [("weights", self.weights), ("bias", self.bias)]
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "dense",
-            "activation": self.activation,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-        }
-
 
 @dataclass
 class LstmLayer:
@@ -93,13 +85,10 @@ class LstmLayer:
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         return [("w", self.w), ("u", self.u), ("b", self.b)]
 
-    def to_dict(self) -> dict:
-        arrays = {name: arr.tolist() for name, arr in self.param_items()}
-        return {"type": "lstm", "return_sequence": self.return_sequence, **arrays}
-
 
 Layer = DenseLayer | LstmLayer
 LayerSpec = DenseSpec | LstmSpec
+LAYER_TYPES: dict[str, type] = {"dense": DenseLayer, "lstm": LstmLayer}
 
 
 @dataclass
@@ -115,30 +104,19 @@ class NetworkParams:
         return items
 
     def to_dict(self) -> dict:
-        return {"layers": [layer.to_dict() for layer in self.layers]}
+        """Each layer as its type name and its fields; arrays stay arrays."""
+        names = {kind: name for name, kind in LAYER_TYPES.items()}
+        return {"layers": [{"type": names[type(layer)], **vars(layer)} for layer in self.layers]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkParams":
         layers: list[Layer] = []
-        for ld in d["layers"]:
-            if ld["type"] == "dense":
-                layers.append(
-                    DenseLayer(
-                        weights=np.array(ld["weights"], dtype=np.float64),
-                        bias=np.array(ld["bias"], dtype=np.float64),
-                        activation=ld["activation"],
-                    )
-                )
-            elif ld["type"] == "lstm":
-                if "w" not in ld:
-                    raise DataError(
-                        "LSTM layer has no gate-stacked w/u/b: the store was written "
-                        "by an older nodewatch and must be retrained"
-                    )
-                arrays = {k: np.array(ld[k], dtype=np.float64) for k in ("w", "u", "b")}
-                layers.append(LstmLayer(return_sequence=ld["return_sequence"], **arrays))
-            else:
-                raise DataError(f"unknown layer type {ld['type']!r}")
+        for entry in d["layers"]:
+            entry = dict(entry)
+            kind = entry.pop("type")
+            if kind not in LAYER_TYPES:
+                raise DataError(f"unknown layer type {kind!r}")
+            layers.append(LAYER_TYPES[kind](**entry))
         return cls(layers=layers)
 
 

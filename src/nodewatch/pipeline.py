@@ -33,11 +33,11 @@ class ScalerParams:
             raise DataError("scaler has min > max for some feature")
 
     def to_dict(self) -> dict:
-        return {"min": self.minimum.tolist(), "max": self.maximum.tolist()}
+        return {"min": self.minimum, "max": self.maximum}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(np.array(d["min"], dtype=np.float64), np.array(d["max"], dtype=np.float64))
+        return cls(d["min"], d["max"])
 
 
 @dataclass

@@ -331,7 +331,13 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> dict:
     for i in range(cfg.node_count):
         node_id = f"node_{i:03d}"
         node_seed = derive_seed(cfg.seed, node_id)
-        dataset, injected = generate_node(cfg, node_seed, node_id)
+        try:
+            dataset, injected = generate_node(cfg, node_seed, node_id)
+        except MemoryError:
+            raise ConfigError(
+                f"timestep_count {cfg.timestep_count} is too large: one node's "
+                f"{cfg.metric_count} metrics over that many buckets do not fit in memory"
+            ) from None
         path = out_dir / f"{node_id}.csv"
         dataset.to_csv(path)
         manifest["nodes"][node_id] = {

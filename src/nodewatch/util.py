@@ -129,14 +129,16 @@ def write_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)  # gone already once replaced
 
 
-def write_json(path: str | Path, obj: object) -> None:
-    """Write JSON deterministically (sorted keys, fixed separators)."""
-    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def write_json(path: str | Path, obj: object, default=None) -> None:
+    """Write JSON deterministically (sorted keys, fixed separators);
+    ``default`` turns what json cannot write into what it can."""
+    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n")
 
 
-def read_json(path: str | Path) -> dict:
+def read_json(path: str | Path, object_hook=None) -> dict:
+    """Parse a JSON file; ``object_hook`` may replace each object as it is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=object_hook)
 
 
 def read_config(cls: type[T], path: str | Path) -> T:

@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import csv
 import json
@@ -102,6 +103,17 @@ class TestGenerateCommand:
         assert lines[0].startswith("ERROR") and key in lines[0] and str(cfg) in lines[0]
         assert not (tmp_path / "x").exists()
 
+    def test_too_many_timesteps_to_allocate_exits_one_with_one_line(self, tmp_path):
+        # 10**15 buckets: numpy refuses the first array at once, allocating nothing
+        cfg = write_config(
+            tmp_path / "synth.json", node_count=1, metric_count=2, timestep_count=10**15
+        )
+        proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and "timestep_count" in lines[0]
+
 
 @pytest.fixture(scope="module")
 def generated_data(tmp_path_factory):
@@ -195,9 +207,29 @@ class TestTrainCommand:
             assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+def decode_f8(entry):
+    """A stored ``{"shape", "f8"}`` array, decoded by hand."""
+    return np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8").reshape(entry["shape"])
+
+
+def encode_f8(array):
+    data = np.asarray(array, dtype="<f8").tobytes()
+    return {"shape": list(np.shape(array)), "f8": base64.b64encode(data).decode("ascii")}
+
+
+def v1_layout(entry):
+    """Rewrite a store the way format 1 held it: no ``format`` field, and
+    every array as nested JSON lists."""
+    if isinstance(entry, dict):
+        if "f8" in entry:
+            return decode_f8(entry).tolist()
+        return {key: v1_layout(value) for key, value in entry.items() if key != "format"}
+    return [v1_layout(item) for item in entry] if isinstance(entry, list) else entry
+
+
 def per_gate_layout(model):
-    """Rewrite each LSTM layer the way earlier versions stored it: twelve
-    per-gate arrays instead of gate-stacked w/u/b."""
+    """Rewrite each LSTM layer of a format-1 store the way still earlier
+    versions stored it: twelve per-gate arrays instead of gate-stacked w/u/b."""
     for layer in model["network"]["layers"]:
         if layer["type"] == "lstm":
             for prefix in ("w", "u", "b"):
@@ -315,7 +347,11 @@ class TestImportCost:
 
 class TestScoreCommand:
     @pytest.mark.parametrize(
-        "damage", ["per-gate layout", "truncated", "unknown spec key", "old layout"]
+        "damage",
+        [
+            "per-gate layout", "truncated", "unknown spec key", "old layout", "v1 list layout",
+            "short payload", "not base64", "NaN weight", "shape off spec",
+        ],
     )
     def test_bad_model_file_exits_two_with_one_line(self, tmp_path, generated_data, damage):
         cfg = tiny_run_config(tmp_path, generated_data, methods=["RUAD"], windows=[5])
@@ -323,29 +359,48 @@ class TestScoreCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         path = out / "models" / "node_000" / "RUAD_W5.json"
         text = path.read_text()
+        model = json.loads(text)
+        w = model["network"]["layers"][0]["w"]
         if damage == "truncated":
             path.write_text(text[: len(text) // 2])
         elif damage == "unknown spec key":
-            model = json.loads(text)
             model["model_spec"]["extra"] = 1
             path.write_text(json.dumps(model))
         elif damage == "old layout":
             # the keys stores carried before the sizes and the time-consistency
             # flag became constants
-            model = json.loads(text)
             model["model_spec"].update(encoder_dim=16, latent_dim=8, decoder_dim=16)
             model["regime"]["time_consistency"] = True
             path.write_text(json.dumps(model))
+        elif damage == "per-gate layout":
+            path.write_text(json.dumps(per_gate_layout(v1_layout(model))))
+        elif damage == "v1 list layout":
+            path.write_text(json.dumps(v1_layout(model)))
         else:
-            path.write_text(json.dumps(per_gate_layout(json.loads(text))))
+            if damage == "short payload":
+                w["f8"] = base64.b64encode(base64.b64decode(w["f8"])[:-8]).decode("ascii")
+            elif damage == "not base64":
+                w["f8"] = "not*base64"
+            elif damage == "NaN weight":
+                weights = decode_f8(w).copy()
+                weights[3, 1] = np.nan
+                w.update(encode_f8(weights))
+            else:  # one row of layer 0's w dropped, as a hand edit might
+                w.update(encode_f8(decode_f8(w)[:-1]))
+            path.write_text(json.dumps(model))
         for command in ("score", "evaluate"):
             proc = run_cli(command, "--config", str(cfg), "--out", str(out))
             assert proc.returncode == 2
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and "Traceback" not in proc.stderr
             assert lines[0].startswith("ERROR") and str(path) in lines[0]
-            if damage == "per-gate layout":
+            if damage in ("per-gate layout", "v1 list layout"):
                 assert "older nodewatch" in lines[0] and "retrained" in lines[0]
+            expected = {
+                "short payload": "bytes", "not base64": "base64", "NaN weight": "not finite",
+                "shape off spec": "layer 0 w",
+            }.get(damage, "")
+            assert expected in lines[0]
             if damage == "unknown spec key":
                 assert "extra" in lines[0]
             if damage == "old layout":

@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +8,7 @@ import pytest
 
 from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
+from nodewatch.baselines import KMeansModel
 from nodewatch.errors import DataError
 from nodewatch.pipeline import ScalerParams, apply_minmax, chronological_split
 from nodewatch.neuralnet import TrainingConfig
@@ -322,3 +325,115 @@ class TestModelStore:
             mdl.score_clu_model(loaded, test).probabilities,
             mdl.score_clu_model(model, test).probabilities,
         )
+
+
+# the float64 values a text encoding is most likely to bend: a signed zero,
+# the smallest subnormal and the two largest magnitudes
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def edge_scaler(width=4):
+    low = np.array([-1.7976931348623157e308, -0.0, 0.0, 5e-324])[:width]
+    return ScalerParams(low, np.full(width, 1.7976931348623157e308))
+
+
+def store_arrays(model):
+    """(name, array) for every array a store holds."""
+    arrays = [("scaler.min", model.scaler.minimum), ("scaler.max", model.scaler.maximum)]
+    if isinstance(model, mdl.ClusterModel):
+        return arrays + [("centroids", model.kmeans.centroids),
+                         ("probabilities", model.kmeans.cluster_anomaly_prob)]
+    return arrays + model.network.param_items()
+
+
+class TestStoreFormat:
+    @pytest.mark.parametrize("kind", ["dense", "ruad", "clu"])
+    def test_every_array_round_trips_bit_for_bit(self, tmp_path, kind):
+        if kind == "clu":
+            centroids = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
+            kmeans = KMeansModel(k=2, centroids=centroids,
+                                 cluster_anomaly_prob=np.array([-0.0, 5e-324]), seed=3)
+            model = mdl.ClusterModel("n0", edge_scaler(), kmeans, seed=3)
+            path = mdl.save_cluster_model(tmp_path, "CLU", model)
+            loaded = mdl.load_cluster_model(path)
+        else:
+            spec = mdl.ModelSpec(kind=kind, input_dim=4, window=3 if kind == "ruad" else 1)
+            network = mdl.build_model(spec, seed=3)
+            for _, array in network.param_items():
+                array.flat[:4] = EDGE_VALUES
+            model = mdl.TrainedModel("n0", spec, network, edge_scaler(), 5e-324,
+                                     mdl.REGIMES["RUAD"], seed=3)
+            path = mdl.save_trained_model(tmp_path, kind, model)
+            loaded = mdl.load_trained_model(path)
+            assert loaded.max_train_error == 5e-324 and loaded.spec == spec
+        assert json.loads(path.read_text())["format"] == 2
+        pairs = list(zip(store_arrays(model), store_arrays(loaded)))
+        assert len(pairs) >= 4
+        for (name, array), (loaded_name, copy) in pairs:
+            assert name == loaded_name and copy.shape == array.shape, name
+            assert copy.tobytes() == array.tobytes(), name
+            assert copy.dtype == np.float64 and copy.dtype.isnative, name
+            assert copy.flags.writeable, name  # not a read-only view of the file's bytes
+
+    def test_stored_arrays_are_shape_and_little_endian_float64(self, tmp_path):
+        spec = mdl.ModelSpec(kind="dense", input_dim=4)
+        model = mdl.TrainedModel("n0", spec, mdl.build_model(spec, seed=1), edge_scaler(),
+                                 1.0, mdl.REGIMES["DENSE_un"], seed=1)
+        stored = json.loads(mdl.save_trained_model(tmp_path, "DENSE_un", model).read_text())
+        bias = stored["network"]["layers"][0]["bias"]
+        assert bias == {"shape": [16], "f8": base64.b64encode(bytes(16 * 8)).decode("ascii")}
+        low = stored["scaler"]["min"]
+        assert low["shape"] == [4]
+        assert base64.b64decode(low["f8"]) == struct.pack("<4d", *edge_scaler().minimum)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["network"]["layers"].pop(), "layers"),
+            (lambda d: d["network"]["layers"][1]["bias"].update(shape=[2, 4]), "layer 1 bias"),
+            (lambda d: d["network"]["layers"][3].update(activation="relu"), "activation"),
+            (lambda d: d["scaler"]["min"].update(shape=[2, 2]), "scaler"),
+            (lambda d: d.pop("format"), "older nodewatch"),
+            (lambda d: d["scaler"]["max"].update(shape=[5]), "bytes"),
+            (lambda d: d["scaler"]["max"].update(f8="AAAA AAAA"), "base64"),
+            (lambda d: d["scaler"].update(min={"f8": ""}), "'shape'"),
+        ],
+        ids=["layer-missing", "bias-shape", "activation", "scaler-shape", "no-format",
+             "short-payload", "not-base64", "no-shape"],
+    )
+    def test_damaged_trained_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
+        spec = mdl.ModelSpec(kind="dense", input_dim=4)
+        model = mdl.TrainedModel("n0", spec, mdl.build_model(spec, seed=1), edge_scaler(),
+                                 1.0, mdl.REGIMES["DENSE_un"], seed=1)
+        path = mdl.save_trained_model(tmp_path, "DENSE_un", model)
+        stored = json.loads(path.read_text())
+        edit(stored)
+        path.write_text(json.dumps(stored))
+        with pytest.raises(DataError, match=message) as info:
+            mdl.load_trained_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c, p: (c[:-1], p), "centroids have shape"),
+            (lambda c, p: (c[:, :-1], p), "columns"),
+            (lambda c, p: (c, p[:-1]), "probabilities have shape"),
+            (lambda c, p: (c * np.inf, p), "not finite"),
+            (lambda c, p: (c, p * np.nan), "not finite"),
+        ],
+        ids=["centroid-row", "centroid-column", "probability", "inf-centroid", "nan-probability"],
+    )
+    def test_damaged_cluster_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
+        model = mdl.train_clu_model(TestBaselineRunners().clustered_dataset(), seed=2)
+        path = mdl.save_cluster_model(tmp_path, "CLU", model)
+        stored = json.loads(path.read_text())
+        entry = stored["kmeans"]
+        centroids, probs = edit(model.kmeans.centroids, model.kmeans.cluster_anomaly_prob)
+        for key, array in (("centroids", centroids), ("cluster_anomaly_prob", probs)):
+            entry[key] = {"shape": list(array.shape),
+                          "f8": base64.b64encode(array.astype("<f8").tobytes()).decode()}
+        path.write_text(json.dumps(stored))
+        with pytest.raises(DataError, match=message) as info:
+            mdl.load_cluster_model(path)
+        assert str(path) in str(info.value)

@@ -1,0 +1,48 @@
+"""The names the benchmark in ``perfbench/`` reaches in nodewatch still exist.
+
+perfbench wraps functions by name and its output checks call the model
+loaders, so a rename that would make a benchmark run fail fails here first.
+This test only reads ``perfbench/``.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# what perfbench's workloads and oracles use besides the tracer's targets
+CHECKS = [
+    ("models", "load_trained_model"),
+    ("models", "load_cluster_model"),
+    ("models", "model_path"),
+    ("models", "WINDOWED_METHODS"),
+    ("models", "method_instance_name"),
+]
+
+
+def tracer_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    return [(module, attr_path) for module, attr_path, _ in tracer.TARGETS]
+
+
+def resolves(module, attr_path):
+    target = importlib.import_module(f"nodewatch.{module}")
+    for part in attr_path.split("."):
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_every_benchmark_name_resolves():
+    names = tracer_targets() + CHECKS
+    assert len(names) > len(CHECKS)
+    assert [f"{m}.{a}" for m, a in names if not resolves(m, a)] == []
