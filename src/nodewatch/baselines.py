@@ -49,7 +49,8 @@ class KMeansModel:
             )
         if not np.all(np.isfinite(self.centroids)):
             raise DataError("centroids must be finite")
-        if np.any((self.cluster_anomaly_prob < 0) | (self.cluster_anomaly_prob > 1)):
+        # written so that NaN, which fails every comparison, fails it too
+        if not np.all((self.cluster_anomaly_prob >= 0) & (self.cluster_anomaly_prob <= 1)):
             raise DataError("cluster anomaly probabilities must lie in [0, 1]")
 
     def to_dict(self) -> dict:
@@ -69,10 +70,9 @@ def anomaly_probability(normalized_errors: np.ndarray) -> np.ndarray:
 
     The last link of every error-based detector's chain: an error (L1 for
     the autoencoders, the smoothing deviation for EXP) divided by its
-    normalizer, then clamped to [0, 1].
+    normalizer, then clamped to [0, 1]. Both callers divide errors that are
+    >= 0, so nothing below 0 arrives.
     """
-    if np.any(normalized_errors < 0):
-        raise DataError(f"normalized errors must be >= 0, got {normalized_errors.min()}")
     return np.minimum(normalized_errors, 1.0)
 
 
@@ -131,18 +131,13 @@ def _pairwise_distances(
     return np.sqrt(sq, out=sq)
 
 
-def silhouette(data: np.ndarray, assignment: np.ndarray) -> float:
-    """Mean silhouette value (b - a) / max(a, b) under Euclidean distance.
+def silhouette(dist: np.ndarray, assignment: np.ndarray) -> float:
+    """Mean silhouette value (b - a) / max(a, b) over the (n, n) Euclidean
+    distance matrix ``dist`` of the assigned samples.
 
     Requires at least two non-empty clusters. Samples alone in their cluster
     contribute 0, and a degenerate 0/0 (all distances zero) counts as 0.
     """
-    data = np.asarray(data, dtype=np.float64)
-    return _silhouette_from_distances(_pairwise_distances(data, data), assignment)
-
-
-def _silhouette_from_distances(dist: np.ndarray, assignment: np.ndarray) -> float:
-    """``silhouette`` over a precomputed (n, n) distance matrix."""
     cluster_ids, labels = np.unique(np.asarray(assignment), return_inverse=True)
     if len(cluster_ids) < 2:
         raise DataError("silhouette needs at least two non-empty clusters")
@@ -238,22 +233,14 @@ def _lloyd(
     return centroids, assignment, wcss
 
 
-def kmeans_fit(
-    rows: np.ndarray, k: int, seed: int = 0, *, distinct: int | None = None
-) -> np.ndarray:
+def kmeans_fit(rows: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Best-of-10-restarts Lloyd clustering, deterministic under the seed.
 
     The restarts' k-means++ seeds are drawn one restart after another, then
-    run as one batch. ``distinct`` is the rows' distinct count, for callers
-    that fit several k on the same rows.
+    run as one batch. ``k`` is at least 1 and at most the rows' distinct
+    count; ``select_k`` fits only such k.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if distinct is None:
-        distinct = len(np.unique(rows, axis=0))
-    if k < 1:
-        raise DataError(f"k must be positive, got {k}")
-    if k > distinct:
-        raise DataError(f"k={k} exceeds the {distinct} distinct rows available")
     rng = np.random.default_rng(seed)
     seeds = np.stack([_plus_plus_seeds(rows, k, rng) for _ in range(KMEANS_RESTARTS)])
     batch = max(1, LLOYD_BATCH_CELLS // (len(rows) * k))
@@ -296,11 +283,11 @@ def select_k(
 
     best_k, best_centroids, best_score = None, None, -np.inf
     for k in feasible:
-        centroids = kmeans_fit(rows, k, seed=seed, distinct=distinct)
+        centroids = kmeans_fit(rows, k, seed=seed)
         assignment = assign_clusters(sample, centroids)
         if len(np.unique(assignment)) < 2:
             continue
-        score = _silhouette_from_distances(dist, assignment)
+        score = silhouette(dist, assignment)
         if score > best_score:
             best_k, best_centroids, best_score = k, centroids, score
     if best_k is None:
@@ -312,10 +299,6 @@ def cluster_anomaly_probabilities(
     assignments: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
     """Fraction of anomalous (label 1) members per cluster; empty -> 0."""
-    assignments = np.asarray(assignments)
-    labels = np.asarray(labels)
-    if assignments.shape != labels.shape:
-        raise DataError("assignments and labels must align")
     probs = np.zeros(k)
     for j in range(k):
         mask = assignments == j
@@ -325,11 +308,7 @@ def cluster_anomaly_probabilities(
 
 
 def kmeans_score(model: KMeansModel, rows: np.ndarray) -> np.ndarray:
-    """Anomaly probability of each row's nearest centroid (ties: lowest id)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[1] != model.centroids.shape[1]:
-        raise DataError(
-            f"rows have {rows.shape[1]} features, model expects "
-            f"{model.centroids.shape[1]}"
-        )
+    """Anomaly probability of each (M, N) row's nearest centroid (ties:
+    lowest id). The rows come scaled by the model's own scaler, whose width
+    the loader matched to the centroids'."""
     return model.cluster_anomaly_prob[assign_clusters(rows, model.centroids)]

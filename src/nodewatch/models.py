@@ -92,10 +92,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "ruad"):
             raise DataError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise DataError("input_dim must be >= 1")
-        if self.window < 1:
-            raise DataError("window must be >= 1")
+        # a stored spec is JSON: 5.5 or true would pass a bare range test
+        if type(self.input_dim) is not int or self.input_dim < 1:
+            raise DataError(f"input_dim must be an integer >= 1, not {self.input_dim!r}")
+        if type(self.window) is not int or self.window < 1:
+            raise DataError(f"window must be an integer >= 1, not {self.window!r}")
         if self.kind == "dense" and self.window != 1:
             raise DataError(f"a dense model reads one row, not a window of {self.window}")
 
@@ -206,11 +207,6 @@ def score_node_model(model: TrainedModel, test: NodeDataset) -> ScoreSeries:
     never influence the probabilities. A test set too short or too gappy
     for one window gives an empty series.
     """
-    if test.feature_count != model.spec.input_dim:
-        raise DataError(
-            f"test set has {test.feature_count} features, model expects "
-            f"{model.spec.input_dim}"
-        )
     windows = make_windows(apply_minmax(model.scaler, test), model.spec.window)
     if len(windows) == 0:
         log.warning(

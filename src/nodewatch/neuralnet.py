@@ -1,13 +1,15 @@
 """Minimal deterministic neural-network engine on numpy.
 
-Supports exactly what the autoencoders need: dense layers (relu / sigmoid /
-linear), LSTM layers with optional sequence output, mean-squared-error loss
-with analytically derived gradients (backpropagation through time for the
-recurrent layers), and an adaptive-moment optimizer. Everything is seeded
-and pure numpy, so a training run is bit-reproducible on a given machine.
+Serves the two stacks ``models.layer_specs`` builds: dense layers (relu or
+sigmoid) and LSTM layers with optional sequence output, mean-squared-error
+loss with analytically derived gradients (backpropagation through time for
+the recurrent layers), and an adaptive-moment optimizer. Everything is
+seeded and pure numpy, so a training run is bit-reproducible on a given
+machine.
 
-Inputs are batch-first: a single sequence is (W, N); batches are (B, W, N).
-Gate order throughout is (input, forget, output, candidate).
+Inputs are batches (B, W, N). Gate order throughout is (input, forget,
+output, candidate). Nothing here re-checks shapes or settings: the model
+store's loader and ``ModelSpec`` admit only the two stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .errors import DataError, TrainingError
 from .methods import TrainingConfig
 
-ACTIVATIONS = ("relu", "sigmoid", "linear")
 GATES = ("input", "forget", "output", "candidate")
 
 # Adam's standard moment decay rates and denominator guard (Kingma & Ba)
@@ -120,30 +121,6 @@ class NetworkParams:
         return cls(layers=layers)
 
 
-def validate_network(params: NetworkParams) -> None:
-    """Check adjacent layer dimensions and post-recurrent layout."""
-    if not params.layers:
-        raise DataError("network has no layers")
-    sequence_domain = True  # whether the running activation is (B, W, ·)
-    prev_dim: int | None = None
-    for i, layer in enumerate(params.layers):
-        if prev_dim is not None and layer.in_dim != prev_dim:
-            raise DataError(
-                f"layer {i} expects input width {layer.in_dim}, got {prev_dim}"
-            )
-        if isinstance(layer, LstmLayer):
-            if not sequence_domain:
-                raise DataError(f"layer {i}: LSTM cannot follow a vector-valued layer")
-            sequence_domain = layer.return_sequence
-            prev_dim = layer.hidden_dim
-        else:
-            if layer.activation not in ACTIVATIONS:
-                raise DataError(f"layer {i}: unknown activation {layer.activation!r}")
-            prev_dim = layer.out_dim
-            # dense layers here only ever see vectors (W=1 inputs are squeezed)
-            sequence_domain = False
-
-
 def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
     """Glorot-uniform weights, zero biases, forget-gate bias 1.0."""
     rng = np.random.default_rng(seed)
@@ -155,8 +132,6 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
     layers: list[Layer] = []
     for spec in specs:
         if isinstance(spec, DenseSpec):
-            if spec.in_dim < 1 or spec.out_dim < 1:
-                raise DataError(f"dense layer has zero width: {spec}")
             layers.append(
                 DenseLayer(
                     weights=glorot(spec.out_dim, spec.in_dim, spec.in_dim, spec.out_dim),
@@ -164,9 +139,7 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
                     activation=spec.activation,
                 )
             )
-        elif isinstance(spec, LstmSpec):
-            if spec.in_dim < 1 or spec.hidden_dim < 1:
-                raise DataError(f"lstm layer has zero width: {spec}")
+        else:
             h, d = spec.hidden_dim, spec.in_dim
             # the seeded stream draws w then u for each gate in turn
             draws = [(glorot(h, d, d, h), glorot(h, h, h, h)) for _ in GATES]
@@ -180,11 +153,7 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
                     return_sequence=spec.return_sequence,
                 )
             )
-        else:
-            raise DataError(f"unknown layer spec {spec!r}")
-    params = NetworkParams(layers=layers)
-    validate_network(params)
-    return params
+    return NetworkParams(layers=layers)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +174,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     pre = x @ layer.weights.T + layer.bias
-    if layer.activation == "relu":
-        out = np.maximum(pre, 0.0)
-    elif layer.activation == "sigmoid":
-        out = _sigmoid(pre)
-    else:
-        out = pre
+    out = np.maximum(pre, 0.0) if layer.activation == "relu" else _sigmoid(pre)
     return out, {"x": x, "out": out}
 
 
@@ -221,10 +185,8 @@ def _dense_backward(
     out = cache["out"]
     if layer.activation == "relu":
         d_pre = d_out * (out > 0.0)
-    elif layer.activation == "sigmoid":
-        d_pre = d_out * out * (1.0 - out)
     else:
-        d_pre = d_out
+        d_pre = d_out * out * (1.0 - out)
     grads = {"weights": d_pre.T @ cache["x"], "bias": d_pre.sum(axis=0)}
     return grads, d_pre @ layer.weights if input_grad else None
 
@@ -351,54 +313,25 @@ def _lstm_backward(
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the network on one sequence (W, N) or a batch (B, W, N).
+    """Run the network on a batch (B, W, N).
 
-    Returns the reconstruction — (N,) for a single sequence, (B, N) for a
-    batch — plus the cache consumed by :func:`backward`.
+    Returns the (B, N) reconstruction plus the cache consumed by
+    :func:`backward`. A dense layer that meets a sequence reads its only
+    step: the dense stack's windows are one row long.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    if x.ndim != 3:
-        raise DataError(f"input must be (W, N) or (B, W, N), got shape {x.shape}")
-
-    caches: list = [{"single": single}]
-    act: np.ndarray = x
-    for idx, layer in enumerate(params.layers):
+    caches: list = []
+    act = np.asarray(x, dtype=np.float64)
+    for layer in params.layers:
         if isinstance(layer, LstmLayer):
-            if act.ndim != 3:
-                raise DataError(f"layer {idx}: LSTM needs sequence input")
-            if act.shape[2] != layer.in_dim:
-                raise DataError(
-                    f"layer {idx}: expected {layer.in_dim} features, got {act.shape[2]}"
-                )
             act, cache = _lstm_forward(layer, act)
         else:
-            if act.ndim == 3:
-                if act.shape[1] != 1:
-                    raise DataError(
-                        f"layer {idx}: dense layer cannot consume W={act.shape[1]} sequences"
-                    )
-                act = act[:, 0]
-            if act.shape[1] != layer.in_dim:
-                raise DataError(
-                    f"layer {idx}: expected {layer.in_dim} features, got {act.shape[1]}"
-                )
-            act, cache = _dense_forward(layer, act)
+            act, cache = _dense_forward(layer, act[:, 0] if act.ndim == 3 else act)
         caches.append(cache)
-    if act.ndim != 2:
-        raise DataError("network output must be a vector per sample; "
-                        "the final layer may not return a sequence")
-    return (act[0] if single else act), caches
+    return act, caches
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error over every element of the batch."""
-    output = np.asarray(output, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if output.shape != target.shape:
-        raise DataError(f"output/target shape mismatch: {output.shape} vs {target.shape}")
     diff = output - target
     with np.errstate(over="ignore"):
         # overflow to inf is legitimate here; the training loop surfaces it
@@ -410,34 +343,18 @@ def backward(
 ) -> list[dict[str, np.ndarray]]:
     """Exact MSE-loss gradients for every parameter, via BPTT where needed.
 
-    ``caches`` must come from a matching :func:`forward` call; ``target``
-    is (N,) for a single sequence or (B, N) for a batch.
+    ``caches`` must come from a matching :func:`forward` call and ``target``
+    is the (B, N) batch of targets.
     """
-    single = caches[0]["single"]
-    target = np.asarray(target, dtype=np.float64)
-    if single:
-        target = target[None]
-
-    last_cache = caches[-1]
-    output = last_cache["out"] if "out" in last_cache else last_cache["hidden"][:, -1]
-    if output.ndim != 2 or output.shape != target.shape:
-        raise DataError(f"target shape {target.shape} does not match output {output.shape}")
+    output = caches[-1]["out"]
     d_act: np.ndarray = 2.0 * (output - target) / output.size
 
     grads: list[dict[str, np.ndarray]] = [{} for _ in params.layers]
     for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
-        cache = caches[idx + 1]
+        step = _lstm_backward if isinstance(layer, LstmLayer) else _dense_backward
         # nothing reads the gradient with respect to the network input
-        if isinstance(layer, LstmLayer):
-            grads[idx], d_act = _lstm_backward(layer, cache, d_act, input_grad=idx > 0)
-        else:
-            grads[idx], d_act = _dense_backward(layer, cache, d_act, input_grad=idx > 0)
-            if idx > 0 and d_act.ndim == 2:
-                prev = params.layers[idx - 1]
-                if isinstance(prev, LstmLayer) and prev.return_sequence:
-                    # dense consumed a squeezed W=1 sequence
-                    d_act = d_act[:, None, :]
+        grads[idx], d_act = step(layer, caches[idx], d_act, input_grad=idx > 0)
     return grads
 
 
@@ -485,15 +402,10 @@ def adam_step(
     The gradients are gathered into one flat vector, so the moments and the
     update take one vectorised pass over every parameter at once.
     """
-    arrays, grad_arrays = [], []
-    for i, layer in enumerate(params.layers):
-        for name, arr in layer.param_items():
-            g = grads[i][name]
-            if g.shape != arr.shape:
-                raise DataError(f"gradient shape mismatch for {i}.{name}")
-            arrays.append(arr)
-            grad_arrays.append(g)
-    g = _flatten(grad_arrays)
+    arrays = _param_arrays(params)
+    g = _flatten(
+        [grads[i][name] for i, layer in enumerate(params.layers) for name, _ in layer.param_items()]
+    )
     state.step += 1
     t = state.step
     m, v = state.moment1, state.moment2

@@ -70,11 +70,10 @@ class SplitDataset:
 def chronological_split(dataset: NodeDataset, ratio: float) -> SplitDataset:
     """Split into past (train) and future (test) with no overlap.
 
-    The first floor(ratio * L) buckets become the training set. Splits that
-    leave either side empty are rejected.
+    The first floor(ratio * L) buckets become the training set, for a ratio
+    in (0, 1) as ``RunConfig`` admits. Splits that leave either side empty
+    are rejected.
     """
-    if not 0.0 < ratio < 1.0:
-        raise DataError(f"split ratio must lie in (0, 1), got {ratio}")
     length = len(dataset)
     if length < 2:
         raise DataError(f"{dataset.node_id}: need at least 2 rows to split, have {length}")
@@ -152,11 +151,10 @@ def time_consistency_segments(dataset: NodeDataset) -> list[slice]:
 def make_windows(dataset: NodeDataset, window_length: int) -> WindowSet:
     """Every window of W consecutive buckets that crosses no gap.
 
-    A gap-free run of length L contributes max(0, L - W + 1) windows. The
-    target of a window is its final row, labelled by that row's label.
+    A gap-free run of length L contributes max(0, L - W + 1) windows, for
+    W >= 1 as ``ModelSpec`` admits. The target of a window is its final row,
+    labelled by that row's label.
     """
-    if window_length < 1:
-        raise DataError(f"window length must be >= 1, got {window_length}")
     run_start = np.zeros(len(dataset), dtype=np.intp)
     for run in time_consistency_segments(dataset):
         run_start[run] = run.start

@@ -82,16 +82,6 @@ class AnomalySignature:
     magnitude: float
     duration: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in SIGNATURE_KINDS:
-            raise DataError(f"unknown signature kind {self.kind!r}")
-        if self.duration < 1:
-            raise DataError("signature duration must be >= 1")
-        if self.magnitude <= 0:
-            raise DataError("signature magnitude must be > 0")
-        if not self.metrics:
-            raise DataError("signature must affect at least one metric")
-
 
 @dataclass(frozen=True)
 class InjectedAnomaly:
@@ -124,17 +114,15 @@ def inject_anomaly(
 
     Returns a modified copy; rows outside the interval are untouched.
     ``source`` provides the pristine rows that correlation breaks and
-    temporal disruptions draw from (defaults to ``features`` itself).
+    temporal disruptions draw from (defaults to ``features`` itself), and a
+    temporal disruption draws its rows with ``rng``. The interval must have
+    ``magnitude`` rows of history before it: ``_place_intervals`` starts
+    every interval after ``DISRUPTION_POOL``, the largest replay distance
+    or pool.
     """
     start, end = interval
-    total = features.shape[0]
-    if not 0 <= start < end <= total:
-        raise DataError(f"interval [{start}, {end}) outside series of length {total}")
     if source is None:
         source = features
-    if source.shape != features.shape:
-        raise DataError("source matrix must match the feature matrix shape")
-
     out = features.copy()
     if signature.kind == "level_shift":
         for m in signature.metrics:
@@ -142,21 +130,11 @@ def inject_anomaly(
             out[start:end, cols.start : cols.start + 3] += signature.magnitude
     elif signature.kind == "correlation_break":
         shift = int(signature.magnitude)
-        if start - shift < 0:
-            raise DataError(
-                f"correlation break needs {shift} buckets of history before {start}"
-            )
         for m in signature.metrics:
             cols = _metric_columns(m)
             out[start:end, cols] = source[start - shift : end - shift, cols]
     else:  # temporal_disruption
         pool = int(signature.magnitude)
-        if start - pool < 0:
-            raise DataError(
-                f"temporal disruption needs {pool} buckets of history before {start}"
-            )
-        if rng is None:
-            raise DataError("temporal disruption requires a random generator")
         picks = rng.integers(start - pool, start, size=end - start)
         for m in signature.metrics:
             cols = _metric_columns(m)

@@ -27,6 +27,12 @@ from nodewatch.errors import DataError
 from conftest import build_dataset
 
 
+def distances(data):
+    """The Euclidean distance matrix ``select_k`` hands to ``silhouette``."""
+    data = np.asarray(data, dtype=float)
+    return _pairwise_distances(data, data)
+
+
 def blob_rows(rng, centers, per_blob=20, spread=0.05):
     rows = []
     for c in centers:
@@ -105,34 +111,34 @@ class TestSilhouette:
         data = np.array([[0.0], [0.1], [10.0], [10.1]])
         assignment = np.array([0, 0, 1, 1])
         expected = self.hand_silhouette(data, assignment)
-        got = silhouette(data, assignment)
+        got = silhouette(distances(data), assignment)
         npt.assert_allclose(got, expected, atol=1e-12)
         npt.assert_allclose(got, 0.98999975, atol=1e-7)
 
     def test_duplicated_points_give_one(self):
         data = np.array([[0.0], [0.0], [9.0], [9.0]])
-        assert silhouette(data, np.array([0, 0, 1, 1])) == 1.0
+        assert silhouette(distances(data), np.array([0, 0, 1, 1])) == 1.0
 
     def test_all_identical_points_give_zero(self):
         data = np.zeros((4, 2))
-        assert silhouette(data, np.array([0, 0, 1, 1])) == 0.0
+        assert silhouette(distances(data), np.array([0, 0, 1, 1])) == 0.0
 
     def test_single_cluster_errors(self):
         with pytest.raises(DataError, match="two non-empty clusters"):
-            silhouette(np.zeros((3, 1)), np.array([0, 0, 0]))
+            silhouette(distances(np.zeros((3, 1))), np.array([0, 0, 0]))
 
     def test_range_and_label_permutation_invariance(self, rng):
         data = rng.normal(size=(30, 3))
         assignment = rng.integers(0, 3, size=30)
         assignment[:3] = [0, 1, 2]
-        value = silhouette(data, assignment)
+        value = silhouette(distances(data), assignment)
         assert -1.0 <= value <= 1.0
         relabeled = (assignment + 1) % 3
-        npt.assert_allclose(silhouette(data, relabeled), value, atol=1e-12)
+        npt.assert_allclose(silhouette(distances(data), relabeled), value, atol=1e-12)
 
     def test_singletons_contribute_zero(self):
         data = np.array([[0.0], [0.1], [50.0]])
-        with_singleton = silhouette(data, np.array([0, 0, 1]))
+        with_singleton = silhouette(distances(data), np.array([0, 0, 1]))
         expected = self.hand_silhouette(data, [0, 0, 1])
         npt.assert_allclose(with_singleton, expected)
 
@@ -151,7 +157,7 @@ class TestSilhouette:
         assignment = np.array([p[2] for p in points])
         assume(len(set(assignment.tolist())) >= 2)
         expected = self.hand_silhouette(data, assignment)
-        npt.assert_allclose(silhouette(data, assignment), expected, rtol=0, atol=1e-12)
+        npt.assert_allclose(silhouette(distances(data), assignment), expected, rtol=0, atol=1e-12)
 
 
 class TestKMeans:
@@ -191,11 +197,6 @@ class TestKMeans:
         assignment = assign_clusters(rows, centroids)
         wcss = np.sum((rows - centroids[assignment]) ** 2)
         assert wcss == 0.0
-
-    def test_k_beyond_distinct_rows_errors(self):
-        rows = np.array([[1.0], [1.0], [2.0]])
-        with pytest.raises(DataError, match="distinct rows"):
-            kmeans_fit(rows, 3, seed=0)
 
     def test_deterministic_under_seed(self, rng):
         rows = rng.normal(size=(40, 2))
@@ -339,7 +340,7 @@ class TestStackedLloyd:
         rng = np.random.default_rng(4)
         rows = blob_rows(rng, [[0, 0, 0], [4, 4, 0], [0, 4, 4]], per_blob=40, spread=0.8)
         k, centroids = select_k(rows, range(2, 7), seed=9)
-        monkeypatch.setattr(bl, "kmeans_fit", lambda r, k, seed=0, **_: reference_kmeans_fit(r, k, seed))
+        monkeypatch.setattr(bl, "kmeans_fit", lambda r, k, seed=0: reference_kmeans_fit(r, k, seed))
         want_k, want_centroids = bl.select_k(rows, range(2, 7), seed=9)
         assert k == want_k
         npt.assert_array_equal(centroids, want_centroids)
@@ -367,7 +368,7 @@ class TestSelectK:
         # force identical silhouette for every candidate k
         import nodewatch.baselines as bl
 
-        monkeypatch.setattr(bl, "_silhouette_from_distances", lambda d, a: 0.5)
+        monkeypatch.setattr(bl, "silhouette", lambda d, a: 0.5)
         rng = np.random.default_rng(0)
         rows = blob_rows(rng, [[0, 0], [8, 8], [-8, 8]])
         assert bl.select_k(rows, range(2, 6), seed=0)[0] == 2
@@ -408,21 +409,26 @@ class TestKMeansScore:
         )
 
     def test_exact_centroid_hit(self):
-        npt.assert_allclose(kmeans_score(self.model(), np.array([0.0, 0.0])), [0.2])
+        npt.assert_allclose(kmeans_score(self.model(), np.array([[0.0, 0.0]])), [0.2])
 
     def test_equidistant_row_takes_lowest_id(self):
-        npt.assert_allclose(kmeans_score(self.model(), np.array([2.0, 0.0])), [0.2])
+        npt.assert_allclose(kmeans_score(self.model(), np.array([[2.0, 0.0]])), [0.2])
 
     def test_far_outlier_still_maps_to_nearest(self):
         # by hand: distance to (4,0) is smaller than to (0,0)
         row = np.array([100.0, 50.0])
         assert np.linalg.norm(row - [4, 0]) < np.linalg.norm(row - [0, 0])
-        npt.assert_allclose(kmeans_score(self.model(), row), [0.9])
+        npt.assert_allclose(kmeans_score(self.model(), row[None]), [0.9])
 
     def test_output_is_always_a_model_probability(self, rng):
         model = self.model()
         scores = kmeans_score(model, rng.normal(size=(50, 2)) * 10)
         assert set(np.unique(scores)) <= set(model.cluster_anomaly_prob.tolist())
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, np.nan])
+    def test_rate_outside_unit_range_rejected(self, rate):
+        with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
+            KMeansModel(k=1, centroids=[[0.0]], cluster_anomaly_prob=[rate], seed=0)
 
     def test_json_round_trip(self):
         model = self.model()

@@ -350,7 +350,7 @@ class TestScoreCommand:
         "damage",
         [
             "per-gate layout", "truncated", "unknown spec key", "old layout", "v1 list layout",
-            "short payload", "not base64", "NaN weight", "shape off spec",
+            "short payload", "not base64", "NaN weight", "shape off spec", "fractional window",
         ],
     )
     def test_bad_model_file_exits_two_with_one_line(self, tmp_path, generated_data, damage):
@@ -371,6 +371,9 @@ class TestScoreCommand:
             # flag became constants
             model["model_spec"].update(encoder_dim=16, latent_dim=8, decoder_dim=16)
             model["regime"]["time_consistency"] = True
+            path.write_text(json.dumps(model))
+        elif damage == "fractional window":
+            model["model_spec"]["window"] = 5.5
             path.write_text(json.dumps(model))
         elif damage == "per-gate layout":
             path.write_text(json.dumps(per_gate_layout(v1_layout(model))))
@@ -398,7 +401,7 @@ class TestScoreCommand:
                 assert "older nodewatch" in lines[0] and "retrained" in lines[0]
             expected = {
                 "short payload": "bytes", "not base64": "base64", "NaN weight": "not finite",
-                "shape off spec": "layer 0 w",
+                "shape off spec": "layer 0 w", "fractional window": "window must be an integer",
             }.get(damage, "")
             assert expected in lines[0]
             if damage == "unknown spec key":
@@ -693,13 +696,17 @@ class TestRunConfig:
             {"training": [1]},
             {"nodes": []},
             {"training": {"learning_rate": math.inf}},
+            # make_windows and chronological_split trust these two ranges
+            {"windows": [0]},
+            {"split_ratio": 0},
+            {"split_ratio": 1.0},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
             "alpha-0", "duplicate-nodes", "non-integer-workers", "alpha-true",
             "learning-rate-true", "seed-true", "nodes-string", "methods-string",
             "data-dir-number", "split-ratio-string", "training-list", "nodes-empty",
-            "learning-rate-infinity",
+            "learning-rate-infinity", "window-0", "split-ratio-0", "split-ratio-1",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):

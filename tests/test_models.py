@@ -74,8 +74,8 @@ class TestBuildModel:
     def test_ruad_window_one_is_valid(self):
         spec = mdl.ModelSpec(kind="ruad", input_dim=6, window=1)
         params = mdl.build_model(spec, seed=1)
-        out, _ = nn.forward(params, np.zeros((1, 6)))
-        assert out.shape == (6,)
+        out, _ = nn.forward(params, np.zeros((1, 1, 6)))
+        assert out.shape == (1, 6)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(DataError):
@@ -140,10 +140,8 @@ def identity_scaler(n):
 
 
 def constant_output_model(n, value, max_train_error=1.0):
-    """Network that ignores its input and emits `value` everywhere."""
-    layer = nn.DenseLayer(
-        weights=np.zeros((n, n)), bias=np.full(n, value), activation="linear"
-    )
+    """Network that ignores its input and emits `value` (> 0) everywhere."""
+    layer = nn.DenseLayer(weights=np.zeros((n, n)), bias=np.full(n, value), activation="relu")
     return mdl.TrainedModel(
         node_id="crafted",
         spec=mdl.ModelSpec(kind="dense", input_dim=n),

@@ -1,10 +1,12 @@
 """The names the benchmark in ``perfbench/`` reaches in nodewatch still exist.
 
-perfbench wraps functions by name and its output checks call the model
-loaders, so a rename that would make a benchmark run fail fails here first.
-This test only reads ``perfbench/``.
+perfbench wraps functions by name, and its output checks call the model
+loaders and read attributes of what they return, so a rename or a narrowed
+type that would make a benchmark run fail fails here first. This test only
+reads ``perfbench/``.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -19,6 +21,23 @@ CHECKS = [
     ("models", "model_path"),
     ("models", "WINDOWED_METHODS"),
     ("models", "method_instance_name"),
+]
+
+
+# attributes perfbench reads on results: (module, class, attribute)
+ATTRIBUTES = [
+    ("models", "TrainedModel", "regime"),
+    ("models", "Regime", "semi_supervised"),
+    ("models", "ClusterModel", "scaler"),
+    ("models", "ClusterModel", "kmeans"),
+    ("baselines", "KMeansModel", "centroids"),
+    ("baselines", "KMeansModel", "cluster_anomaly_prob"),
+    ("pipeline", "ScalerParams", "minimum"),
+    ("pipeline", "ScalerParams", "maximum"),
+    ("neuralnet", "LstmLayer", "hidden_dim"),
+    ("neuralnet", "LstmLayer", "in_dim"),
+    ("neuralnet", "DenseLayer", "in_dim"),
+    ("neuralnet", "DenseLayer", "out_dim"),
 ]
 
 
@@ -42,7 +61,20 @@ def resolves(module, attr_path):
     return True
 
 
+def is_attribute(module, cls_name, attr):
+    """Whether instances of the class carry ``attr`` as a dataclass field or
+    a property."""
+    cls = getattr(importlib.import_module(f"nodewatch.{module}"), cls_name)
+    field_names = {f.name for f in dataclasses.fields(cls)}
+    return attr in field_names or isinstance(getattr(cls, attr, None), property)
+
+
 def test_every_benchmark_name_resolves():
     names = tracer_targets() + CHECKS
     assert len(names) > len(CHECKS)
     assert [f"{m}.{a}" for m, a in names if not resolves(m, a)] == []
+
+
+def test_every_attribute_read_on_results_resolves():
+    missing = [f"{m}.{c}.{a}" for m, c, a in ATTRIBUTES if not is_attribute(m, c, a)]
+    assert missing == []

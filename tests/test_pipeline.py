@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodewatch.errors import DataError
+from nodewatch.models import ModelSpec
 from nodewatch.pipeline import (
     ScalerParams,
     apply_minmax,
@@ -224,5 +225,6 @@ class TestWindowing:
         npt.assert_array_equal(windows.sequences[:, 0, :], ds.features)
 
     def test_invalid_window_length(self):
-        with pytest.raises(DataError, match="window length"):
-            make_windows(build_dataset([0]), 0)
+        # make_windows takes W from a ModelSpec, which refuses W < 1
+        with pytest.raises(DataError, match="window must be an integer >= 1"):
+            ModelSpec(kind="ruad", input_dim=3, window=0)
