@@ -178,13 +178,10 @@ def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(
-    rows: np.ndarray, seeds: np.ndarray, row_sq: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations from a stack of seed sets, all restarts at once.
 
-    ``seeds`` is (R, k, N), one seed set per restart; ``row_sq`` is
-    ``_row_norms(rows)``, when the caller has it. Returns the (R, k, N)
+    ``seeds`` is (R, k, N), one seed set per restart. Returns the (R, k, N)
     centroids, the (R, n) assignments and each restart's WCSS, each bit for
     bit what the restart gives when run alone. Each step makes one stacked
     distance computation and one set of cluster masks for the live
@@ -193,8 +190,7 @@ def _lloyd(
     """
     centroids = seeds.copy()
     restarts, k, width = centroids.shape
-    if row_sq is None:
-        row_sq = _row_norms(rows)
+    row_sq = _row_norms(rows)
 
     def assign(live: np.ndarray) -> np.ndarray:  # (len(live), n)
         return _pairwise_distances(rows, centroids[live], row_sq).argmin(axis=2)

@@ -290,12 +290,13 @@ def score_exp_method(
 # ---------------------------------------------------------------------------
 # model store
 #
-# A store is one JSON object: a header of plain values, ``"format": 2``, and
+# A store is one JSON object: a header of plain values, ``"format": 3``, and
 # every float64 array as {"shape": [...], "f8": <base64 of its little-endian
 # bytes>}. Arrays pass through one codec, ``_encode_array`` on the way out and
-# ``_decode_array`` on the way in.
+# ``_decode_array`` on the way in. An autoencoder's ``network`` is its one
+# parameter vector, ``NetworkParams.values``.
 
-STORE_FORMAT = 2
+STORE_FORMAT = 3
 
 
 def _encode_array(obj: object) -> dict:
@@ -344,29 +345,6 @@ def _read_store(path: str | Path) -> dict:
     return d
 
 
-def _spec_layout(spec: nn.LayerSpec) -> dict:
-    """A layer of ``spec`` as the store holds it, each array given by its shape."""
-    if isinstance(spec, nn.DenseSpec):
-        return {"type": "dense", "activation": spec.activation,
-                "weights": (spec.out_dim, spec.in_dim), "bias": (spec.out_dim,)}
-    gates = 4 * spec.hidden_dim
-    return {"type": "lstm", "return_sequence": spec.return_sequence,
-            "w": (gates, spec.in_dim), "u": (gates, spec.hidden_dim), "b": (gates,)}
-
-
-def _check_network(network: nn.NetworkParams, spec: ModelSpec) -> None:
-    """Refuse a stored network whose layers are not those ``build_model(spec)``
-    makes, in type, settings or the shape of any array."""
-    layers, expected = network.to_dict()["layers"], layer_specs(spec)
-    if len(layers) != len(expected):
-        raise DataError(f"network has {len(layers)} layers, model_spec gives {len(expected)}")
-    for i, (layer, layer_spec) in enumerate(zip(layers, expected)):
-        got = {k: v.shape if isinstance(v, np.ndarray) else v for k, v in layer.items()}
-        for key, value in _spec_layout(layer_spec).items():
-            if got.get(key) != value:
-                raise DataError(f"layer {i} {key} is {got.get(key)}, model_spec gives {value}")
-
-
 def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) -> Path:
     path = model_path(store_dir, model.node_id, name)
     _write_store(
@@ -380,7 +358,7 @@ def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) ->
             "seed": model.seed,
             "max_train_error": model.max_train_error,
             "scaler": model.scaler.to_dict(),
-            "network": model.network.to_dict(),
+            "network": model.network.values,
             "training": model.training,
         },
     )
@@ -424,12 +402,15 @@ def load_trained_model(path: str | Path) -> TrainedModel:
             raise DataError(
                 f"scaler has shape {scaler.minimum.shape}, model_spec gives ({spec.input_dim},)"
             )
-        network = nn.NetworkParams.from_dict(d["network"])
-        _check_network(network, spec)
+        specs, values = layer_specs(spec), d["network"]
+        count = nn.parameter_count(specs)
+        if not (isinstance(values, np.ndarray) and values.shape == (count,)):
+            got = getattr(values, "shape", type(values).__name__)
+            raise DataError(f"network is {got}, model_spec gives an array of {count} parameters")
         return TrainedModel(
             node_id=d["node_id"],
             spec=spec,
-            network=network,
+            network=nn.NetworkParams.from_values(specs, values),
             scaler=scaler,
             max_train_error=d["max_train_error"],
             regime=_from_stored(Regime, d["regime"], "regime"),

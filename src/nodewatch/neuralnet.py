@@ -14,8 +14,8 @@ store's loader and ``ModelSpec`` admit only the two stacks.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,12 +89,49 @@ class LstmLayer:
 
 Layer = DenseLayer | LstmLayer
 LayerSpec = DenseSpec | LstmSpec
-LAYER_TYPES: dict[str, type] = {"dense": DenseLayer, "lstm": LstmLayer}
+
+
+def _param_shapes(spec: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """Each array of a layer of ``spec``, by name, in ``param_items`` order."""
+    if isinstance(spec, DenseSpec):
+        return {"weights": (spec.out_dim, spec.in_dim), "bias": (spec.out_dim,)}
+    gates = 4 * spec.hidden_dim
+    return {"w": (gates, spec.in_dim), "u": (gates, spec.hidden_dim), "b": (gates,)}
+
+
+def parameter_count(specs: list[LayerSpec]) -> int:
+    return sum(math.prod(shape) for spec in specs for shape in _param_shapes(spec).values())
 
 
 @dataclass
 class NetworkParams:
-    layers: list[Layer] = field(default_factory=list)
+    """Every parameter of a network in one float64 vector, ``values``.
+
+    Each layer's arrays are views into ``values``, cut in layer order, so
+    the optimizer, the best-epoch snapshot and the model store act on the
+    vector and the layers see the change.
+    """
+
+    layers: list[Layer]
+    values: np.ndarray
+
+    @classmethod
+    def from_values(cls, specs: list[LayerSpec], values: np.ndarray) -> "NetworkParams":
+        """The network ``specs`` builds, its arrays cut from ``values``, which
+        must hold ``parameter_count(specs)`` float64s."""
+        layers: list[Layer] = []
+        offset = 0
+        for spec in specs:
+            arrays = {}
+            for name, shape in _param_shapes(spec).items():
+                size = math.prod(shape)
+                arrays[name] = values[offset : offset + size].reshape(shape)
+                offset += size
+            if isinstance(spec, DenseSpec):
+                layers.append(DenseLayer(**arrays, activation=spec.activation))
+            else:
+                layers.append(LstmLayer(**arrays, return_sequence=spec.return_sequence))
+        return cls(layers, values)
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """Flat (key, array) pairs; keys are '<layer_idx>.<name>'."""
@@ -103,22 +140,6 @@ class NetworkParams:
             for name, arr in layer.param_items():
                 items.append((f"{i}.{name}", arr))
         return items
-
-    def to_dict(self) -> dict:
-        """Each layer as its type name and its fields; arrays stay arrays."""
-        names = {kind: name for name, kind in LAYER_TYPES.items()}
-        return {"layers": [{"type": names[type(layer)], **vars(layer)} for layer in self.layers]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkParams":
-        layers: list[Layer] = []
-        for entry in d["layers"]:
-            entry = dict(entry)
-            kind = entry.pop("type")
-            if kind not in LAYER_TYPES:
-                raise DataError(f"unknown layer type {kind!r}")
-            layers.append(LAYER_TYPES[kind](**entry))
-        return cls(layers=layers)
 
 
 def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
@@ -129,31 +150,18 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(rows, cols))
 
-    layers: list[Layer] = []
-    for spec in specs:
-        if isinstance(spec, DenseSpec):
-            layers.append(
-                DenseLayer(
-                    weights=glorot(spec.out_dim, spec.in_dim, spec.in_dim, spec.out_dim),
-                    bias=np.zeros(spec.out_dim),
-                    activation=spec.activation,
-                )
-            )
+    params = NetworkParams.from_values(specs, np.zeros(parameter_count(specs)))
+    for spec, layer in zip(specs, params.layers):
+        if isinstance(layer, DenseLayer):
+            layer.weights[...] = glorot(spec.out_dim, spec.in_dim, spec.in_dim, spec.out_dim)
         else:
             h, d = spec.hidden_dim, spec.in_dim
             # the seeded stream draws w then u for each gate in turn
-            draws = [(glorot(h, d, d, h), glorot(h, h, h, h)) for _ in GATES]
-            b = np.zeros(4 * h)
-            b[h : 2 * h] = 1.0
-            layers.append(
-                LstmLayer(
-                    w=np.concatenate([w for w, _ in draws]),
-                    u=np.concatenate([u for _, u in draws]),
-                    b=b,
-                    return_sequence=spec.return_sequence,
-                )
-            )
-    return NetworkParams(layers=layers)
+            for k in range(len(GATES)):
+                layer.w[k * h : (k + 1) * h] = glorot(h, d, d, h)
+                layer.u[k * h : (k + 1) * h] = glorot(h, h, h, h)
+            layer.b[h : 2 * h] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +372,8 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, each one flat buffer laid out in
-    NetworkParams.param_items order."""
+    """First/second moment accumulators, each one flat buffer laid out like
+    NetworkParams.values."""
 
     moment1: np.ndarray
     moment2: np.ndarray
@@ -373,24 +381,8 @@ class AdamState:
     step: int = 0
 
 
-def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([arr.ravel() for arr in arrays])
-
-
-def _unflatten(flat: np.ndarray, like: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Views of ``flat`` shaped like each array of ``like``, in order."""
-    offset = 0
-    for arr in like:
-        yield flat[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-
-
-def _param_arrays(params: NetworkParams) -> list[np.ndarray]:
-    return [arr for _, arr in params.param_items()]
-
-
 def init_adam(params: NetworkParams, learning_rate: float = 1e-3) -> AdamState:
-    size = sum(arr.size for arr in _param_arrays(params))
+    size = params.values.size
     return AdamState(np.zeros(size), np.zeros(size), learning_rate)
 
 
@@ -399,13 +391,12 @@ def adam_step(
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected adaptive-moment update, applied in place.
 
-    The gradients are gathered into one flat vector, so the moments and the
-    update take one vectorised pass over every parameter at once.
+    The gradients are gathered into one vector laid out like ``values``, so
+    the moments and the update take one vectorised pass over every parameter
+    at once.
     """
-    arrays = _param_arrays(params)
-    g = _flatten(
-        [grads[i][name] for i, layer in enumerate(params.layers) for name, _ in layer.param_items()]
-    )
+    # each layer's gradients come in param_items order, the order of values
+    g = np.concatenate([grad.ravel() for layer_grads in grads for grad in layer_grads.values()])
     state.step += 1
     t = state.step
     m, v = state.moment1, state.moment2
@@ -415,9 +406,7 @@ def adam_step(
     v += (1.0 - ADAM_BETA2) * (g * g)
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    for arr, step in zip(arrays, _unflatten(update, arrays)):
-        arr -= step
+    params.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params, state
 
 
@@ -446,9 +435,8 @@ def train_autoencoder(
         raise DataError("cannot train on an empty window set")
 
     rng = np.random.default_rng(cfg.seed)
-    arrays = _param_arrays(params)
     best_loss = np.inf
-    best = _flatten(arrays)
+    best = params.values.copy()
     state = init_adam(params, learning_rate=cfg.learning_rate)
     history: list[float] = []
     stale_epochs = 0
@@ -476,11 +464,10 @@ def train_autoencoder(
             else:
                 stale_epochs += 1
             best_loss = epoch_loss
-            best = _flatten(arrays)
+            best = params.values.copy()
         else:
             stale_epochs += 1
         if stale_epochs >= cfg.early_stop_patience:
             break
-    for arr, saved in zip(arrays, _unflatten(best, arrays)):
-        arr[...] = saved
+    params.values[...] = best
     return params, history

@@ -70,7 +70,8 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class AnomalySignature:
-    """One injected fault: what it does, where, how hard, for how long.
+    """One injected fault: what it does, where and how hard; the interval it
+    covers is given alongside it.
 
     ``magnitude`` is kind-specific: the additive offset for level shifts,
     the replay distance in buckets for correlation breaks, and the sampling
@@ -80,7 +81,6 @@ class AnomalySignature:
     kind: str
     metrics: tuple[int, ...]
     magnitude: float
-    duration: int
 
 
 @dataclass(frozen=True)
@@ -258,32 +258,18 @@ def generate_node(
     for start, end in intervals:
         kind = kinds[int(rng.choice(len(kinds), p=weights / weights.sum()))]
         if kind == "level_shift":
-            signature = AnomalySignature(
-                kind=kind,
-                metrics=shift_subset,
-                magnitude=float(rng.uniform(2.0, 4.0)),
-                duration=end - start,
-            )
+            metrics, magnitude = shift_subset, float(rng.uniform(2.0, 4.0))
         elif kind == "correlation_break":
             g = int(rng.integers(group_count))
             members = [j for j in range(metric_count) if j % group_count == g]
             half = max(1, len(members) // 2)
-            chosen = tuple(
+            metrics = tuple(
                 sorted(int(j) for j in rng.choice(members, size=half, replace=False))
             )
-            signature = AnomalySignature(
-                kind=kind,
-                metrics=chosen,
-                magnitude=float(rng.integers(12, 37)),
-                duration=end - start,
-            )
+            magnitude = float(rng.integers(12, 37))
         else:
-            signature = AnomalySignature(
-                kind=kind,
-                metrics=tuple(range(metric_count)),
-                magnitude=float(DISRUPTION_POOL),
-                duration=end - start,
-            )
+            metrics, magnitude = tuple(range(metric_count)), float(DISRUPTION_POOL)
+        signature = AnomalySignature(kind=kind, metrics=metrics, magnitude=magnitude)
         features = inject_anomaly(
             features, signature, (start, end), source=pristine, rng=rng
         )

@@ -217,18 +217,6 @@ class TestKMeans:
         npt.assert_array_equal(got[1][0], want[1])
         assert got[2] == [want[2]]
 
-    @pytest.mark.parametrize("width", [1, 3, 8])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_row_norms_passed_in_keep_the_bits(self, width, seed):
-        rng = np.random.default_rng(seed)
-        rows = rng.uniform(size=(300, width)) ** 3
-        seeds = rows[[0, 0, 7, 7, 11]]
-        got = _lloyd(rows, seeds[None], _row_norms(rows))
-        want = reference_lloyd(rows, seeds)
-        npt.assert_array_equal(got[0][0], want[0])
-        npt.assert_array_equal(got[1][0], want[1])
-        assert got[2] == [want[2]]
-
     def test_wcss_non_increasing_within_lloyd(self, rng):
         rows = rng.normal(size=(60, 2))
         seeds = _plus_plus_seeds(rows, 4, np.random.default_rng(0))

@@ -15,6 +15,7 @@ import pytest
 import nodewatch
 from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
+from nodewatch.models import load_trained_model
 from nodewatch.scoring import ScoreSeries, write_scores_csv
 from nodewatch.telemetry import NodeDataset
 from nodewatch.util import read_config, write_json
@@ -217,9 +218,22 @@ def encode_f8(array):
     return {"shape": list(np.shape(array)), "f8": base64.b64encode(data).decode("ascii")}
 
 
+def v2_layout(model, network):
+    """Rewrite a store the way format 2 held it: ``network`` as one entry per
+    layer, holding the layer's type, its settings and its arrays."""
+    kinds = {"DenseLayer": "dense", "LstmLayer": "lstm"}
+    layers = [
+        {"type": kinds[type(layer).__name__],
+         **{key: encode_f8(value) if isinstance(value, np.ndarray) else value
+            for key, value in vars(layer).items()}}
+        for layer in network.layers
+    ]
+    return {**model, "format": 2, "network": {"layers": layers}}
+
+
 def v1_layout(entry):
-    """Rewrite a store the way format 1 held it: no ``format`` field, and
-    every array as nested JSON lists."""
+    """Rewrite a format-2 store the way format 1 held it: no ``format``
+    field, and every array as nested JSON lists."""
     if isinstance(entry, dict):
         if "f8" in entry:
             return decode_f8(entry).tolist()
@@ -350,7 +364,8 @@ class TestScoreCommand:
         "damage",
         [
             "per-gate layout", "truncated", "unknown spec key", "old layout", "v1 list layout",
-            "short payload", "not base64", "NaN weight", "shape off spec", "fractional window",
+            "v2 layer layout", "short payload", "not base64", "NaN weight", "shape off spec",
+            "fractional window",
         ],
     )
     def test_bad_model_file_exits_two_with_one_line(self, tmp_path, generated_data, damage):
@@ -360,7 +375,7 @@ class TestScoreCommand:
         path = out / "models" / "node_000" / "RUAD_W5.json"
         text = path.read_text()
         model = json.loads(text)
-        w = model["network"]["layers"][0]["w"]
+        network = model["network"]
         if damage == "truncated":
             path.write_text(text[: len(text) // 2])
         elif damage == "unknown spec key":
@@ -375,21 +390,24 @@ class TestScoreCommand:
         elif damage == "fractional window":
             model["model_spec"]["window"] = 5.5
             path.write_text(json.dumps(model))
-        elif damage == "per-gate layout":
-            path.write_text(json.dumps(per_gate_layout(v1_layout(model))))
-        elif damage == "v1 list layout":
-            path.write_text(json.dumps(v1_layout(model)))
+        elif damage in ("per-gate layout", "v1 list layout", "v2 layer layout"):
+            model = v2_layout(model, load_trained_model(path).network)
+            if damage != "v2 layer layout":
+                model = v1_layout(model)
+            if damage == "per-gate layout":
+                model = per_gate_layout(model)
+            path.write_text(json.dumps(model))
         else:
             if damage == "short payload":
-                w["f8"] = base64.b64encode(base64.b64decode(w["f8"])[:-8]).decode("ascii")
+                network["f8"] = base64.b64encode(base64.b64decode(network["f8"])[:-8]).decode()
             elif damage == "not base64":
-                w["f8"] = "not*base64"
+                network["f8"] = "not*base64"
             elif damage == "NaN weight":
-                weights = decode_f8(w).copy()
-                weights[3, 1] = np.nan
-                w.update(encode_f8(weights))
-            else:  # one row of layer 0's w dropped, as a hand edit might
-                w.update(encode_f8(decode_f8(w)[:-1]))
+                values = decode_f8(network).copy()
+                values[3] = np.nan
+                network.update(encode_f8(values))
+            else:  # the last parameter dropped, as a hand edit might
+                network.update(encode_f8(decode_f8(network)[:-1]))
             path.write_text(json.dumps(model))
         for command in ("score", "evaluate"):
             proc = run_cli(command, "--config", str(cfg), "--out", str(out))
@@ -397,11 +415,11 @@ class TestScoreCommand:
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and "Traceback" not in proc.stderr
             assert lines[0].startswith("ERROR") and str(path) in lines[0]
-            if damage in ("per-gate layout", "v1 list layout"):
+            if damage in ("per-gate layout", "v1 list layout", "v2 layer layout"):
                 assert "older nodewatch" in lines[0] and "retrained" in lines[0]
             expected = {
                 "short payload": "bytes", "not base64": "base64", "NaN weight": "not finite",
-                "shape off spec": "layer 0 w", "fractional window": "window must be an integer",
+                "shape off spec": "network is (", "fractional window": "window must be an integer",
             }.get(damage, "")
             assert expected in lines[0]
             if damage == "unknown spec key":

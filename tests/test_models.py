@@ -141,11 +141,11 @@ def identity_scaler(n):
 
 def constant_output_model(n, value, max_train_error=1.0):
     """Network that ignores its input and emits `value` (> 0) everywhere."""
-    layer = nn.DenseLayer(weights=np.zeros((n, n)), bias=np.full(n, value), activation="relu")
+    values = np.concatenate([np.zeros(n * n), np.full(n, value)])  # weights, then bias
     return mdl.TrainedModel(
         node_id="crafted",
         spec=mdl.ModelSpec(kind="dense", input_dim=n),
-        network=nn.NetworkParams([layer]),
+        network=nn.NetworkParams.from_values([nn.DenseSpec(n, n, "relu")], values),
         scaler=identity_scaler(n),
         max_train_error=max_train_error,
         regime=mdl.REGIMES["DENSE_un"],
@@ -344,6 +344,14 @@ def store_arrays(model):
     return arrays + model.network.param_items()
 
 
+def resized(entry, change):
+    """A stored ``{"shape", "f8"}`` vector with ``change`` values cut off
+    its end (negative) or zeros appended (positive)."""
+    size = entry["shape"][0] + change
+    data = (base64.b64decode(entry["f8"]) + bytes(8 * max(change, 0)))[: 8 * size]
+    return {"shape": [size], "f8": base64.b64encode(data).decode("ascii")}
+
+
 class TestStoreFormat:
     @pytest.mark.parametrize("kind", ["dense", "ruad", "clu"])
     def test_every_array_round_trips_bit_for_bit(self, tmp_path, kind):
@@ -364,7 +372,7 @@ class TestStoreFormat:
             path = mdl.save_trained_model(tmp_path, kind, model)
             loaded = mdl.load_trained_model(path)
             assert loaded.max_train_error == 5e-324 and loaded.spec == spec
-        assert json.loads(path.read_text())["format"] == 2
+        assert json.loads(path.read_text())["format"] == 3
         pairs = list(zip(store_arrays(model), store_arrays(loaded)))
         assert len(pairs) >= 4
         for (name, array), (loaded_name, copy) in pairs:
@@ -378,8 +386,12 @@ class TestStoreFormat:
         model = mdl.TrainedModel("n0", spec, mdl.build_model(spec, seed=1), edge_scaler(),
                                  1.0, mdl.REGIMES["DENSE_un"], seed=1)
         stored = json.loads(mdl.save_trained_model(tmp_path, "DENSE_un", model).read_text())
-        bias = stored["network"]["layers"][0]["bias"]
-        assert bias == {"shape": [16], "f8": base64.b64encode(bytes(16 * 8)).decode("ascii")}
+        values = model.network.values
+        # 4-16-8-16-4: 4*16+16 + 16*8+8 + 8*16+16 + 16*4+4 parameters
+        assert stored["network"]["shape"] == [len(values)] == [428]
+        network = base64.b64decode(stored["network"]["f8"])
+        assert network == struct.pack(f"<{len(values)}d", *values)
+        assert network[64 * 8 : 80 * 8] == bytes(16 * 8)  # layer 0's bias follows its 16x4 weights
         low = stored["scaler"]["min"]
         assert low["shape"] == [4]
         assert base64.b64decode(low["f8"]) == struct.pack("<4d", *edge_scaler().minimum)
@@ -387,17 +399,18 @@ class TestStoreFormat:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d["network"]["layers"].pop(), "layers"),
-            (lambda d: d["network"]["layers"][1]["bias"].update(shape=[2, 4]), "layer 1 bias"),
-            (lambda d: d["network"]["layers"][3].update(activation="relu"), "activation"),
+            (lambda d: d.update(network=resized(d["network"], -1)), r"network is \(427,\)"),
+            (lambda d: d.update(network=resized(d["network"], 1)), r"network is \(429,\)"),
+            (lambda d: d.update(network=[0.0] * 428), "network is list"),
+            (lambda d: d.update(network={"layers": []}), "network is dict"),
             (lambda d: d["scaler"]["min"].update(shape=[2, 2]), "scaler"),
             (lambda d: d.pop("format"), "older nodewatch"),
             (lambda d: d["scaler"]["max"].update(shape=[5]), "bytes"),
             (lambda d: d["scaler"]["max"].update(f8="AAAA AAAA"), "base64"),
             (lambda d: d["scaler"].update(min={"f8": ""}), "'shape'"),
         ],
-        ids=["layer-missing", "bias-shape", "activation", "scaler-shape", "no-format",
-             "short-payload", "not-base64", "no-shape"],
+        ids=["network-short", "network-long", "network-not-array", "network-object",
+             "scaler-shape", "no-format", "short-payload", "not-base64", "no-shape"],
     )
     def test_damaged_trained_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
         spec = mdl.ModelSpec(kind="dense", input_dim=4)

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -392,6 +393,42 @@ class TestTraining:
         assert final_loss <= min(history) * 1.5 + 1e-9
 
 
+    def test_best_epoch_restore_reaches_the_layers(self):
+        windows = self.sinusoid_windows(count=24, w=3)
+        cfg = nn.TrainingConfig(max_epochs=12, early_stop_patience=12, seed=0,
+                                learning_rate=0.01, batch_size=8)
+        specs = mdl.layer_specs(mdl.ModelSpec("ruad", 3, 3))
+        trained, history = nn.train_autoencoder(nn.init_params(specs, 0), windows, cfg)
+        assert np.argmin(history) < len(history) - 1  # the restore undoes later epochs
+        rebuilt = nn.NetworkParams.from_values(specs, trained.values.copy())
+        npt.assert_array_equal(
+            nn.forward(trained, windows.sequences)[0], nn.forward(rebuilt, windows.sequences)[0]
+        )
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("kind, window", [("dense", 1), ("ruad", 3)])
+    def test_layer_arrays_tile_the_vector_in_layer_order(self, kind, window):
+        specs = mdl.layer_specs(mdl.ModelSpec(kind, 5, window))
+        params = nn.init_params(specs, seed=2)
+        values = params.values
+        assert values.shape == (nn.parameter_count(specs),) and values.dtype == np.float64
+        arrays = [arr for _, arr in params.param_items()]
+        assert all(np.shares_memory(arr, values) for arr in arrays)
+        assert sum(arr.size for arr in arrays) == values.size
+        # numbering every slot shows each array is the next run of values, in order
+        values[...] = np.arange(values.size)
+        npt.assert_array_equal(np.concatenate([arr.ravel() for arr in arrays]), values)
+        shapes = []
+        for spec in specs:
+            if isinstance(spec, nn.DenseSpec):
+                shapes += [(spec.out_dim, spec.in_dim), (spec.out_dim,)]
+            else:
+                gates = 4 * spec.hidden_dim
+                shapes += [(gates, spec.in_dim), (gates, spec.hidden_dim), (gates,)]
+        assert [arr.shape for arr in arrays] == shapes
+
+
 class TestSerialization:
     def test_json_round_trip_preserves_parameters(self, rng):
         specs = [
@@ -400,7 +437,8 @@ class TestSerialization:
             nn.DenseSpec(2, 3, "relu"),
         ]
         params = nn.init_params(specs, seed=8)
-        clone = nn.NetworkParams.from_dict(params.to_dict())
+        stored = json.loads(json.dumps(params.values.tolist()))
+        clone = nn.NetworkParams.from_values(specs, np.array(stored))
         for (ka, va), (kb, vb) in zip(params.param_items(), clone.param_items()):
             assert ka == kb
             npt.assert_array_equal(va, vb)

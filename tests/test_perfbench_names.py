@@ -38,6 +38,7 @@ ATTRIBUTES = [
     ("neuralnet", "LstmLayer", "in_dim"),
     ("neuralnet", "DenseLayer", "in_dim"),
     ("neuralnet", "DenseLayer", "out_dim"),
+    ("neuralnet", "NetworkParams", "layers"),
 ]
 
 
