@@ -361,8 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 1
-    except FileNotFoundError as exc:
-        log.error("missing input: %s", exc)
+    except OSError as exc:  # a file that is missing, a directory or unreadable
+        log.error("cannot read or write %s: %s", exc.filename, exc.strerror)
         return 2
     except DataError as exc:
         log.error("data error: %s", exc)

@@ -119,11 +119,6 @@ def layer_specs(spec: ModelSpec) -> list[nn.LayerSpec]:
     ]
 
 
-def build_model(spec: ModelSpec, seed: int) -> nn.NetworkParams:
-    """Instantiate the architecture with seeded Glorot initialization."""
-    return nn.init_params(layer_specs(spec), seed)
-
-
 @dataclass
 class TrainedModel:
     """A trained autoencoder plus everything needed to score new data."""
@@ -181,7 +176,7 @@ def train_node_model(
             f"filtering with W={spec.window} ({len(train)} rows available)"
         )
 
-    network = build_model(spec, cfg.seed)
+    network = nn.init_params(layer_specs(spec), cfg.seed)
     network, history = nn.train_autoencoder(network, windows, cfg)
 
     max_error = float(reconstruction_errors(network, windows).max())
@@ -410,7 +405,7 @@ def load_trained_model(path: str | Path) -> TrainedModel:
         return TrainedModel(
             node_id=d["node_id"],
             spec=spec,
-            network=nn.NetworkParams.from_values(specs, values),
+            network=nn.NetworkParams(specs, values),
             scaler=scaler,
             max_train_error=d["max_train_error"],
             regime=_from_stored(Regime, d["regime"], "regime"),

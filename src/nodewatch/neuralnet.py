@@ -15,7 +15,7 @@ store's loader and ``ModelSpec`` admit only the two stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [("weights", self.weights), ("bias", self.bias)]
-
 
 @dataclass
 class LstmLayer:
@@ -83,16 +80,13 @@ class LstmLayer:
     def hidden_dim(self) -> int:
         return self.w.shape[0] // 4
 
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [("w", self.w), ("u", self.u), ("b", self.b)]
-
 
 Layer = DenseLayer | LstmLayer
 LayerSpec = DenseSpec | LstmSpec
 
 
 def _param_shapes(spec: LayerSpec) -> dict[str, tuple[int, ...]]:
-    """Each array of a layer of ``spec``, by name, in ``param_items`` order."""
+    """Each array of a layer of ``spec``, by name, in their order in ``values``."""
     if isinstance(spec, DenseSpec):
         return {"weights": (spec.out_dim, spec.in_dim), "bias": (spec.out_dim,)}
     gates = 4 * spec.hidden_dim
@@ -105,41 +99,30 @@ def parameter_count(specs: list[LayerSpec]) -> int:
 
 @dataclass
 class NetworkParams:
-    """Every parameter of a network in one float64 vector, ``values``.
-
-    Each layer's arrays are views into ``values``, cut in layer order, so
-    the optimizer, the best-epoch snapshot and the model store act on the
-    vector and the layers see the change.
+    """The network ``specs`` builds, every parameter in one float64 vector,
+    ``values``, of ``parameter_count(specs)`` entries; each layer's arrays
+    are views into it, cut in layer order. The optimizer, the best-epoch
+    snapshot and the model store act on the vector, and :func:`backward`
+    fills a gradient network of the same layout through its layers.
     """
 
-    layers: list[Layer]
+    specs: list[LayerSpec]
     values: np.ndarray
+    layers: list[Layer] = field(init=False)
 
-    @classmethod
-    def from_values(cls, specs: list[LayerSpec], values: np.ndarray) -> "NetworkParams":
-        """The network ``specs`` builds, its arrays cut from ``values``, which
-        must hold ``parameter_count(specs)`` float64s."""
-        layers: list[Layer] = []
+    def __post_init__(self) -> None:
+        self.layers = []
         offset = 0
-        for spec in specs:
+        for spec in self.specs:
             arrays = {}
             for name, shape in _param_shapes(spec).items():
                 size = math.prod(shape)
-                arrays[name] = values[offset : offset + size].reshape(shape)
+                arrays[name] = self.values[offset : offset + size].reshape(shape)
                 offset += size
             if isinstance(spec, DenseSpec):
-                layers.append(DenseLayer(**arrays, activation=spec.activation))
+                self.layers.append(DenseLayer(**arrays, activation=spec.activation))
             else:
-                layers.append(LstmLayer(**arrays, return_sequence=spec.return_sequence))
-        return cls(layers, values)
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Flat (key, array) pairs; keys are '<layer_idx>.<name>'."""
-        items = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.param_items():
-                items.append((f"{i}.{name}", arr))
-        return items
+                self.layers.append(LstmLayer(**arrays, return_sequence=spec.return_sequence))
 
 
 def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
@@ -150,7 +133,7 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(rows, cols))
 
-    params = NetworkParams.from_values(specs, np.zeros(parameter_count(specs)))
+    params = NetworkParams(specs, np.zeros(parameter_count(specs)))
     for spec, layer in zip(specs, params.layers):
         if isinstance(layer, DenseLayer):
             layer.weights[...] = glorot(spec.out_dim, spec.in_dim, spec.in_dim, spec.out_dim)
@@ -187,16 +170,17 @@ def _dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def _dense_backward(
-    layer: DenseLayer, cache: dict, d_out: np.ndarray, input_grad: bool
-) -> tuple[dict, np.ndarray | None]:
-    """Parameter gradients, and the input gradient when ``input_grad``."""
+    layer: DenseLayer, grad: DenseLayer, cache: dict, d_out: np.ndarray, input_grad: bool
+) -> np.ndarray | None:
+    """Fill ``grad``; return the input gradient when ``input_grad``."""
     out = cache["out"]
     if layer.activation == "relu":
         d_pre = d_out * (out > 0.0)
     else:
         d_pre = d_out * out * (1.0 - out)
-    grads = {"weights": d_pre.T @ cache["x"], "bias": d_pre.sum(axis=0)}
-    return grads, d_pre @ layer.weights if input_grad else None
+    np.matmul(d_pre.T, cache["x"], out=grad.weights)
+    d_pre.sum(axis=0, out=grad.bias)
+    return d_pre @ layer.weights if input_grad else None
 
 
 def _batch_first(a: np.ndarray) -> np.ndarray:
@@ -262,9 +246,9 @@ def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def _lstm_backward(
-    layer: LstmLayer, cache: dict, d_out: np.ndarray, input_grad: bool
-) -> tuple[dict, np.ndarray | None]:
-    """Backpropagation through time over the whole window.
+    layer: LstmLayer, grad: LstmLayer, cache: dict, d_out: np.ndarray, input_grad: bool
+) -> np.ndarray | None:
+    """Backpropagation through time over the whole window, into ``grad``.
 
     Each gate's pre-activation gradient is dc (dh for the output gate) times
     a factor built for all steps at once: the gate's derivative times its
@@ -310,14 +294,12 @@ def _lstm_backward(
             np.matmul(u_transposed, da.reshape(4 * h_dim, batch), out=dh)
 
     d_all = d_all.reshape(steps, 4 * h_dim, batch)
-    grads = {
-        "w": np.matmul(d_all, x.transpose(0, 2, 1)).sum(axis=0),
-        "u": np.matmul(d_all, hidden[:-1].transpose(0, 2, 1)).sum(axis=0),
-        "b": d_all.sum(axis=0).sum(axis=1),
-    }
+    np.matmul(d_all, x.transpose(0, 2, 1)).sum(axis=0, out=grad.w)
+    np.matmul(d_all, hidden[:-1].transpose(0, 2, 1)).sum(axis=0, out=grad.u)
+    d_all.sum(axis=0).sum(axis=1, out=grad.b)
     if not input_grad:
-        return grads, None
-    return grads, _batch_first(np.matmul(np.ascontiguousarray(layer.w.T), d_all))
+        return None
+    return _batch_first(np.matmul(np.ascontiguousarray(layer.w.T), d_all))
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -346,23 +328,21 @@ def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
         return float(np.mean(diff * diff))
 
 
-def backward(
-    params: NetworkParams, caches: list, target: np.ndarray
-) -> list[dict[str, np.ndarray]]:
-    """Exact MSE-loss gradients for every parameter, via BPTT where needed.
-
-    ``caches`` must come from a matching :func:`forward` call and ``target``
-    is the (B, N) batch of targets.
+def backward(params: NetworkParams, caches: list, target: np.ndarray) -> NetworkParams:
+    """Exact MSE-loss gradients for every parameter, via BPTT where needed,
+    as a new network of ``params.specs``. ``caches`` must come from a
+    matching :func:`forward` call and ``target`` is the (B, N) batch of
+    targets.
     """
     output = caches[-1]["out"]
     d_act: np.ndarray = 2.0 * (output - target) / output.size
 
-    grads: list[dict[str, np.ndarray]] = [{} for _ in params.layers]
+    grads = NetworkParams(params.specs, np.empty_like(params.values))
     for idx in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[idx]
         step = _lstm_backward if isinstance(layer, LstmLayer) else _dense_backward
         # nothing reads the gradient with respect to the network input
-        grads[idx], d_act = step(layer, caches[idx], d_act, input_grad=idx > 0)
+        d_act = step(layer, grads.layers[idx], caches[idx], d_act, input_grad=idx > 0)
     return grads
 
 
@@ -386,20 +366,15 @@ def init_adam(params: NetworkParams, learning_rate: float = 1e-3) -> AdamState:
     return AdamState(np.zeros(size), np.zeros(size), learning_rate)
 
 
-def adam_step(
-    params: NetworkParams, grads: list[dict[str, np.ndarray]], state: AdamState
-) -> tuple[NetworkParams, AdamState]:
+def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> None:
     """One bias-corrected adaptive-moment update, applied in place.
 
-    The gradients are gathered into one vector laid out like ``values``, so
-    the moments and the update take one vectorised pass over every parameter
-    at once.
+    ``grads.values`` is laid out like ``params.values``, so the moments and
+    the update take one vectorised pass over every parameter at once.
     """
-    # each layer's gradients come in param_items order, the order of values
-    g = np.concatenate([grad.ravel() for layer_grads in grads for grad in layer_grads.values()])
     state.step += 1
     t = state.step
-    m, v = state.moment1, state.moment2
+    m, v, g = state.moment1, state.moment2, grads.values
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -407,7 +382,6 @@ def adam_step(
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
     params.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

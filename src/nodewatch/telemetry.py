@@ -92,10 +92,15 @@ class NodeDataset:
         call, which parses floats to the same bits as ``float()``. A row of
         the wrong width, a cell that does not parse (an integer bucket and
         label, a float feature), a label other than 0 or 1, a non-finite
-        feature and a file without rows are each a DataError naming the file.
+        feature, a file without rows and one that cannot be opened are each a
+        DataError naming the file.
         """
         path = Path(path)
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read the dataset file ({exc.strerror})") from None
+        with fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"{path}: empty dataset file")

@@ -624,6 +624,73 @@ class TestOutputDirectories:
         assert not (out / "summary.json").exists()
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "command, blocked, code, level",
+        [
+            ("evaluate", "run/scores/EXP.csv", 2, "ERROR"),
+            ("score", "run/models/node_000/CLU.json", 2, "ERROR"),
+            ("train", "data/node_000.csv", 0, "WARNING"),  # that node is skipped
+        ],
+        ids=["score-file", "model-file", "data-file"],
+    )
+    def test_directory_in_place_of_a_file_is_one_line(
+        self, tmp_path, generated_data, command, blocked, code, level
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        methods = ["EXP"] if command == "evaluate" else ["CLU"]
+        cfg = tiny_run_config(tmp_path, data, methods=methods)
+        path = tmp_path / blocked
+        path.unlink(missing_ok=True)
+        path.mkdir(parents=True)
+        proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        naming = [line for line in proc.stderr.splitlines() if str(path) in line]
+        assert len(naming) == 1 and naming[0].startswith(level)
+        assert [line for line in proc.stderr.splitlines() if line.startswith("ERROR")] == (
+            naming if level == "ERROR" else []
+        )
+        if command == "train":
+            jobs = json.loads((tmp_path / "run" / "train_log.json").read_text())["jobs"]
+            assert [(j["node"], j["status"]) for j in jobs] == [
+                ("node_000", "skipped-data"), ("node_001", "trained"),
+            ]
+
+
+class TestRunInvariants:
+    @pytest.fixture(scope="class")
+    def output_trees(self, tmp_path_factory, generated_data):
+        """Every output file of train/score/evaluate, by relative path, for
+        one run config under three settings of ``workers`` and ``nodes``."""
+        trees = {}
+        for label, workers, nodes in (
+            ("one worker", 1, ["node_000", "node_001"]),
+            ("two workers", 2, ["node_000", "node_001"]),
+            ("nodes reversed", 1, ["node_001", "node_000"]),
+        ):
+            tmp = tmp_path_factory.mktemp("invariants")
+            cfg = tiny_run_config(
+                tmp, generated_data, methods=["CLU", "DENSE_un", "RUAD"], windows=[5],
+                training={"max_epochs": 1}, workers=workers, nodes=nodes,
+            )
+            out = tmp / "run"
+            for command in ("train", "score", "evaluate"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            trees[label] = {str(p.relative_to(out)): p.read_bytes() for p in files}
+        return trees
+
+    @pytest.mark.parametrize("label", ["two workers", "nodes reversed"])
+    def test_outputs_are_byte_identical(self, output_trees, label):
+        reference = output_trees["one worker"]
+        # per node 3 stores and 2 loss files; 3 score files, 6 reports, 2 logs
+        assert len(reference) == 21
+        assert output_trees[label].keys() == reference.keys()
+        assert [p for p in reference if output_trees[label][p] != reference[p]] == []
+
+
 class TestNodeMajorCommands:
     def test_each_node_file_is_read_once_per_command(
         self, tmp_path, generated_data, monkeypatch

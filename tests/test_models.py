@@ -14,7 +14,7 @@ from nodewatch.pipeline import ScalerParams, apply_minmax, chronological_split
 from nodewatch.neuralnet import TrainingConfig
 
 from conftest import build_dataset
-from test_neuralnet import reference_lstm
+from test_neuralnet import layer_arrays, reference_lstm
 
 
 def training_config(seed=0, epochs=3):
@@ -54,14 +54,16 @@ class TestRegimeMatrix:
 
 class TestBuildModel:
     def test_dense_shapes_follow_published_pattern(self):
-        params = mdl.build_model(mdl.ModelSpec(kind="dense", input_dim=462), seed=0)
+        params = nn.init_params(
+            mdl.layer_specs(mdl.ModelSpec(kind="dense", input_dim=462)), seed=0
+        )
         shapes = [layer.weights.shape for layer in params.layers]
         assert shapes == [(16, 462), (8, 16), (16, 8), (462, 16)]
         assert params.layers[-1].activation == "sigmoid"
 
     def test_ruad_shapes_follow_published_pattern(self):
-        params = mdl.build_model(
-            mdl.ModelSpec(kind="ruad", input_dim=462, window=10), seed=0
+        params = nn.init_params(
+            mdl.layer_specs(mdl.ModelSpec(kind="ruad", input_dim=462, window=10)), seed=0
         )
         first, second, third, fourth = params.layers
         assert isinstance(first, nn.LstmLayer) and first.hidden_dim == 16
@@ -73,7 +75,7 @@ class TestBuildModel:
 
     def test_ruad_window_one_is_valid(self):
         spec = mdl.ModelSpec(kind="ruad", input_dim=6, window=1)
-        params = mdl.build_model(spec, seed=1)
+        params = nn.init_params(mdl.layer_specs(spec), seed=1)
         out, _ = nn.forward(params, np.zeros((1, 1, 6)))
         assert out.shape == (1, 6)
 
@@ -96,11 +98,7 @@ class TestTrainNodeModel:
         unsup, _ = mdl.train_node_model(
             ds, spec, mdl.REGIMES["DENSE_un"], training_config(seed=11)
         )
-        for (ka, va), (kb, vb) in zip(
-            semi.network.param_items(), unsup.network.param_items()
-        ):
-            assert ka == kb
-            npt.assert_array_equal(va, vb)
+        npt.assert_array_equal(semi.network.values, unsup.network.values)
         assert semi.max_train_error == unsup.max_train_error
 
     def test_ruad_unsupervised_smoke(self):
@@ -145,7 +143,7 @@ def constant_output_model(n, value, max_train_error=1.0):
     return mdl.TrainedModel(
         node_id="crafted",
         spec=mdl.ModelSpec(kind="dense", input_dim=n),
-        network=nn.NetworkParams.from_values([nn.DenseSpec(n, n, "relu")], values),
+        network=nn.NetworkParams([nn.DenseSpec(n, n, "relu")], values),
         scaler=identity_scaler(n),
         max_train_error=max_train_error,
         regime=mdl.REGIMES["DENSE_un"],
@@ -173,7 +171,7 @@ class TestScoreNodeModel:
         raw = np.array([[1.0, 4.0], [2.0, 6.0], [3.0, 5.0], [2.5, 4.5]])
         ds = build_dataset([0, 1, 0, 0], features=raw)
         spec = mdl.ModelSpec(kind="ruad", input_dim=2, window=2)
-        network = mdl.build_model(spec, seed=21)
+        network = nn.init_params(mdl.layer_specs(spec), seed=21)
         scaler = ScalerParams(minimum=np.array([1.0, 4.0]), maximum=np.array([3.0, 6.0]))
         model = mdl.TrainedModel(
             node_id="crafted",
@@ -341,7 +339,7 @@ def store_arrays(model):
     if isinstance(model, mdl.ClusterModel):
         return arrays + [("centroids", model.kmeans.centroids),
                          ("probabilities", model.kmeans.cluster_anomaly_prob)]
-    return arrays + model.network.param_items()
+    return arrays + list(layer_arrays(model.network).items())
 
 
 def resized(entry, change):
@@ -364,8 +362,8 @@ class TestStoreFormat:
             loaded = mdl.load_cluster_model(path)
         else:
             spec = mdl.ModelSpec(kind=kind, input_dim=4, window=3 if kind == "ruad" else 1)
-            network = mdl.build_model(spec, seed=3)
-            for _, array in network.param_items():
+            network = nn.init_params(mdl.layer_specs(spec), seed=3)
+            for array in layer_arrays(network).values():
                 array.flat[:4] = EDGE_VALUES
             model = mdl.TrainedModel("n0", spec, network, edge_scaler(), 5e-324,
                                      mdl.REGIMES["RUAD"], seed=3)
@@ -383,7 +381,8 @@ class TestStoreFormat:
 
     def test_stored_arrays_are_shape_and_little_endian_float64(self, tmp_path):
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
-        model = mdl.TrainedModel("n0", spec, mdl.build_model(spec, seed=1), edge_scaler(),
+        network = nn.init_params(mdl.layer_specs(spec), seed=1)
+        model = mdl.TrainedModel("n0", spec, network, edge_scaler(),
                                  1.0, mdl.REGIMES["DENSE_un"], seed=1)
         stored = json.loads(mdl.save_trained_model(tmp_path, "DENSE_un", model).read_text())
         values = model.network.values
@@ -414,7 +413,8 @@ class TestStoreFormat:
     )
     def test_damaged_trained_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
-        model = mdl.TrainedModel("n0", spec, mdl.build_model(spec, seed=1), edge_scaler(),
+        network = nn.init_params(mdl.layer_specs(spec), seed=1)
+        model = mdl.TrainedModel("n0", spec, network, edge_scaler(),
                                  1.0, mdl.REGIMES["DENSE_un"], seed=1)
         path = mdl.save_trained_model(tmp_path, "DENSE_un", model)
         stored = json.loads(path.read_text())

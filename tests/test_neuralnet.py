@@ -12,33 +12,30 @@ from nodewatch.pipeline import WindowSet
 
 
 def numeric_gradients(params, x, target, step=1e-5):
-    """Central finite differences of the MSE loss for every parameter."""
-    out = []
-    for layer in params.layers:
-        grads = {}
-        for name, arr in layer.param_items():
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                saved = arr[idx]
-                arr[idx] = saved + step
-                plus = nn.mse_loss(nn.forward(params, x)[0], target)
-                arr[idx] = saved - step
-                minus = nn.mse_loss(nn.forward(params, x)[0], target)
-                arr[idx] = saved
-                g[idx] = (plus - minus) / (2 * step)
-            grads[name] = g
-        out.append(grads)
-    return out
+    """Central finite differences of the MSE loss for every entry of
+    ``params.values``, as one vector laid out like it."""
+    values = params.values
+    grads = np.zeros_like(values)
+    for idx in range(values.size):
+        saved = values[idx]
+        values[idx] = saved + step
+        plus = nn.mse_loss(nn.forward(params, x)[0], target)
+        values[idx] = saved - step
+        minus = nn.mse_loss(nn.forward(params, x)[0], target)
+        values[idx] = saved
+        grads[idx] = (plus - minus) / (2 * step)
+    return grads
 
 
-def assert_gradients_match(analytic, numeric, rtol=1e-4, atol=1e-7):
-    for a_layer, n_layer in zip(analytic, numeric):
-        for name in a_layer:
-            npt.assert_allclose(
-                a_layer[name], n_layer[name], rtol=rtol, atol=atol, err_msg=name
-            )
+def layer_arrays(params):
+    """Every array of a network by '<layer index>.<field>', read from the
+    layer fields."""
+    arrays = {}
+    for i, layer in enumerate(params.layers):
+        names = ("weights", "bias") if isinstance(layer, nn.DenseLayer) else ("w", "u", "b")
+        for name in names:
+            arrays[f"{i}.{name}"] = getattr(layer, name)
+    return arrays
 
 
 def reference_lstm(layer, sequence):
@@ -81,9 +78,7 @@ class TestInit:
         specs = [nn.LstmSpec(3, 4, True), nn.LstmSpec(4, 2, False), nn.DenseSpec(2, 3)]
         a = nn.init_params(specs, seed=99)
         b = nn.init_params(specs, seed=99)
-        for (ka, va), (kb, vb) in zip(a.param_items(), b.param_items()):
-            assert ka == kb
-            npt.assert_array_equal(va, vb)
+        npt.assert_array_equal(a.values, b.values)
 
     def test_glorot_bound_over_many_draws(self):
         limit_w = np.sqrt(6.0 / (5 + 7))
@@ -213,9 +208,7 @@ class TestBackward:
         x = np.array([[[0.3, 0.7]]])
         out, caches = nn.forward(params, x)
         grads = nn.backward(params, caches, out)
-        for g in grads:
-            for arr in g.values():
-                npt.assert_array_equal(arr, 0.0)
+        npt.assert_array_equal(grads.values, 0.0)
 
     @pytest.mark.parametrize(
         "specs",
@@ -242,7 +235,7 @@ class TestBackward:
         _, caches = nn.forward(params, x)
         analytic = nn.backward(params, caches, target)
         numeric = numeric_gradients(params, x, target)
-        assert_gradients_match(analytic, numeric)
+        npt.assert_allclose(analytic.values, numeric, rtol=1e-4, atol=1e-7)
 
     def test_duplicated_batch_keeps_mean_gradient(self, rng):
         params = nn.init_params(
@@ -256,9 +249,25 @@ class TestBackward:
         doubled_t = np.concatenate([t, t])
         _, caches2 = nn.forward(params, doubled_x)
         double = nn.backward(params, caches2, doubled_t)
-        for g1, g2 in zip(single, double):
-            for name in g1:
-                npt.assert_allclose(g1[name], g2[name], atol=1e-12)
+        npt.assert_allclose(single.values, double.values, atol=1e-12)
+
+    def test_gradients_are_views_of_a_fresh_vector(self, rng):
+        specs = mdl.layer_specs(mdl.ModelSpec("ruad", 3, 3))
+        params = nn.init_params(specs, seed=7)
+        x = rng.normal(size=(2, 3, 3))
+        _, caches = nn.forward(params, x)
+        first = nn.backward(params, caches, rng.uniform(size=(2, 3)))
+        arrays = layer_arrays(first)
+        assert len(arrays) == 10
+        assert all(np.shares_memory(arr, first.values) for arr in arrays.values())
+        assert first.values.shape == params.values.shape
+        assert not np.shares_memory(first.values, params.values)
+        kept = first.values.copy()
+        _, caches = nn.forward(params, x)
+        second = nn.backward(params, caches, rng.uniform(size=(2, 3)))
+        assert not np.shares_memory(second.values, first.values)
+        npt.assert_array_equal(first.values, kept)  # the second call left it alone
+        assert not np.array_equal(second.values, kept)
 
 
 class TestAdam:
@@ -266,7 +275,7 @@ class TestAdam:
         params = nn.init_params([nn.DenseSpec(2, 2)], seed=0)
         before = copy.deepcopy(params)
         state = nn.init_adam(params)
-        grads = [{"weights": np.zeros((2, 2)), "bias": np.zeros(2)}]
+        grads = nn.NetworkParams(params.specs, np.zeros(6))
         nn.adam_step(params, grads, state)
         npt.assert_array_equal(params.layers[0].weights, before.layers[0].weights)
 
@@ -274,7 +283,7 @@ class TestAdam:
         params = nn.init_params([nn.DenseSpec(1, 1)], seed=0)
         before = params.layers[0].weights.copy()
         state = nn.init_adam(params, learning_rate=1e-3)
-        grads = [{"weights": np.array([[0.37]]), "bias": np.array([-2.1])}]
+        grads = nn.NetworkParams(params.specs, np.array([0.37, -2.1]))  # weights, then bias
         nn.adam_step(params, grads, state)
         npt.assert_allclose(
             params.layers[0].weights, before - 1e-3 * np.sign(0.37), rtol=1e-6
@@ -291,22 +300,20 @@ class TestAdam:
         params = nn.init_params(specs, seed=6)
         lr = 1e-2
         state = nn.init_adam(params, learning_rate=lr)
-        ref = {key: arr.copy() for key, arr in params.param_items()}
+        ref = {key: arr.copy() for key, arr in layer_arrays(params).items()}
         m = {key: np.zeros_like(arr) for key, arr in ref.items()}
         v = {key: np.zeros_like(arr) for key, arr in ref.items()}
         for t in range(1, 6):
             _, caches = nn.forward(params, rng.normal(size=(4, 3, 3)))
             grads = nn.backward(params, caches, rng.uniform(size=(4, 3)))
             nn.adam_step(params, grads, state)
-            for i, layer_grads in enumerate(grads):
-                for name, g in layer_grads.items():
-                    key = f"{i}.{name}"
-                    m[key] = m[key] * nn.ADAM_BETA1 + (1.0 - nn.ADAM_BETA1) * g
-                    v[key] = v[key] * nn.ADAM_BETA2 + (1.0 - nn.ADAM_BETA2) * (g * g)
-                    m_hat = m[key] / (1.0 - nn.ADAM_BETA1**t)
-                    v_hat = v[key] / (1.0 - nn.ADAM_BETA2**t)
-                    ref[key] -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
-            for key, arr in params.param_items():
+            for key, g in layer_arrays(grads).items():
+                m[key] = m[key] * nn.ADAM_BETA1 + (1.0 - nn.ADAM_BETA1) * g
+                v[key] = v[key] * nn.ADAM_BETA2 + (1.0 - nn.ADAM_BETA2) * (g * g)
+                m_hat = m[key] / (1.0 - nn.ADAM_BETA1**t)
+                v_hat = v[key] / (1.0 - nn.ADAM_BETA2**t)
+                ref[key] -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
+            for key, arr in layer_arrays(params).items():
                 npt.assert_array_equal(arr, ref[key], err_msg=f"step {t}, {key}")
 
     def test_converges_on_scalar_quadratic(self):
@@ -317,7 +324,7 @@ class TestAdam:
         target = 0.6
         for _ in range(200):
             w = params.layers[0].weights[0, 0]
-            grads = [{"weights": np.array([[2 * (w - target)]]), "bias": np.zeros(1)}]
+            grads = nn.NetworkParams(params.specs, np.array([2 * (w - target), 0.0]))
             nn.adam_step(params, grads, state)
         assert abs(params.layers[0].weights[0, 0] - target) < 1e-2
 
@@ -400,7 +407,7 @@ class TestTraining:
         specs = mdl.layer_specs(mdl.ModelSpec("ruad", 3, 3))
         trained, history = nn.train_autoencoder(nn.init_params(specs, 0), windows, cfg)
         assert np.argmin(history) < len(history) - 1  # the restore undoes later epochs
-        rebuilt = nn.NetworkParams.from_values(specs, trained.values.copy())
+        rebuilt = nn.NetworkParams(specs, trained.values.copy())
         npt.assert_array_equal(
             nn.forward(trained, windows.sequences)[0], nn.forward(rebuilt, windows.sequences)[0]
         )
@@ -413,7 +420,7 @@ class TestParameterVector:
         params = nn.init_params(specs, seed=2)
         values = params.values
         assert values.shape == (nn.parameter_count(specs),) and values.dtype == np.float64
-        arrays = [arr for _, arr in params.param_items()]
+        arrays = list(layer_arrays(params).values())
         assert all(np.shares_memory(arr, values) for arr in arrays)
         assert sum(arr.size for arr in arrays) == values.size
         # numbering every slot shows each array is the next run of values, in order
@@ -438,9 +445,7 @@ class TestSerialization:
         ]
         params = nn.init_params(specs, seed=8)
         stored = json.loads(json.dumps(params.values.tolist()))
-        clone = nn.NetworkParams.from_values(specs, np.array(stored))
-        for (ka, va), (kb, vb) in zip(params.param_items(), clone.param_items()):
-            assert ka == kb
-            npt.assert_array_equal(va, vb)
+        clone = nn.NetworkParams(specs, np.array(stored))
+        npt.assert_array_equal(clone.values, params.values)
         x = rng.normal(size=(2, 4, 3))
         npt.assert_array_equal(nn.forward(params, x)[0], nn.forward(clone, x)[0])

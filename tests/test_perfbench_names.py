@@ -1,14 +1,16 @@
 """The names the benchmark in ``perfbench/`` reaches in nodewatch still exist.
 
-perfbench wraps functions by name, and its output checks call the model
-loaders and read attributes of what they return, so a rename or a narrowed
-type that would make a benchmark run fail fails here first. This test only
-reads ``perfbench/``.
+perfbench wraps functions by name, its tracer binds some of their
+arguments by name, and its output checks call the model loaders and read
+attributes of what they return, so a rename or a narrowed type that would
+make a benchmark run fail fails here first. This test only reads
+``perfbench/``.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -42,6 +44,16 @@ ATTRIBUTES = [
 ]
 
 
+# arguments the tracer's attribute readers bind by name: (module, function, names)
+ARGUMENTS = [
+    ("telemetry", "NodeDataset.from_csv", ("path",)),
+    ("telemetry", "NodeDataset.to_csv", ("path",)),
+    ("neuralnet", "forward", ("params", "x")),
+    ("baselines", "kmeans_fit", ("rows", "k", "seed")),
+    ("cli", "cmd_train", ("cfg",)),
+]
+
+
 def tracer_targets():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -53,13 +65,16 @@ def tracer_targets():
     return [(module, attr_path) for module, attr_path, _ in tracer.TARGETS]
 
 
-def resolves(module, attr_path):
+def lookup(module, attr_path):
+    """The attribute ``attr_path`` names in ``nodewatch.<module>``, or None."""
     target = importlib.import_module(f"nodewatch.{module}")
     for part in attr_path.split("."):
-        if not hasattr(target, part):
-            return False
-        target = getattr(target, part)
-    return True
+        target = getattr(target, part, None)
+    return target
+
+
+def resolves(module, attr_path):
+    return lookup(module, attr_path) is not None
 
 
 def is_attribute(module, cls_name, attr):
@@ -78,4 +93,14 @@ def test_every_benchmark_name_resolves():
 
 def test_every_attribute_read_on_results_resolves():
     missing = [f"{m}.{c}.{a}" for m, c, a in ATTRIBUTES if not is_attribute(m, c, a)]
+    assert missing == []
+
+
+def test_every_argument_the_tracer_binds_is_a_parameter():
+    missing = [
+        f"{m}.{f}({name})"
+        for m, f, names in ARGUMENTS
+        for name in names
+        if name not in inspect.signature(lookup(m, f)).parameters
+    ]
     assert missing == []
