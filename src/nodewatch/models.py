@@ -56,7 +56,10 @@ ENCODER_DIM = 16
 LATENT_DIM = 8
 DECODER_DIM = 16
 
+# windows per scoring chunk: a recurrent chunk's caches grow with W and its errors are the same
+# bits at any chunk size; dense errors depend on the chunk's row count through the BLAS path
 SCORE_BATCH = 512
+RECURRENT_SCORE_BATCH = 128
 
 # keeps the error normalizer positive when a model reconstructs its training set exactly
 MAX_ERROR_FLOOR = 1e-12
@@ -138,12 +141,13 @@ class TrainedModel:
 
 
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
-    """Per-window L1 error between reconstruction and target, batched."""
-    errors = np.empty(len(windows))
-    for lo in range(0, len(windows), SCORE_BATCH):
-        hi = min(lo + SCORE_BATCH, len(windows))
-        out, _ = nn.forward(params, windows.sequences[lo:hi])
-        errors[lo:hi] = np.abs(out - windows.targets[lo:hi]).sum(axis=1)
+    """Per-window L1 error between reconstruction and target, in chunks
+    gathered from the rows."""
+    errors, targets = np.empty(len(windows)), windows.targets
+    chunk = SCORE_BATCH if windows.window_length == 1 else RECURRENT_SCORE_BATCH
+    for lo in range(0, len(windows), chunk):
+        out = nn.forward(params, windows.gather(slice(lo, lo + chunk)))[0]
+        errors[lo : lo + chunk] = np.abs(out - targets[lo : lo + chunk]).sum(axis=1)
     return errors
 
 

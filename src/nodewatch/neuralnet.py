@@ -394,7 +394,7 @@ IMPROVEMENT_THRESHOLD = 1e-6
 def train_autoencoder(
     params: NetworkParams, windows, cfg: TrainingConfig
 ) -> tuple[NetworkParams, list[float]]:
-    """Mini-batch training against each window's final row.
+    """Mini-batch training against each window's final row, gathering each batch's windows.
 
     Shuffles windows every epoch with the seeded generator, stops early when
     the epoch loss has not improved by more than 1e-6 for
@@ -402,9 +402,8 @@ def train_autoencoder(
     in place to the parameters of the best (lowest-loss) epoch, together
     with the loss history.
     """
-    sequences = np.asarray(windows.sequences, dtype=np.float64)
-    targets = np.asarray(windows.targets, dtype=np.float64)
-    count = len(sequences)
+    targets = windows.targets
+    count = len(windows)
     if count == 0:
         raise DataError("cannot train on an empty window set")
 
@@ -422,7 +421,7 @@ def train_autoencoder(
             # shuffling decides batch membership only; a canonical in-batch
             # order keeps float accumulation (and thus runs) bit-stable
             idx = np.sort(order[lo : lo + cfg.batch_size])
-            out, caches = forward(params, sequences[idx])
+            out, caches = forward(params, windows.gather(idx))
             loss = mse_loss(out, targets[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged: loss became {loss}")

@@ -42,23 +42,30 @@ class ScalerParams:
 
 @dataclass
 class WindowSet:
-    """Sliding windows of length W whose final row is the target.
+    """Sliding windows of W rows whose final row is the target.
 
-    ``sequences`` is (K, W, N); labels and bucket starts are those of the
-    target timestep.
+    ``rows`` is the scaled (L, N) feature matrix itself, not a copy; ``ends`` indexes
+    the rows that end a window, and :meth:`gather` builds any batch of windows on
+    demand, so memory stays O(L * N) for any W. Labels and bucket starts are the target's.
     """
 
-    sequences: np.ndarray
+    rows: np.ndarray
+    ends: np.ndarray
+    window_length: int
     target_labels: np.ndarray
     target_bucket_starts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.ends)
 
     @property
     def targets(self) -> np.ndarray:
-        """(K, N): the last row of each sequence."""
-        return self.sequences[:, -1]
+        """(K, N): the last row of each window."""
+        return self.rows[self.ends]
+
+    def gather(self, index: slice | np.ndarray) -> np.ndarray:
+        """(B, W, N): the windows ``index`` picks, in its order."""
+        return self.rows[self.ends[index, None] + np.arange(1 - self.window_length, 1)]
 
 
 @dataclass
@@ -153,18 +160,22 @@ def make_windows(dataset: NodeDataset, window_length: int) -> WindowSet:
 
     A gap-free run of length L contributes max(0, L - W + 1) windows, for
     W >= 1 as ``ModelSpec`` admits. The target of a window is its final row,
-    labelled by that row's label.
+    labelled by that row's label. A window that holds a non-finite row is a
+    DataError; a row that no window covers is not checked.
     """
     run_start = np.zeros(len(dataset), dtype=np.intp)
     for run in time_consistency_segments(dataset):
         run_start[run] = run.start
     # rows that end a full window
     ends = np.flatnonzero(np.arange(len(dataset)) - run_start >= window_length - 1)
-    sequences = dataset.features[ends[:, None] + np.arange(1 - window_length, 1)]
-    if not np.all(np.isfinite(sequences)):
+    # bad[i] counts the non-finite rows before row i
+    bad = np.concatenate([[0], np.cumsum(~np.isfinite(dataset.features).all(axis=1))])
+    if np.any(bad[ends + 1] > bad[ends + 1 - window_length]):
         raise DataError("windows contain non-finite values")
     return WindowSet(
-        sequences=sequences,
+        rows=dataset.features,
+        ends=ends,
+        window_length=window_length,
         target_labels=dataset.labels[ends],
         target_bucket_starts=dataset.bucket_starts[ends],
     )

@@ -97,7 +97,7 @@ class NodeDataset:
         """
         path = Path(path)
         try:
-            fh = open(path, "r", newline="", encoding="utf-8")
+            fh = open(path, "r", newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"{path}: cannot read the dataset file ({exc.strerror})") from None
         with fh:

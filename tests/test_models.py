@@ -1,6 +1,7 @@
 import base64
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
 from nodewatch.baselines import KMeansModel
 from nodewatch.errors import DataError
-from nodewatch.pipeline import ScalerParams, apply_minmax, chronological_split
+from nodewatch.pipeline import ScalerParams, apply_minmax, chronological_split, make_windows
 from nodewatch.neuralnet import TrainingConfig
 
 from conftest import build_dataset
@@ -242,6 +243,45 @@ class TestScoreNodeModel:
         model = constant_output_model(3, 0.5)
         with pytest.raises(DataError, match="features"):
             mdl.score_node_model(model, ds)
+
+
+def random_windows(rng, count, w, n):
+    """make_windows over uniform rows that hold exactly ``count`` windows."""
+    rows = rng.uniform(size=(count + w - 1, n))
+    return make_windows(build_dataset(np.zeros(len(rows)), features=rows), w)
+
+
+class TestReconstructionErrors:
+    @pytest.mark.parametrize("w", [5, 40])
+    def test_recurrent_chunks_equal_one_pass_bit_for_bit(self, rng, w):
+        windows = random_windows(rng, 2 * mdl.RECURRENT_SCORE_BATCH + 37, w, 32)
+        params = nn.init_params(mdl.layer_specs(mdl.ModelSpec("ruad", 32, w)), seed=4)
+        out, _ = nn.forward(params, windows.gather(slice(None)))
+        expected = np.abs(out - windows.targets).sum(axis=1)
+        npt.assert_array_equal(mdl.reconstruction_errors(params, windows), expected)
+
+    def test_dense_errors_equal_those_of_512_window_chunks(self, rng):
+        # a dense layer's bits depend on the chunk's row count: one pass differs here
+        windows = random_windows(rng, 2 * 512 + 37, 1, 32)
+        params = nn.init_params(mdl.layer_specs(mdl.ModelSpec("dense", 32)), seed=4)
+        rows = windows.targets
+        expected = np.concatenate([
+            np.abs(nn.forward(params, rows[lo : lo + 512, None])[0] - rows[lo : lo + 512]).sum(axis=1)
+            for lo in range(0, len(rows), 512)
+        ])
+        npt.assert_array_equal(mdl.reconstruction_errors(params, windows), expected)
+
+    def test_ruad_w40_training_peak_stays_under_16_mb(self, rng):
+        ds = build_dataset(np.zeros(2000), features=rng.uniform(size=(2000, 64)))
+        spec = mdl.ModelSpec(kind="ruad", input_dim=64, window=40)
+        tracemalloc.start()
+        try:
+            mdl.train_node_model(ds, spec, mdl.REGIMES["RUAD"], training_config(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 1561 training windows copied as one (K, W, N) array would take 32 MB
+        assert peak < 16 * 2**20
 
 
 class TestBaselineRunners:

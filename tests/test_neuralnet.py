@@ -8,7 +8,9 @@ import pytest
 from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
 from nodewatch.errors import DataError, TrainingError
-from nodewatch.pipeline import WindowSet
+from nodewatch.pipeline import make_windows
+
+from conftest import build_dataset
 
 
 def numeric_gradients(params, x, target, step=1e-5):
@@ -63,14 +65,10 @@ def reference_lstm(layer, sequence):
     return np.array(outputs)
 
 
-def windows_from_arrays(sequences):
-    """A WindowSet over (K, W, N) sequences; each target is the last row."""
-    k = len(sequences)
-    return WindowSet(
-        sequences=sequences,
-        target_labels=np.zeros(k, dtype=np.int64),
-        target_bucket_starts=np.arange(k) * 900,
-    )
+def windows_over_rows(rows, w):
+    """Every window of W consecutive rows of an (L, N) array, gathered on
+    demand by make_windows; each target is the window's last row."""
+    return make_windows(build_dataset(np.zeros(len(rows)), features=rows), w)
 
 
 class TestInit:
@@ -334,8 +332,10 @@ class TestTraining:
         t = np.arange(count + w)
         base = 0.5 + 0.4 * np.sin(2 * np.pi * t / 24.0)
         rows = np.stack([base * (0.5 + 0.2 * j) for j in range(n)], axis=1)
-        sequences = np.stack([rows[i : i + w] for i in range(count)])
-        return windows_from_arrays(sequences)
+        # the first count + w - 1 rows hold exactly count windows
+        windows = windows_over_rows(rows[: count + w - 1], w)
+        assert len(windows) == count
+        return windows
 
     def test_overfits_noiseless_sinusoid(self):
         windows = self.sinusoid_windows()
@@ -371,7 +371,7 @@ class TestTraining:
         assert len(set(history)) == 1
 
     def test_empty_window_set_rejected(self):
-        empty = windows_from_arrays(np.empty((0, 5, 3)))
+        empty = windows_over_rows(np.zeros((4, 3)), 5)
         cfg = nn.TrainingConfig(seed=0)
         params = nn.init_params([nn.DenseSpec(3, 3)], seed=0)
         with pytest.raises(DataError, match="empty window set|empty"):
@@ -392,7 +392,7 @@ class TestTraining:
         cfg = nn.TrainingConfig(max_epochs=30, early_stop_patience=30, seed=5)
         specs = [nn.DenseSpec(3, 2, "relu"), nn.DenseSpec(2, 3, "sigmoid")]
         trained, history = nn.train_autoencoder(nn.init_params(specs, 5), windows, cfg)
-        out, _ = nn.forward(trained, windows.sequences)
+        out, _ = nn.forward(trained, windows.gather(slice(None)))
         final_loss = nn.mse_loss(out, windows.targets)
         # the returned parameters come from the end of the best epoch, whose
         # full-set loss cannot be worse than the best running epoch mean by
@@ -408,9 +408,8 @@ class TestTraining:
         trained, history = nn.train_autoencoder(nn.init_params(specs, 0), windows, cfg)
         assert np.argmin(history) < len(history) - 1  # the restore undoes later epochs
         rebuilt = nn.NetworkParams(specs, trained.values.copy())
-        npt.assert_array_equal(
-            nn.forward(trained, windows.sequences)[0], nn.forward(rebuilt, windows.sequences)[0]
-        )
+        every = windows.gather(slice(None))
+        npt.assert_array_equal(nn.forward(trained, every)[0], nn.forward(rebuilt, every)[0])
 
 
 class TestParameterVector:

@@ -172,7 +172,7 @@ class TestWindowing:
 
     def test_short_segment_dropped(self):
         windows = make_windows(build_dataset([0] * 4, n_features=3), 5)
-        assert windows.sequences.shape == (0, 5, 3)
+        assert windows.gather(slice(None)).shape == (0, 5, 3)
         assert windows.targets.shape == (0, 3)
 
     def test_counts_add_over_segments(self):
@@ -204,7 +204,8 @@ class TestWindowing:
             )
             for w in (1, 2, 5, 10, 20):
                 windows = make_windows(ds, w)
-                npt.assert_array_equal(windows.sequences, sliding_windows_per_run(ds, w))
+                every = windows.gather(np.arange(len(windows)))
+                npt.assert_array_equal(every, sliding_windows_per_run(ds, w))
                 # each target is a row of the dataset, with its own bucket and label
                 rows = np.searchsorted(ds.bucket_starts, windows.target_bucket_starts)
                 npt.assert_array_equal(windows.targets, ds.features[rows])
@@ -222,7 +223,36 @@ class TestWindowing:
         ds = build_dataset([0, 1, 0], bucket_starts=[0, 1800, 3600])  # all gaps
         windows = make_windows(ds, 1)
         assert len(windows) == 3
-        npt.assert_array_equal(windows.sequences[:, 0, :], ds.features)
+        npt.assert_array_equal(windows.gather(slice(None))[:, 0, :], ds.features)
+
+    def test_windows_share_the_scaled_rows(self, rng):
+        train = build_dataset([0] * 30, features=rng.normal(size=(30, 4)))
+        scaled = apply_minmax(fit_minmax(train), train)
+        windows = make_windows(scaled, 10)
+        assert np.shares_memory(windows.rows, scaled.features)
+        npt.assert_array_equal(windows.gather(np.array([2, 0]))[:, -1], scaled.features[[11, 9]])
+
+    def test_overflow_in_a_covered_test_row_is_a_data_error(self):
+        train = build_dataset([0] * 6, features=np.linspace(0.0, 0.5, 12).reshape(6, 2))
+        test = build_dataset([0] * 8, features=np.full((8, 2), 0.25))
+        test.features[5, 1] = 1e308  # / a span of 0.5 overflows to inf
+        with np.errstate(over="ignore"):
+            scaled = apply_minmax(fit_minmax(train), test)
+        assert np.isinf(scaled.features[5, 1])
+        for w in (1, 3, 8):
+            with pytest.raises(DataError, match="non-finite"):
+                make_windows(scaled, w)
+
+    def test_non_finite_row_no_window_covers_is_not_checked(self):
+        # runs of 2 and 6 rows: W=3 covers only the second run
+        ds = build_dataset([0] * 8, bucket_starts=[0, 900, *range(9000, 14400, 900)])
+        ds.features[1, 0] = np.inf
+        ds.features[0, 1] = np.nan
+        windows = make_windows(ds, 3)
+        assert len(windows) == 4
+        assert np.isfinite(windows.gather(slice(None))).all()
+        with pytest.raises(DataError, match="non-finite"):
+            make_windows(ds, 2)
 
     def test_invalid_window_length(self):
         # make_windows takes W from a ModelSpec, which refuses W < 1

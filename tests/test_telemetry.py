@@ -41,6 +41,18 @@ class TestCsvInterfaces:
         npt.assert_array_equal(back.labels, ds.labels)
         npt.assert_array_equal(back.features, ds.features)
 
+    def test_leading_byte_order_mark_is_read_past(self, tmp_path):
+        # spreadsheet exports start a UTF-8 file with EF BB BF
+        text = "bucket_start,label,a_avg,b_avg\r\n0,0,0.5,1.0\r\n900,1,0.25,2.0\r\n"
+        (tmp_path / "plain.csv").write_bytes(text.encode("utf-8"))
+        (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        plain = NodeDataset.from_csv(tmp_path / "plain.csv")
+        marked = NodeDataset.from_csv(tmp_path / "marked.csv")
+        assert marked.feature_names == plain.feature_names == ["a_avg", "b_avg"]
+        npt.assert_array_equal(marked.bucket_starts, plain.bucket_starts)
+        npt.assert_array_equal(marked.labels, plain.labels)
+        npt.assert_array_equal(marked.features, plain.features)
+
     def test_to_csv_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(5)
         ds = NodeDataset(
