@@ -18,19 +18,9 @@ __version__ = "0.1.0"
 # Where each public name lives. A name is imported on first access
 # (PEP 562), so ``import nodewatch`` itself loads no numpy.
 _HOMES = {
-    "KMeansModel": "baselines",
     "METHODS": "methods",
-    "ModelSpec": "models",
-    "NetworkParams": "neuralnet",
     "NodeDataset": "telemetry",
-    "Regime": "models",
-    "RocReport": "scoring",
-    "ScalerParams": "pipeline",
-    "ScoreSeries": "scoring",
-    "SynthConfig": "synthgen",
-    "TrainedModel": "models",
     "TrainingConfig": "methods",
-    "WindowSet": "pipeline",
 }
 
 __all__ = [*_HOMES, "__version__"]

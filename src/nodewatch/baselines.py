@@ -53,13 +53,6 @@ class KMeansModel:
         if not np.all((self.cluster_anomaly_prob >= 0) & (self.cluster_anomaly_prob <= 1)):
             raise DataError("cluster anomaly probabilities must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KMeansModel":
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # exponential smoothing
@@ -83,22 +76,25 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
     value, and the prediction for time t is the estimate built from values
     through t-1 only. Raw errors (summed per-feature absolute deviations)
     are normalized by the maximum error over the whole scored series; the
-    first point of every segment scores 0.
+    first point of every segment scores 0. A scaled value that overflowed
+    to inf gives non-finite probabilities, which ``ScoreSeries`` refuses,
+    without a warning on the way.
     """
     raw = np.zeros(len(series))
-    for run in time_consistency_segments(series):
-        rows = series.features[run]
-        estimate = rows[0]
-        for t in range(1, len(rows)):
-            raw[run.start + t] = np.abs(estimate - rows[t]).sum()
-            estimate = alpha * rows[t] + (1.0 - alpha) * estimate
-    peak = raw.max(initial=0.0)
-    return ScoreSeries(
-        node_id=series.node_id,
-        bucket_starts=series.bucket_starts,
-        probabilities=anomaly_probability(raw / peak if peak > 0 else raw),
-        labels=series.labels,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in time_consistency_segments(series):
+            rows = series.features[run]
+            estimate = rows[0]
+            for t in range(1, len(rows)):
+                raw[run.start + t] = np.abs(estimate - rows[t]).sum()
+                estimate = alpha * rows[t] + (1.0 - alpha) * estimate
+        peak = raw.max(initial=0.0)
+        return ScoreSeries(
+            node_id=series.node_id,
+            bucket_starts=series.bucket_starts,
+            probabilities=anomaly_probability(raw / peak if peak > 0 else raw),
+            labels=series.labels,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +263,8 @@ def select_k(
             f"no feasible k in {list(k_range)} for {distinct} distinct rows"
         )
     rng = np.random.default_rng(seed)
-    if len(rows) > SILHOUETTE_SAMPLE_CAP:
-        sample_idx = np.sort(
-            rng.choice(len(rows), size=SILHOUETTE_SAMPLE_CAP, replace=False)
-        )
-    else:
-        sample_idx = np.arange(len(rows))
-
-    sample = rows[sample_idx]
+    n = len(rows)
+    sample = rows[np.sort(rng.choice(n, size=min(n, SILHOUETTE_SAMPLE_CAP), replace=False))]
     dist = _pairwise_distances(sample, sample)
 
     best_k, best_centroids, best_score = None, None, -np.inf
@@ -306,5 +296,7 @@ def cluster_anomaly_probabilities(
 def kmeans_score(model: KMeansModel, rows: np.ndarray) -> np.ndarray:
     """Anomaly probability of each (M, N) row's nearest centroid (ties:
     lowest id). The rows come scaled by the model's own scaler, whose width
-    the loader matched to the centroids'."""
-    return model.cluster_anomaly_prob[assign_clusters(rows, model.centroids)]
+    the loader matched to the centroids'. A row whose squared distances
+    overflow is at inf from every centroid, so it ties: no warning."""
+    with np.errstate(over="ignore"):
+        return model.cluster_anomaly_prob[assign_clusters(rows, model.centroids)]

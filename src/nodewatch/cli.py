@@ -48,6 +48,10 @@ class RunConfig:
         for key in ("nodes", "methods"):
             if getattr(self, key) == []:
                 raise ConfigError(f"{key} list is empty")
+        # a node's id is the stem of its file in data_dir
+        bad = [n for n in self.nodes or [] if Path(f"{n}.csv").stem != n]
+        if bad:
+            raise ConfigError(f"nodes {bad} are not file names in data_dir")
         needs_windows = any(m in WINDOWED_METHODS for m in self.methods)
         if needs_windows and not self.windows:
             raise ConfigError("windowed methods requested but windows list is empty")
@@ -89,7 +93,7 @@ def _discover_nodes(cfg: RunConfig) -> list[str]:
 def _load_dataset(cfg: RunConfig, node_id: str):
     from .telemetry import NodeDataset
 
-    return NodeDataset.from_csv(Path(cfg.data_dir) / f"{node_id}.csv", node_id=node_id)
+    return NodeDataset.from_csv(Path(cfg.data_dir) / f"{node_id}.csv")
 
 
 # ---------------------------------------------------------------------------

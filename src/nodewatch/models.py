@@ -264,7 +264,10 @@ def train_clu_model(
 
 
 def score_clu_model(model: ClusterModel, test: NodeDataset) -> ScoreSeries:
+    """Each test row's nearest-cluster rate; a row that overflowed when scaled is a DataError."""
     scaled = apply_minmax(model.scaler, test)
+    if not np.isfinite(scaled.features).all():
+        raise DataError("scaled test rows contain non-finite values")
     return ScoreSeries(
         node_id=test.node_id,
         bucket_starts=test.bucket_starts,
@@ -356,7 +359,7 @@ def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) ->
             "regime": asdict(model.regime),
             "seed": model.seed,
             "max_train_error": model.max_train_error,
-            "scaler": model.scaler.to_dict(),
+            "scaler": {"min": model.scaler.minimum, "max": model.scaler.maximum},
             "network": model.network.values,
             "training": model.training,
         },
@@ -396,7 +399,7 @@ def load_trained_model(path: str | Path) -> TrainedModel:
     with _reading_store(path):
         d = _read_store(path)
         spec = _from_stored(ModelSpec, d["model_spec"], "model_spec")
-        scaler = ScalerParams.from_dict(d["scaler"])
+        scaler = ScalerParams(d["scaler"]["min"], d["scaler"]["max"])
         if scaler.minimum.shape != (spec.input_dim,):
             raise DataError(
                 f"scaler has shape {scaler.minimum.shape}, model_spec gives ({spec.input_dim},)"
@@ -427,8 +430,8 @@ def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) ->
             "name": name,
             "node_id": model.node_id,
             "seed": model.seed,
-            "scaler": model.scaler.to_dict(),
-            "kmeans": model.kmeans.to_dict(),
+            "scaler": {"min": model.scaler.minimum, "max": model.scaler.maximum},
+            "kmeans": asdict(model.kmeans),
         },
     )
     return path
@@ -437,8 +440,8 @@ def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) ->
 def load_cluster_model(path: str | Path) -> ClusterModel:
     with _reading_store(path):
         d = _read_store(path)
-        scaler = ScalerParams.from_dict(d["scaler"])
-        kmeans = KMeansModel.from_dict(d["kmeans"])
+        scaler = ScalerParams(d["scaler"]["min"], d["scaler"]["max"])
+        kmeans = _from_stored(KMeansModel, d["kmeans"], "kmeans")
         if kmeans.centroids.shape[1:] != scaler.minimum.shape:
             raise DataError(
                 f"centroids have {kmeans.centroids.shape[1]} columns, the scaler "

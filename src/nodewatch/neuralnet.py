@@ -183,22 +183,12 @@ def _dense_backward(
     return d_pre @ layer.weights if input_grad else None
 
 
-def _batch_first(a: np.ndarray) -> np.ndarray:
-    """A step-major (W, F, B) buffer as a batch-first (B, W, F) view."""
-    return a.transpose(2, 0, 1)
-
-
-def _step_major(a: np.ndarray) -> np.ndarray:
-    """A batch-first (B, W, F) array as a step-major (W, F, B) view."""
-    return a.transpose(1, 2, 0)
-
-
 def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the recurrence over a (B, W, N) batch.
 
     The buffers are step-major, (W, features, B), so every step and every
-    gate within it is a contiguous block; the cache holds them as
-    batch-first views. All four gates are activated by one tanh per step:
+    gate within it is a contiguous block, and the cache holds them as they
+    are built. All four gates are activated by one tanh per step:
     the sigmoid gates' pre-activations are halved (an exact scaling, folded
     into the weights) and sigmoid(a) = 0.5 * (1 + tanh(a / 2)).
     """
@@ -206,7 +196,7 @@ def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     h_dim = layer.hidden_dim
     scale = np.full((4 * h_dim, 1), 0.5)  # the sigmoid gates' rows
     scale[3 * h_dim :] = 1.0
-    x = np.ascontiguousarray(_step_major(x))  # (W, N, B)
+    x = np.ascontiguousarray(x.transpose(1, 2, 0))  # (W, N, B)
 
     gates = np.matmul(layer.w * scale, x)  # (W, 4H, B), bias added below
     gates += layer.b[:, None] * scale
@@ -234,14 +224,8 @@ def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
         np.tanh(c, out=tanh_c[t])
         np.multiply(o, tanh_c[t], out=hidden[t + 1])
 
-    out = _batch_first(hidden[1:]) if layer.return_sequence else hidden[-1].T
-    cache = {
-        "x": _batch_first(x),
-        "gates": _batch_first(gates),
-        "cells": _batch_first(cells),
-        "hidden": _batch_first(hidden),
-        "tanh_c": _batch_first(tanh_c),
-    }
+    out = hidden[1:].transpose(2, 0, 1) if layer.return_sequence else hidden[-1].T
+    cache = {"x": x, "gates": gates, "cells": cells, "hidden": hidden, "tanh_c": tanh_c}
     return out, cache
 
 
@@ -257,7 +241,7 @@ def _lstm_backward(
     ``input_grad``.
     """
     x, gates, cells, hidden, tanh_c = (
-        _step_major(cache[k]) for k in ("x", "gates", "cells", "hidden", "tanh_c")
+        cache[k] for k in ("x", "gates", "cells", "hidden", "tanh_c")
     )
     steps, _, batch = x.shape
     h_dim = layer.hidden_dim
@@ -278,7 +262,7 @@ def _lstm_backward(
     u_transposed = np.ascontiguousarray(layer.u.T)
 
     d_all = np.empty((steps, 4, h_dim, batch))
-    d_seq = _step_major(d_out) if layer.return_sequence else None
+    d_seq = d_out.transpose(1, 2, 0) if layer.return_sequence else None
     dh = np.zeros((h_dim, batch)) if layer.return_sequence else np.array(d_out.T)
     dc = np.zeros((h_dim, batch))
     dc_step = np.empty((h_dim, batch))
@@ -299,7 +283,7 @@ def _lstm_backward(
     d_all.sum(axis=0).sum(axis=1, out=grad.b)
     if not input_grad:
         return None
-    return _batch_first(np.matmul(np.ascontiguousarray(layer.w.T), d_all))
+    return np.matmul(np.ascontiguousarray(layer.w.T), d_all).transpose(2, 0, 1)
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:

@@ -32,13 +32,6 @@ class ScalerParams:
         if np.any(self.minimum > self.maximum):
             raise DataError("scaler has min > max for some feature")
 
-    def to_dict(self) -> dict:
-        return {"min": self.minimum, "max": self.maximum}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(d["min"], d["max"])
-
 
 @dataclass
 class WindowSet:
@@ -102,8 +95,6 @@ def semi_supervised_filter(dataset: NodeDataset) -> NodeDataset:
         raise DataError(
             f"{dataset.node_id}: semi-supervised filter removed every row"
         )
-    if np.all(keep):
-        return dataset
     return dataset.take(np.flatnonzero(keep))
 
 
@@ -126,7 +117,8 @@ def apply_minmax(params: ScalerParams, dataset: NodeDataset) -> NodeDataset:
 
     Test values outside the training range deliberately land outside [0, 1]:
     out-of-range readings are themselves anomaly evidence. Constant features
-    (max == min) map to 0.0.
+    (max == min) map to 0.0. A value too far out overflows to inf without a
+    warning; the detectors refuse it.
     """
     if len(params.minimum) != dataset.feature_count:
         raise DataError(
@@ -135,10 +127,9 @@ def apply_minmax(params: ScalerParams, dataset: NodeDataset) -> NodeDataset:
         )
     span = params.maximum - params.minimum
     scaled = np.zeros_like(dataset.features)
-    nonzero = span > 0
-    scaled[:, nonzero] = (dataset.features[:, nonzero] - params.minimum[nonzero]) / span[
-        nonzero
-    ]
+    cols = span > 0
+    with np.errstate(over="ignore"):
+        scaled[:, cols] = (dataset.features[:, cols] - params.minimum[cols]) / span[cols]
     return NodeDataset(
         node_id=dataset.node_id,
         bucket_starts=dataset.bucket_starts,

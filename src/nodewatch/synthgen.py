@@ -69,77 +69,47 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class AnomalySignature:
-    """One injected fault: what it does, where and how hard; the interval it
-    covers is given alongside it.
+class InjectedAnomaly:
+    """One injected fault: rows [start, end), its kind, the metrics it
+    touches and how hard.
 
     ``magnitude`` is kind-specific: the additive offset for level shifts,
     the replay distance in buckets for correlation breaks, and the sampling
     pool length in buckets for temporal disruptions.
     """
 
+    start: int  # bucket index, inclusive
+    end: int  # bucket index, exclusive
     kind: str
     metrics: tuple[int, ...]
     magnitude: float
 
 
-@dataclass(frozen=True)
-class InjectedAnomaly:
-    start: int  # bucket index, inclusive
-    end: int  # bucket index, exclusive
-    signature: AnomalySignature
-
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "kind": self.signature.kind,
-            "metrics": [int(m) for m in self.signature.metrics],
-            "magnitude": self.signature.magnitude,
-        }
-
-
-def _metric_columns(metric: int) -> slice:
-    return slice(4 * metric, 4 * metric + 4)
-
-
 def inject_anomaly(
     features: np.ndarray,
-    signature: AnomalySignature,
-    interval: tuple[int, int],
-    source: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Apply one signature to rows [start, end) of an aggregate matrix.
+    pristine: np.ndarray,
+    anomaly: InjectedAnomaly,
+    rng: np.random.Generator | None,
+) -> None:
+    """Apply one fault to rows [start, end) of an aggregate matrix, in place.
 
-    Returns a modified copy; rows outside the interval are untouched.
-    ``source`` provides the pristine rows that correlation breaks and
-    temporal disruptions draw from (defaults to ``features`` itself), and a
-    temporal disruption draws its rows with ``rng``. The interval must have
-    ``magnitude`` rows of history before it: ``_place_intervals`` starts
-    every interval after ``DISRUPTION_POOL``, the largest replay distance
-    or pool.
+    Correlation breaks and temporal disruptions copy rows of ``pristine``,
+    the matrix before any fault, and a temporal disruption draws its rows
+    with ``rng``. The interval must have ``magnitude`` rows of history
+    before it: ``_place_intervals`` starts every interval after
+    ``DISRUPTION_POOL``, the largest replay distance or pool.
     """
-    start, end = interval
-    if source is None:
-        source = features
-    out = features.copy()
-    if signature.kind == "level_shift":
-        for m in signature.metrics:
-            cols = _metric_columns(m)
-            out[start:end, cols.start : cols.start + 3] += signature.magnitude
-    elif signature.kind == "correlation_break":
-        shift = int(signature.magnitude)
-        for m in signature.metrics:
-            cols = _metric_columns(m)
-            out[start:end, cols] = source[start - shift : end - shift, cols]
+    start, end = anomaly.start, anomaly.end
+    if anomaly.kind == "level_shift":
+        for m in anomaly.metrics:
+            features[start:end, 4 * m : 4 * m + 3] += anomaly.magnitude  # min, max, avg
+        return
+    if anomaly.kind == "correlation_break":
+        source = np.arange(start, end) - int(anomaly.magnitude)
     else:  # temporal_disruption
-        pool = int(signature.magnitude)
-        picks = rng.integers(start - pool, start, size=end - start)
-        for m in signature.metrics:
-            cols = _metric_columns(m)
-            out[start:end, cols] = source[picks][:, cols]
-    return out
+        source = rng.integers(start - int(anomaly.magnitude), start, size=end - start)
+    for m in anomaly.metrics:
+        features[start:end, 4 * m : 4 * m + 4] = pristine[source, 4 * m : 4 * m + 4]
 
 
 def _regime_path(rng: np.random.Generator, steps: int, regimes: int) -> np.ndarray:
@@ -176,7 +146,6 @@ def _place_intervals(
 
     placed: list[tuple[int, int]] = []
     for d in durations:
-        ok = False
         for _ in range(1000):
             start = int(rng.integers(min_start, steps - d + 1))
             end = start + d
@@ -185,9 +154,8 @@ def _place_intervals(
                 for s, e in placed
             ):
                 placed.append((start, end))
-                ok = True
                 break
-        if not ok:
+        else:
             raise DataError(
                 f"anomaly_rate {cfg.anomaly_rate} too high to place disjoint "
                 f"intervals in {steps} buckets"
@@ -237,11 +205,10 @@ def generate_node(
         spread = scale * cfg.noise_std * (
             0.4 + 0.4 * rng.random(steps) + 0.6 * load[g]
         )
-        cols = _metric_columns(j)
-        features[:, cols.start + 0] = avg - spread * rng.uniform(0.8, 1.2, size=steps)
-        features[:, cols.start + 1] = avg + spread * rng.uniform(0.8, 1.2, size=steps)
-        features[:, cols.start + 2] = avg
-        features[:, cols.start + 3] = spread**2
+        features[:, 4 * j] = avg - spread * rng.uniform(0.8, 1.2, size=steps)
+        features[:, 4 * j + 1] = avg + spread * rng.uniform(0.8, 1.2, size=steps)
+        features[:, 4 * j + 2] = avg
+        features[:, 4 * j + 3] = spread**2
 
     # fault injection
     intervals = _place_intervals(rng, cfg)
@@ -269,12 +236,10 @@ def generate_node(
             magnitude = float(rng.integers(12, 37))
         else:
             metrics, magnitude = tuple(range(metric_count)), float(DISRUPTION_POOL)
-        signature = AnomalySignature(kind=kind, metrics=metrics, magnitude=magnitude)
-        features = inject_anomaly(
-            features, signature, (start, end), source=pristine, rng=rng
-        )
+        anomaly = InjectedAnomaly(start, end, kind, metrics, magnitude)
+        inject_anomaly(features, pristine, anomaly, rng)
         labels[start:end] = 1
-        injected.append(InjectedAnomaly(start=start, end=end, signature=signature))
+        injected.append(anomaly)
 
     metric_names = [f"m{j:02d}" for j in range(metric_count)]
     dataset = NodeDataset(
@@ -307,7 +272,7 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> dict:
         manifest["nodes"][node_id] = {
             "seed": node_seed,
             "file": path.name,
-            "anomalies": [a.to_dict() for a in injected],
+            "anomalies": [asdict(a) for a in injected],
         }
     write_json(out_dir / "manifest.json", manifest)
     return manifest

@@ -85,8 +85,9 @@ class NodeDataset:
         write_atomic(path, "".join(lines))
 
     @classmethod
-    def from_csv(cls, path: str | Path, node_id: str | None = None) -> "NodeDataset":
-        """Read a node dataset CSV written by :meth:`to_csv`.
+    def from_csv(cls, path: str | Path) -> "NodeDataset":
+        """Read a node dataset CSV written by :meth:`to_csv`; the node id is
+        the file's stem.
 
         The header is read with ``csv``, the rows with one ``np.loadtxt``
         call, which parses floats to the same bits as ``float()``. A row of
@@ -129,7 +130,7 @@ class NodeDataset:
             raise DataError(f"{path}: non-finite feature in the row of bucket {bucket}")
         try:
             return cls(
-                node_id=node_id or path.stem,
+                node_id=path.stem,
                 bucket_starts=rows["bucket_start"],
                 # a C-ordered matrix, not a strided view into the records
                 features=np.ascontiguousarray(rows["features"]),

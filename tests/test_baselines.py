@@ -418,9 +418,3 @@ class TestKMeansScore:
         with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
             KMeansModel(k=1, centroids=[[0.0]], cluster_anomaly_prob=[rate], seed=0)
 
-    def test_json_round_trip(self):
-        model = self.model()
-        clone = KMeansModel.from_dict(model.to_dict())
-        npt.assert_array_equal(clone.centroids, model.centroids)
-        npt.assert_array_equal(clone.cluster_anomaly_prob, model.cluster_anomaly_prob)
-

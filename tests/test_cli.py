@@ -698,9 +698,9 @@ class TestNodeMajorCommands:
         loads = []
         read = NodeDataset.from_csv.__func__
 
-        def counting_read(cls, path, node_id=None):
+        def counting_read(cls, path):
             loads.append(Path(path).name)
-            return read(cls, path, node_id)
+            return read(cls, path)
 
         monkeypatch.setattr(NodeDataset, "from_csv", classmethod(counting_read))
         cfg = tiny_run_config(
@@ -785,6 +785,9 @@ class TestRunConfig:
             {"windows": [0]},
             {"split_ratio": 0},
             {"split_ratio": 1.0},
+            # a node's id is its file's stem
+            {"nodes": ["sub/node_000"]},
+            {"nodes": [""]},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
@@ -792,6 +795,7 @@ class TestRunConfig:
             "learning-rate-true", "seed-true", "nodes-string", "methods-string",
             "data-dir-number", "split-ratio-string", "training-list", "nodes-empty",
             "learning-rate-infinity", "window-0", "split-ratio-0", "split-ratio-1",
+            "node-in-a-subdirectory", "node-without-a-name",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):

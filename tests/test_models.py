@@ -322,6 +322,33 @@ class TestBaselineRunners:
         npt.assert_array_equal(series.probabilities, expected.probabilities)
         npt.assert_array_equal(series.bucket_starts, split.test.bucket_starts)
 
+    def test_exp_test_reading_that_overflows_when_scaled_is_a_data_error(self):
+        features = np.full((10, 2), 0.25)
+        features[0], features[1] = 0.0, 0.5  # the training rows span 0.5
+        features[9, 1] = 1e308  # / 0.5 overflows to inf, with no warning
+        with pytest.raises(DataError, match="probabilities must be finite"):
+            mdl.score_exp_method(build_dataset([0] * 10, features=features), 0.8)
+
+    def cluster_model(self):
+        """Three clusters on the line y = 0.5 of a [0, 1] square, scaled from
+        a span of 0.5 per feature."""
+        centroids = np.array([[0.1, 0.5], [0.9, 0.5], [0.5, 0.5]])
+        kmeans = KMeansModel(k=3, centroids=centroids,
+                             cluster_anomaly_prob=np.array([0.2, 0.7, 0.4]), seed=0)
+        return mdl.ClusterModel("n0", ScalerParams(np.zeros(2), np.full(2, 0.5)), kmeans, seed=0)
+
+    def test_clu_row_whose_distances_overflow_ties_on_the_lowest_id(self):
+        # 1e300 scales to 2e300, finite, but its squared norm overflows: every
+        # centroid is at inf, so cluster 0 wins the tie over the nearer cluster 1
+        test = build_dataset([0, 0], features=[[0.25, 0.25], [1e300, 0.25]])
+        series = mdl.score_clu_model(self.cluster_model(), test)
+        npt.assert_array_equal(series.probabilities, [0.4, 0.2])
+
+    def test_clu_test_reading_that_overflows_when_scaled_is_a_data_error(self):
+        test = build_dataset([0, 0], features=[[0.25, 0.25], [1e308, 0.25]])
+        with pytest.raises(DataError, match="non-finite"):
+            mdl.score_clu_model(self.cluster_model(), test)
+
 
 class TestModelStore:
     def test_trained_model_round_trip(self, tmp_path):
@@ -484,6 +511,27 @@ class TestStoreFormat:
         for key, array in (("centroids", centroids), ("cluster_anomaly_prob", probs)):
             entry[key] = {"shape": list(array.shape),
                           "f8": base64.b64encode(array.astype("<f8").tobytes()).decode()}
+        path.write_text(json.dumps(stored))
+        with pytest.raises(DataError, match=message) as info:
+            mdl.load_cluster_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda kmeans: kmeans.update(inertia=1.0),
+             r"unknown kmeans keys \['inertia'\].*retrained"),
+            (lambda kmeans: kmeans.pop("seed"), "malformed model file .*'seed'"),
+        ],
+        ids=["unknown-key", "missing-key"],
+    )
+    def test_cluster_store_with_other_kmeans_keys_is_a_data_error_naming_the_file(
+        self, tmp_path, edit, message
+    ):
+        model = mdl.train_clu_model(TestBaselineRunners().clustered_dataset(), seed=2)
+        path = mdl.save_cluster_model(tmp_path, "CLU", model)
+        stored = json.loads(path.read_text())
+        edit(stored["kmeans"])
         path.write_text(json.dumps(stored))
         with pytest.raises(DataError, match=message) as info:
             mdl.load_cluster_model(path)

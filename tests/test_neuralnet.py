@@ -196,8 +196,9 @@ class TestForward:
         for w in (1, 2, 7):
             out, cache = nn._lstm_forward(layer, rng.normal(size=(1, w, 3)))
             assert out.shape == (1, w, 5)
-            assert cache["hidden"].shape == (1, w + 1, 5)
-            assert cache["cells"].shape == (1, w + 1, 5)
+            # step-major: (W + 1, H, B), the zero state first
+            assert cache["hidden"].shape == (w + 1, 5, 1)
+            assert cache["cells"].shape == (w + 1, 5, 1)
 
 
 class TestBackward:

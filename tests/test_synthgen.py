@@ -7,7 +7,7 @@ import pytest
 from nodewatch.errors import ConfigError, DataError
 from nodewatch.synthgen import (
     SIGNATURE_KINDS,
-    AnomalySignature,
+    InjectedAnomaly,
     SynthConfig,
     generate_dataset,
     generate_node,
@@ -102,10 +102,9 @@ class TestGenerateNode:
             ds, injected = generate_node(cfg, node_seed, "n0")
             assert injected
             for anomaly in injected:
-                sig = anomaly.signature
-                assert sig.kind in SIGNATURE_KINDS and sig.metrics
-                assert sig.magnitude > 0 and anomaly.end - anomaly.start >= 1
-                assert anomaly.start - sig.magnitude >= 0 and anomaly.end <= len(ds)
+                assert anomaly.kind in SIGNATURE_KINDS and anomaly.metrics
+                assert anomaly.magnitude > 0 and anomaly.end - anomaly.start >= 1
+                assert anomaly.start - anomaly.magnitude >= 0 and anomaly.end <= len(ds)
 
     def test_label_fraction_tracks_rate(self):
         cfg = small_config(timestep_count=4000, anomaly_rate=0.03)
@@ -176,10 +175,15 @@ class TestInjectAnomaly:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(rows, 4 * metrics))
 
+    def injected(self, base, anomaly, rng=None):
+        """A copy of ``base`` with ``anomaly`` injected; ``base`` is the pristine matrix."""
+        out = base.copy()
+        inject_anomaly(out, base, anomaly, rng)
+        return out
+
     def test_level_shift_is_exactly_additive(self):
         base = self.matrix()
-        sig = AnomalySignature("level_shift", metrics=(1,), magnitude=2.5)
-        out = inject_anomaly(base, sig, (10, 15))
+        out = self.injected(base, InjectedAnomaly(10, 15, "level_shift", (1,), 2.5))
         delta = out - base
         npt.assert_allclose(delta[10:15, 4:7], 2.5)  # min, max, avg shifted
         npt.assert_allclose(delta[10:15, 7], 0.0)  # var untouched
@@ -188,23 +192,20 @@ class TestInjectAnomaly:
 
     def test_duration_one_modifies_a_single_bucket(self):
         base = self.matrix()
-        sig = AnomalySignature("level_shift", metrics=(0,), magnitude=1.0)
-        out = inject_anomaly(base, sig, (7, 8))
+        out = self.injected(base, InjectedAnomaly(7, 8, "level_shift", (0,), 1.0))
         changed_rows = np.flatnonzero(np.any(out != base, axis=1))
         npt.assert_array_equal(changed_rows, [7])
 
     def test_correlation_break_replays_the_past(self):
         base = self.matrix()
-        sig = AnomalySignature("correlation_break", metrics=(2,), magnitude=6)
-        out = inject_anomaly(base, sig, (20, 24))
+        out = self.injected(base, InjectedAnomaly(20, 24, "correlation_break", (2,), 6))
         npt.assert_array_equal(out[20:24, 8:12], base[14:18, 8:12])
         npt.assert_array_equal(out[:, :8], base[:, :8])  # other metrics intact
 
     def test_disruption_rows_come_from_the_pool(self):
         base = self.matrix(rows=80)
-        sig = AnomalySignature("temporal_disruption", metrics=(0, 1, 2), magnitude=30)
-        rng = np.random.default_rng(42)
-        out = inject_anomaly(base, sig, (50, 56), rng=rng)
+        anomaly = InjectedAnomaly(50, 56, "temporal_disruption", (0, 1, 2), 30)
+        out = self.injected(base, anomaly, np.random.default_rng(42))
         pool = base[20:50]
         for row in out[50:56]:
             assert any(np.array_equal(row, p) for p in pool)
