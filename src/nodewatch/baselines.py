@@ -155,8 +155,11 @@ def silhouette(dist: np.ndarray, assignment: np.ndarray) -> float:
 
 
 def assign_clusters(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid; ties go to the lowest id."""
-    return np.argmin(_pairwise_distances(rows, centroids), axis=1)
+    """Index of each row's nearest centroid; ties go to the lowest id. A NaN
+    distance, inf - inf for a row whose squared norm overflows, counts as inf."""
+    dist = _pairwise_distances(rows, centroids)
+    dist[np.isnan(dist)] = np.inf
+    return np.argmin(dist, axis=1)
 
 
 def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -298,5 +301,5 @@ def kmeans_score(model: KMeansModel, rows: np.ndarray) -> np.ndarray:
     lowest id). The rows come scaled by the model's own scaler, whose width
     the loader matched to the centroids'. A row whose squared distances
     overflow is at inf from every centroid, so it ties: no warning."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return model.cluster_anomaly_prob[assign_clusters(rows, model.centroids)]

@@ -90,10 +90,14 @@ def _discover_nodes(cfg: RunConfig) -> list[str]:
     return nodes
 
 
-def _load_dataset(cfg: RunConfig, node_id: str):
+def _load_split(cfg: RunConfig, node_id: str):
+    """A node's dataset, read from its file and split chronologically: every
+    detector a command runs on the node gets this one split."""
+    from .pipeline import chronological_split
     from .telemetry import NodeDataset
 
-    return NodeDataset.from_csv(Path(cfg.data_dir) / f"{node_id}.csv")
+    dataset = NodeDataset.from_csv(Path(cfg.data_dir) / f"{node_id}.csv")
+    return chronological_split(dataset, cfg.split_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +110,14 @@ def _write_loss_history(path: Path, history: list[float]) -> None:
 
 
 def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
-    """Train the pending ``(method, window, name)`` instances of one node
-    from one load of its dataset; returns one status row per instance."""
+    """Train one node's pending ``(method, window, name)`` instances on one
+    split of its dataset; returns one status row per instance."""
     from . import models as mdl
 
     cfg, out_dir, node_id, instances = args
     store = Path(out_dir) / "models"
     try:
-        dataset = _load_dataset(cfg, node_id)
+        train = _load_split(cfg, node_id).train
     except DataError as exc:
         return [(node_id, name, "skipped-data", str(exc)) for _, _, name in instances]
     rows = []
@@ -121,19 +125,12 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
         seed = derive_seed(cfg.seed, node_id, name)
         try:
             if method == "CLU":
-                model = mdl.train_clu_model(dataset, cfg.split_ratio, seed=seed)
-                mdl.save_cluster_model(store, name, model)
+                mdl.save_cluster_model(store, name, mdl.train_clu_model(train, seed))
             else:
                 kind = "dense" if method.startswith("DENSE") else "ruad"
-                spec = mdl.ModelSpec(
-                    kind=kind, input_dim=dataset.feature_count, window=window or 1
-                )
+                spec = mdl.ModelSpec(kind=kind, input_dim=train.feature_count, window=window or 1)
                 trained, history = mdl.train_node_model(
-                    dataset,
-                    spec,
-                    mdl.REGIMES[method],
-                    cfg.training_config(seed),
-                    split_ratio=cfg.split_ratio,
+                    train, spec, mdl.REGIMES[method], cfg.training_config(seed)
                 )
                 mdl.save_trained_model(store, name, trained)
                 _write_loss_history(store / node_id / f"{name}_loss.csv", history)
@@ -215,13 +212,14 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     """Each method instance's per-node score series, in config order.
 
     A cached ``scores/<name>.csv`` is read back, keeping the configured
-    nodes. The other instances are scored node by node, one dataset load
-    per node, and their files are written in config order. A node is
-    skipped for an instance without a stored model (training skipped it),
-    and for every instance when its dataset cannot be read. An instance
-    that no node produced scores for maps to an empty list and gets no
-    file. The data directory is read, and the detectors (and numpy) load,
-    only when some instance has no score file.
+    nodes. The other instances are scored node by node, from one load and
+    split per node, and their files are written in config order. A node is
+    skipped for every instance when its dataset cannot be read or split,
+    for an instance without a stored model (training skipped it), and for
+    an instance whose detector cannot score it, with one warning each. An
+    instance that no node produced scores for maps to an empty list and
+    gets no file. The data directory is read, and the detectors (and
+    numpy) load, only when some instance has no score file.
     """
     from .scoring import write_scores_csv
 
@@ -240,31 +238,29 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
         return scores
     nodes = _discover_nodes(cfg)
     from . import models as mdl
-    from .pipeline import chronological_split
 
     for node_id in nodes:
         try:
-            dataset = _load_dataset(cfg, node_id)
+            split = _load_split(cfg, node_id)
         except DataError as exc:
             log.warning("skipping %s for every method: %s", node_id, exc)
             continue
         for method, name in pending:
+            path = model_path(store, node_id, name)
             if method == "EXP":
-                try:
-                    series = mdl.score_exp_method(dataset, cfg.split_ratio, cfg.exp_alpha)
-                except DataError as exc:
-                    log.warning("EXP: skipping %s: %s", node_id, exc)
-                    continue
+                score, args = mdl.score_exp_method, (split, cfg.exp_alpha)
+            elif not path.exists():
+                log.warning("%s: no model for %s; skipping", name, node_id)
+                continue
+            elif method == "CLU":
+                score, args = mdl.score_clu_model, (mdl.load_cluster_model(path), split.test)
             else:
-                path = model_path(store, node_id, name)
-                if not path.exists():
-                    log.warning("%s: no model for %s; skipping", name, node_id)
-                    continue
-                test = chronological_split(dataset, cfg.split_ratio).test
-                if method == "CLU":
-                    series = mdl.score_clu_model(mdl.load_cluster_model(path), test)
-                else:
-                    series = mdl.score_node_model(mdl.load_trained_model(path), test)
+                score, args = mdl.score_node_model, (mdl.load_trained_model(path), split.test)
+            try:
+                series = score(*args)
+            except DataError as exc:
+                log.warning("%s: skipping %s: %s", name, node_id, exc)
+                continue
             if len(series):
                 scores[name].append(series)
     for _, name in pending:

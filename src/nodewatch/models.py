@@ -40,8 +40,8 @@ from .methods import (  # noqa: F401  (the method names are re-exported)
 )
 from .pipeline import (
     ScalerParams,
+    SplitDataset,
     apply_minmax,
-    chronological_split,
     fit_minmax,
     make_windows,
     semi_supervised_filter,
@@ -142,41 +142,35 @@ class TrainedModel:
 
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
     """Per-window L1 error between reconstruction and target, in chunks
-    gathered from the rows."""
+    gathered from the rows. An error too large for a float is inf, with no
+    warning: it scores 1 after the clamp."""
     errors, targets = np.empty(len(windows)), windows.targets
     chunk = SCORE_BATCH if windows.window_length == 1 else RECURRENT_SCORE_BATCH
     for lo in range(0, len(windows), chunk):
         out = nn.forward(params, windows.gather(slice(lo, lo + chunk)))[0]
-        errors[lo : lo + chunk] = np.abs(out - targets[lo : lo + chunk]).sum(axis=1)
+        with np.errstate(over="ignore"):
+            errors[lo : lo + chunk] = np.abs(out - targets[lo : lo + chunk]).sum(axis=1)
     return errors
 
 
 def train_node_model(
-    dataset: NodeDataset,
-    spec: ModelSpec,
-    regime: Regime,
-    cfg: TrainingConfig,
-    split_ratio: float = 0.8,
+    train: NodeDataset, spec: ModelSpec, regime: Regime, cfg: TrainingConfig
 ) -> tuple[TrainedModel, list[float]]:
-    """Full training pipeline for one node and one autoencoder variant.
+    """Full training pipeline for one node's training split and one
+    autoencoder variant.
 
-    Chronological split, optional semi-supervised filter, min/max scaling
-    fitted on the (filtered) training rows, time-consistent windowing, then
-    mini-batch training. The stored ``max_train_error`` is the largest L1
-    reconstruction error over the training windows actually used.
+    Optional semi-supervised filter, min/max scaling fitted on the
+    (filtered) rows, time-consistent windowing, then mini-batch training.
+    The stored ``max_train_error`` is the largest L1 reconstruction error
+    over the training windows actually used.
     """
-    split = chronological_split(dataset, split_ratio)
-    train = split.train
     if regime.semi_supervised:
-        try:
-            train = semi_supervised_filter(train)
-        except DataError as exc:
-            raise DataError(f"semi-supervised filter emptied the training set: {exc}") from exc
+        train = semi_supervised_filter(train)
     scaler = fit_minmax(train)
     windows = make_windows(apply_minmax(scaler, train), spec.window)
     if len(windows) == 0:
         raise DataError(
-            f"{dataset.node_id}: no training windows survive time-consistency "
+            f"{train.node_id}: no training windows survive time-consistency "
             f"filtering with W={spec.window} ({len(train)} rows available)"
         )
 
@@ -185,7 +179,7 @@ def train_node_model(
 
     max_error = float(reconstruction_errors(network, windows).max())
     model = TrainedModel(
-        node_id=dataset.node_id,
+        node_id=train.node_id,
         spec=spec,
         network=network,
         scaler=scaler,
@@ -236,29 +230,22 @@ class ClusterModel:
     seed: int
 
 
-def train_clu_model(
-    dataset: NodeDataset,
-    split_ratio: float = 0.8,
-    seed: int = 0,
-) -> ClusterModel:
-    """Fit k-means on scaled training rows and attach label-derived rates.
+def train_clu_model(train: NodeDataset, seed: int) -> ClusterModel:
+    """Fit k-means on a node's scaled training rows and attach label-derived
+    rates.
 
     This is the one detector whose training consumes labels even in the
     unsupervised regime: cluster anomaly probabilities cannot be derived
     from geometry alone.
     """
-    split = chronological_split(dataset, split_ratio)
-    scaler = fit_minmax(split.train)
-    rows = apply_minmax(scaler, split.train).features
+    scaler = fit_minmax(train)
+    rows = apply_minmax(scaler, train).features
     k, centroids = select_k(rows, seed=seed)
-    assignments = assign_clusters(rows, centroids)
-    probs = cluster_anomaly_probabilities(assignments, split.train.labels, k)
+    probs = cluster_anomaly_probabilities(assign_clusters(rows, centroids), train.labels, k)
     return ClusterModel(
-        node_id=dataset.node_id,
+        node_id=train.node_id,
         scaler=scaler,
-        kmeans=KMeansModel(
-            k=k, centroids=centroids, cluster_anomaly_prob=probs, seed=seed
-        ),
+        kmeans=KMeansModel(k=k, centroids=centroids, cluster_anomaly_prob=probs, seed=seed),
         seed=seed,
     )
 
@@ -276,17 +263,13 @@ def score_clu_model(model: ClusterModel, test: NodeDataset) -> ScoreSeries:
     )
 
 
-def score_exp_method(
-    dataset: NodeDataset, split_ratio: float = 0.8, alpha: float = 0.1
-) -> ScoreSeries:
+def score_exp_method(split: SplitDataset, alpha: float) -> ScoreSeries:
     """Training-free smoothing baseline over the test split.
 
     The scaler is still fitted on the training split (scaling is part of the
     shared pipeline), but no model state is learned or stored.
     """
-    split = chronological_split(dataset, split_ratio)
-    scaler = fit_minmax(split.train)
-    return exp_smoothing_scores(apply_minmax(scaler, split.test), alpha)
+    return exp_smoothing_scores(apply_minmax(fit_minmax(split.train), split.test), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +314,19 @@ def _decode_array(d: dict) -> object:
     return array
 
 
-def _write_store(path: Path, header: dict) -> None:
-    write_json(path, {"format": STORE_FORMAT, **header}, default=_encode_array)
+def _write_store(
+    store_dir: str | Path, name: str, kind: str, model: TrainedModel | ClusterModel, **entries
+) -> Path:
+    """Write ``model``'s store under ``name``: the header both kinds share, then ``entries``."""
+    path = model_path(store_dir, model.node_id, name)
+    scaler = {"min": model.scaler.minimum, "max": model.scaler.maximum}
+    header = dict(kind=kind, name=name, node_id=model.node_id, seed=model.seed, scaler=scaler)
+    write_json(path, {"format": STORE_FORMAT, **header, **entries}, default=_encode_array)
+    return path
 
 
-def _read_store(path: str | Path) -> dict:
+def _read_store(path: str | Path) -> tuple[dict, ScalerParams]:
+    """A store's entries and its scaler."""
     d = read_json(path, object_hook=_decode_array)
     if not isinstance(d, dict):
         raise DataError("not a model file: the top level is not a JSON object")
@@ -344,27 +335,21 @@ def _read_store(path: str | Path) -> dict:
             f"store format {d.get('format', 1)}, not {STORE_FORMAT}: written by an "
             "older nodewatch, so it must be retrained"
         )
-    return d
+    return d, ScalerParams(d["scaler"]["min"], d["scaler"]["max"])
 
 
 def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) -> Path:
-    path = model_path(store_dir, model.node_id, name)
-    _write_store(
-        path,
-        {
-            "kind": model.spec.kind,
-            "name": name,
-            "node_id": model.node_id,
-            "model_spec": asdict(model.spec),
-            "regime": asdict(model.regime),
-            "seed": model.seed,
-            "max_train_error": model.max_train_error,
-            "scaler": {"min": model.scaler.minimum, "max": model.scaler.maximum},
-            "network": model.network.values,
-            "training": model.training,
-        },
+    return _write_store(
+        store_dir,
+        name,
+        model.spec.kind,
+        model,
+        model_spec=asdict(model.spec),
+        regime=asdict(model.regime),
+        max_train_error=model.max_train_error,
+        network=model.network.values,
+        training=model.training,
     )
-    return path
 
 
 def _from_stored(cls, d: dict, entry: str):
@@ -397,9 +382,8 @@ def _reading_store(path: str | Path):
 
 def load_trained_model(path: str | Path) -> TrainedModel:
     with _reading_store(path):
-        d = _read_store(path)
+        d, scaler = _read_store(path)
         spec = _from_stored(ModelSpec, d["model_spec"], "model_spec")
-        scaler = ScalerParams(d["scaler"]["min"], d["scaler"]["max"])
         if scaler.minimum.shape != (spec.input_dim,):
             raise DataError(
                 f"scaler has shape {scaler.minimum.shape}, model_spec gives ({spec.input_dim},)"
@@ -422,25 +406,12 @@ def load_trained_model(path: str | Path) -> TrainedModel:
 
 
 def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) -> Path:
-    path = model_path(store_dir, model.node_id, name)
-    _write_store(
-        path,
-        {
-            "kind": "clu",
-            "name": name,
-            "node_id": model.node_id,
-            "seed": model.seed,
-            "scaler": {"min": model.scaler.minimum, "max": model.scaler.maximum},
-            "kmeans": asdict(model.kmeans),
-        },
-    )
-    return path
+    return _write_store(store_dir, name, "clu", model, kmeans=asdict(model.kmeans))
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
     with _reading_store(path):
-        d = _read_store(path)
-        scaler = ScalerParams(d["scaler"]["min"], d["scaler"]["max"])
+        d, scaler = _read_store(path)
         kmeans = _from_stored(KMeansModel, d["kmeans"], "kmeans")
         if kmeans.centroids.shape[1:] != scaler.minimum.shape:
             raise DataError(

@@ -345,7 +345,7 @@ class AdamState:
     step: int = 0
 
 
-def init_adam(params: NetworkParams, learning_rate: float = 1e-3) -> AdamState:
+def init_adam(params: NetworkParams, learning_rate: float) -> AdamState:
     size = params.values.size
     return AdamState(np.zeros(size), np.zeros(size), learning_rate)
 

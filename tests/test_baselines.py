@@ -408,6 +408,17 @@ class TestKMeansScore:
         assert np.linalg.norm(row - [4, 0]) < np.linalg.norm(row - [0, 0])
         npt.assert_allclose(kmeans_score(self.model(), row[None]), [0.9])
 
+    def test_row_whose_distances_are_inf_minus_inf_takes_the_lowest_id(self):
+        # the row's squared norm overflows, and so does twice its product with
+        # the centroid at 0.9: inf - inf, which counts as inf like the others
+        model = KMeansModel(
+            k=3,
+            centroids=np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.2]]),
+            cluster_anomaly_prob=np.array([0.1, 0.5, 0.9]),
+            seed=0,
+        )
+        npt.assert_array_equal(kmeans_score(model, np.array([[1e308, 0.5]])), [0.1])
+
     def test_output_is_always_a_model_probability(self, rng):
         model = self.model()
         scores = kmeans_score(model, rng.normal(size=(50, 2)) * 10)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nodewatch
+from nodewatch import pipeline
 from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.models import load_trained_model
@@ -702,7 +703,15 @@ class TestNodeMajorCommands:
             loads.append(Path(path).name)
             return read(cls, path)
 
+        splits = []
+        split = pipeline.chronological_split
+
+        def counting_split(dataset, ratio):
+            splits.append(dataset.node_id)
+            return split(dataset, ratio)
+
         monkeypatch.setattr(NodeDataset, "from_csv", classmethod(counting_read))
+        monkeypatch.setattr(pipeline, "chronological_split", counting_split)
         cfg = tiny_run_config(
             tmp_path,
             generated_data,
@@ -713,10 +722,39 @@ class TestNodeMajorCommands:
         per_command = {}
         for command in ("train", "score", "evaluate"):
             loads.clear()
+            splits.clear()
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-            per_command[command] = sorted(loads)
-        both = ["node_000.csv", "node_001.csv"]
-        assert per_command == {"train": both, "score": both, "evaluate": []}
+            per_command[command] = (sorted(loads), sorted(splits))
+        both = (["node_000.csv", "node_001.csv"], ["node_000", "node_001"])
+        assert per_command == {"train": both, "score": both, "evaluate": ([], [])}
+
+    def test_node_a_detector_cannot_score_is_skipped_for_that_detector(
+        self, tmp_path, generated_data
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        bad = data / "node_000.csv"
+        header, *rows = bad.read_text().splitlines(keepends=True)
+        cells = rows[-1].split(",")  # the last row is a test row
+        cells[header.split(",").index("m00_var")] = repr(1.7e308)  # inf when scaled
+        rows[-1] = ",".join(cells)
+        bad.write_text(header + "".join(rows))
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP", "CLU", "DENSE_un", "RUAD"])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+
+        score = run_cli("score", "--config", str(cfg), "--out", str(out))
+        assert score.returncode == 0, score.stderr
+        warnings = [line for line in score.stderr.splitlines() if line.startswith("WARNING")]
+        assert [line.split(": ")[1:3] for line in warnings] == [
+            [name, "skipping node_000"] for name in ("EXP", "CLU", "DENSE_un", "RUAD_W5")
+        ]
+        assert "Traceback" not in score.stderr and "RuntimeWarning" not in score.stderr
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert {name: s["nodes_scored"] for name, s in summary.items()} == {
+            "EXP": 1, "CLU": 1, "DENSE_un": 1, "RUAD_W5": 1,
+        }
 
     def test_malformed_node_file_skips_only_that_node(self, tmp_path, generated_data):
         data = tmp_path / "data"

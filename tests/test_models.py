@@ -112,7 +112,7 @@ class TestTrainNodeModel:
         assert len(history) >= 1 and all(np.isfinite(history))
 
     def test_too_few_rows_for_window_errors(self):
-        ds = smooth_dataset(n=12)
+        ds = smooth_dataset(n=9)
         spec = mdl.ModelSpec(kind="ruad", input_dim=4, window=10)
         with pytest.raises(DataError, match="no training windows"):
             mdl.train_node_model(ds, spec, mdl.REGIMES["RUAD"], training_config())
@@ -120,16 +120,15 @@ class TestTrainNodeModel:
     def test_semi_filter_emptying_is_reported(self):
         ds = smooth_dataset(n=20, labels=[1] * 20)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
-        with pytest.raises(DataError, match="semi-supervised filter emptied"):
+        with pytest.raises(DataError, match="semi-supervised filter removed every row"):
             mdl.train_node_model(ds, spec, mdl.REGIMES["DENSE_semi"], training_config())
 
     def test_train_probabilities_capped_by_construction(self):
-        ds = smooth_dataset(n=140)
+        train = chronological_split(smooth_dataset(n=140), 0.8).train
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         model, _ = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["DENSE_un"], training_config(seed=2)
+            train, spec, mdl.REGIMES["DENSE_un"], training_config(seed=2)
         )
-        train = chronological_split(ds, 0.8).train
         series = mdl.score_node_model(model, train)
         assert series.probabilities.max() <= 1.0
 
@@ -201,12 +200,12 @@ class TestScoreNodeModel:
         npt.assert_array_equal(series.bucket_starts, ds.bucket_starts[1:])
 
     def test_labels_never_influence_probabilities(self):
-        ds = smooth_dataset(n=60)
+        split = chronological_split(smooth_dataset(n=60), 0.8)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         model, _ = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["DENSE_un"], training_config(seed=5)
+            split.train, spec, mdl.REGIMES["DENSE_un"], training_config(seed=5)
         )
-        test = chronological_split(ds, 0.8).test
+        test = split.test
         flipped = build_dataset(
             1 - test.labels, features=test.features, bucket_starts=test.bucket_starts
         )
@@ -216,12 +215,12 @@ class TestScoreNodeModel:
         npt.assert_array_equal(b.labels, 1 - a.labels)
 
     def test_dense_path_equals_manual_row_scoring(self):
-        ds = smooth_dataset(n=80)
+        split = chronological_split(smooth_dataset(n=80), 0.8)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         model, _ = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["DENSE_un"], training_config(seed=9)
+            split.train, spec, mdl.REGIMES["DENSE_un"], training_config(seed=9)
         )
-        test = chronological_split(ds, 0.8).test
+        test = split.test
         series = mdl.score_node_model(model, test)
         scaled = apply_minmax(model.scaler, test)
         out, _ = nn.forward(model.network, scaled.features[:, None, :])
@@ -271,6 +270,24 @@ class TestReconstructionErrors:
         ])
         npt.assert_array_equal(mdl.reconstruction_errors(params, windows), expected)
 
+    @pytest.mark.parametrize("spec", [mdl.ModelSpec("dense", 2), mdl.ModelSpec("ruad", 2, 3)])
+    def test_error_too_large_for_a_float_scores_one(self, spec):
+        # 5e307 over a training span of 0.5 scales to a finite 1e308 in both
+        # features, so the L1 error of 2e308 overflows: inf, with no warning
+        features = np.full((4, 2), 0.25)
+        features[3] = 5e307
+        model = mdl.TrainedModel(
+            node_id="crafted",
+            spec=spec,
+            network=nn.init_params(mdl.layer_specs(spec), seed=0),
+            scaler=ScalerParams(np.zeros(2), np.full(2, 0.5)),
+            max_train_error=1.0,
+            regime=mdl.REGIMES["RUAD"],
+            seed=0,
+        )
+        series = mdl.score_node_model(model, build_dataset([0] * 4, features=features))
+        assert series.probabilities[-1] == 1.0
+
     def test_ruad_w40_training_peak_stays_under_16_mb(self, rng):
         ds = build_dataset(np.zeros(2000), features=rng.uniform(size=(2000, 64)))
         spec = mdl.ModelSpec(kind="ruad", input_dim=64, window=40)
@@ -297,9 +314,9 @@ class TestBaselineRunners:
         return build_dataset(labels.astype(int), features=features)
 
     def test_clu_scores_are_cluster_rates(self):
-        ds = self.clustered_dataset()
-        model = mdl.train_clu_model(ds, seed=1)
-        series = mdl.score_clu_model(model, chronological_split(ds, 0.8).test)
+        split = chronological_split(self.clustered_dataset(), 0.8)
+        model = mdl.train_clu_model(split.train, seed=1)
+        series = mdl.score_clu_model(model, split.test)
         allowed = set(np.round(model.kmeans.cluster_anomaly_prob, 12).tolist())
         assert set(np.round(series.probabilities, 12).tolist()) <= allowed
 
@@ -314,9 +331,8 @@ class TestBaselineRunners:
         from nodewatch.baselines import exp_smoothing_scores
         from nodewatch.pipeline import fit_minmax
 
-        ds = smooth_dataset(n=100)
-        series = mdl.score_exp_method(ds, 0.8, alpha=0.1)
-        split = chronological_split(ds, 0.8)
+        split = chronological_split(smooth_dataset(n=100), 0.8)
+        series = mdl.score_exp_method(split, alpha=0.1)
         scaled_test = apply_minmax(fit_minmax(split.train), split.test)
         expected = exp_smoothing_scores(scaled_test, 0.1)
         npt.assert_array_equal(series.probabilities, expected.probabilities)
@@ -326,8 +342,9 @@ class TestBaselineRunners:
         features = np.full((10, 2), 0.25)
         features[0], features[1] = 0.0, 0.5  # the training rows span 0.5
         features[9, 1] = 1e308  # / 0.5 overflows to inf, with no warning
+        split = chronological_split(build_dataset([0] * 10, features=features), 0.8)
         with pytest.raises(DataError, match="probabilities must be finite"):
-            mdl.score_exp_method(build_dataset([0] * 10, features=features), 0.8)
+            mdl.score_exp_method(split, alpha=0.1)
 
     def cluster_model(self):
         """Three clusters on the line y = 0.5 of a [0, 1] square, scaled from
@@ -352,18 +369,17 @@ class TestBaselineRunners:
 
 class TestModelStore:
     def test_trained_model_round_trip(self, tmp_path):
-        ds = smooth_dataset(n=100)
+        split = chronological_split(smooth_dataset(n=100), 0.8)
         spec = mdl.ModelSpec(kind="ruad", input_dim=4, window=3)
         model, _ = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["RUAD"], training_config(seed=13)
+            split.train, spec, mdl.REGIMES["RUAD"], training_config(seed=13)
         )
         path = mdl.save_trained_model(tmp_path / "models", "RUAD_W3", model)
         assert path == tmp_path / "models" / "test_node" / "RUAD_W3.json"
         loaded = mdl.load_trained_model(path)
-        test = chronological_split(ds, 0.8).test
         npt.assert_array_equal(
-            mdl.score_node_model(loaded, test).probabilities,
-            mdl.score_node_model(model, test).probabilities,
+            mdl.score_node_model(loaded, split.test).probabilities,
+            mdl.score_node_model(model, split.test).probabilities,
         )
         assert loaded.regime == model.regime
         assert loaded.max_train_error == model.max_train_error
@@ -379,14 +395,13 @@ class TestModelStore:
         assert str(path) in str(info.value)
 
     def test_cluster_model_round_trip(self, tmp_path):
-        ds = TestBaselineRunners().clustered_dataset()
-        model = mdl.train_clu_model(ds, seed=2)
+        split = chronological_split(TestBaselineRunners().clustered_dataset(), 0.8)
+        model = mdl.train_clu_model(split.train, seed=2)
         path = mdl.save_cluster_model(tmp_path / "models", "CLU", model)
         loaded = mdl.load_cluster_model(path)
-        test = chronological_split(ds, 0.8).test
         npt.assert_array_equal(
-            mdl.score_clu_model(loaded, test).probabilities,
-            mdl.score_clu_model(model, test).probabilities,
+            mdl.score_clu_model(loaded, split.test).probabilities,
+            mdl.score_clu_model(model, split.test).probabilities,
         )
 
 

@@ -273,7 +273,7 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = nn.init_params([nn.DenseSpec(2, 2)], seed=0)
         before = copy.deepcopy(params)
-        state = nn.init_adam(params)
+        state = nn.init_adam(params, learning_rate=1e-3)
         grads = nn.NetworkParams(params.specs, np.zeros(6))
         nn.adam_step(params, grads, state)
         npt.assert_array_equal(params.layers[0].weights, before.layers[0].weights)
