@@ -27,7 +27,7 @@ KMEANS_RESTARTS = 10
 # calls it saved
 LLOYD_BATCH_CELLS = 1 << 16
 SILHOUETTE_SAMPLE_CAP = 2000
-DEFAULT_K_RANGE = range(2, 11)
+K_RANGE = range(2, 11)  # the cluster counts select_k tries
 
 
 @dataclass
@@ -135,8 +135,6 @@ def silhouette(dist: np.ndarray, assignment: np.ndarray) -> float:
     contribute 0, and a degenerate 0/0 (all distances zero) counts as 0.
     """
     cluster_ids, labels = np.unique(np.asarray(assignment), return_inverse=True)
-    if len(cluster_ids) < 2:
-        raise DataError("silhouette needs at least two non-empty clusters")
     n = len(labels)
     samples = np.arange(n)
     onehot = np.zeros((n, len(cluster_ids)))
@@ -228,7 +226,7 @@ def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return centroids, assignment, wcss
 
 
-def kmeans_fit(rows: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+def kmeans_fit(rows: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Best-of-10-restarts Lloyd clustering, deterministic under the seed.
 
     The restarts' k-means++ seeds are drawn one restart after another, then
@@ -248,23 +246,20 @@ def kmeans_fit(rows: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return centroids[wcss.index(min(wcss))]
 
 
-def select_k(
-    rows: np.ndarray, k_range=DEFAULT_K_RANGE, seed: int = 0
-) -> tuple[int, np.ndarray]:
-    """Pick the cluster count with the highest training silhouette.
+def select_k(rows: np.ndarray, seed: int) -> tuple[int, np.ndarray]:
+    """Pick the cluster count in ``K_RANGE`` with the highest training silhouette.
 
     Returns that k and its ``kmeans_fit`` centroids. Ties break toward the
-    smaller k. The silhouette is computed on a seeded uniform subsample
-    capped at 2000 rows to keep the pairwise-distance matrix tractable; that
-    matrix is built once and shared by every candidate k.
+    smaller k; a k whose sample falls in one cluster is skipped. The
+    silhouette is computed on a seeded uniform subsample capped at 2000 rows
+    to keep the pairwise-distance matrix tractable; that matrix is built
+    once and shared by every candidate k.
     """
     rows = np.asarray(rows, dtype=np.float64)
     distinct = len(np.unique(rows, axis=0))
-    feasible = [k for k in k_range if 2 <= k <= distinct]
+    feasible = [k for k in K_RANGE if 2 <= k <= distinct]
     if not feasible:
-        raise DataError(
-            f"no feasible k in {list(k_range)} for {distinct} distinct rows"
-        )
+        raise DataError(f"no feasible k in {list(K_RANGE)} for {distinct} distinct rows")
     rng = np.random.default_rng(seed)
     n = len(rows)
     sample = rows[np.sort(rng.choice(n, size=min(n, SILHOUETTE_SAMPLE_CAP), replace=False))]
@@ -274,7 +269,7 @@ def select_k(
     for k in feasible:
         centroids = kmeans_fit(rows, k, seed=seed)
         assignment = assign_clusters(sample, centroids)
-        if len(np.unique(assignment)) < 2:
+        if assignment.min() == assignment.max():
             continue
         score = silhouette(dist, assignment)
         if score > best_score:

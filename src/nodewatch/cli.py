@@ -61,15 +61,13 @@ class RunConfig:
             raise ConfigError(f"unknown training keys: {sorted(bad)}")
         self.training_config(seed=0)
 
-    def method_instances(self) -> list[tuple[str, int | None]]:
-        """Expand windowed methods over the configured window lengths."""
-        instances: list[tuple[str, int | None]] = []
-        for method in self.methods:
-            if method in WINDOWED_METHODS:
-                instances.extend((method, w) for w in self.windows)
-            else:
-                instances.append((method, None))
-        return instances
+    def method_instances(self) -> list[tuple[str, int | None, str]]:
+        """``(method, window, name)`` per instance; windowed methods expand over the windows."""
+        return [
+            (method, window, method_instance_name(method, window))
+            for method in self.methods
+            for window in (self.windows if method in WINDOWED_METHODS else [None])
+        ]
 
     def training_config(self, seed: int) -> TrainingConfig:
         return TrainingConfig(seed=seed, **self.training)
@@ -129,11 +127,12 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
             else:
                 kind = "dense" if method.startswith("DENSE") else "ruad"
                 spec = mdl.ModelSpec(kind=kind, input_dim=train.feature_count, window=window or 1)
+                regime = mdl.Regime(semi_supervised=method.endswith("_semi"))
                 trained, history = mdl.train_node_model(
-                    train, spec, mdl.REGIMES[method], cfg.training_config(seed)
+                    train, spec, regime, cfg.training_config(seed)
                 )
-                mdl.save_trained_model(store, name, trained)
-                _write_loss_history(store / node_id / f"{name}_loss.csv", history)
+                path = mdl.save_trained_model(store, name, trained)
+                _write_loss_history(path.with_name(f"{name}_loss.csv"), history)
         except DataError as exc:
             rows.append((node_id, name, "skipped-data", str(exc)))
         else:
@@ -146,8 +145,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
     store = out_dir / "models"
     rows: list[tuple[str, str, str, str]] = []
     pending: dict[str, list[tuple[str, int | None, str]]] = {}
-    for method, window in cfg.method_instances():
-        name = method_instance_name(method, window)
+    for method, window, name in cfg.method_instances():
         if method == "EXP":
             log.info("%s requires no training; skipping", name)
             continue
@@ -226,8 +224,7 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     store = out_dir / "models"
     scores: dict[str, list] = {}
     pending = []
-    for method, window in cfg.method_instances():
-        name = method_instance_name(method, window)
+    for method, _, name in cfg.method_instances():
         score_path = out_dir / "scores" / f"{name}.csv"
         if score_path.exists():
             scores[name] = _read_cached_scores(cfg, name, score_path)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
 from .util import check_fields, ranged
 
 METHODS = ("EXP", "CLU", "DENSE_semi", "DENSE_un", "RUAD_semi", "RUAD")
@@ -18,14 +17,8 @@ WINDOWED_METHODS = ("RUAD_semi", "RUAD")
 
 
 def method_instance_name(method: str, window: int | None = None) -> str:
-    """Concrete store/report name; windowed methods get a W suffix."""
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in WINDOWED_METHODS:
-        if window is None:
-            raise DataError(f"{method} requires a window length")
-        return f"{method}_W{window}"
-    return method
+    """Concrete store/report name of a known method; windowed methods get a W suffix."""
+    return f"{method}_W{window}" if method in WINDOWED_METHODS else method
 
 
 def model_path(store_dir: str | Path, node_id: str, name: str) -> Path:

@@ -72,14 +72,6 @@ class Regime:
     semi_supervised: bool
 
 
-REGIMES: dict[str, Regime] = {
-    "DENSE_semi": Regime(semi_supervised=True),
-    "DENSE_un": Regime(semi_supervised=False),
-    "RUAD_semi": Regime(semi_supervised=True),
-    "RUAD": Regime(semi_supervised=False),
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture descriptor for the two autoencoder families.
@@ -140,16 +132,17 @@ class TrainedModel:
             raise DataError("max_train_error must be finite and > 0")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
     """Per-window L1 error between reconstruction and target, in chunks
     gathered from the rows. An error too large for a float is inf, with no
-    warning: it scores 1 after the clamp."""
+    warning: it scores 1 after the clamp. A network whose values overflow
+    warns neither; an error that is NaN is refused where it is used."""
     errors, targets = np.empty(len(windows)), windows.targets
     chunk = SCORE_BATCH if windows.window_length == 1 else RECURRENT_SCORE_BATCH
     for lo in range(0, len(windows), chunk):
         out = nn.forward(params, windows.gather(slice(lo, lo + chunk)))[0]
-        with np.errstate(over="ignore"):
-            errors[lo : lo + chunk] = np.abs(out - targets[lo : lo + chunk]).sum(axis=1)
+        errors[lo : lo + chunk] = np.abs(out - targets[lo : lo + chunk]).sum(axis=1)
     return errors
 
 
@@ -240,7 +233,7 @@ def train_clu_model(train: NodeDataset, seed: int) -> ClusterModel:
     """
     scaler = fit_minmax(train)
     rows = apply_minmax(scaler, train).features
-    k, centroids = select_k(rows, seed=seed)
+    k, centroids = select_k(rows, seed)
     probs = cluster_anomaly_probabilities(assign_clusters(rows, centroids), train.labels, k)
     return ClusterModel(
         node_id=train.node_id,

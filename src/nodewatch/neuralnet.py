@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TrainingError
+from .errors import TrainingError
 from .methods import TrainingConfig
 
 GATES = ("input", "forget", "output", "candidate")
@@ -375,6 +375,7 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> 
 IMPROVEMENT_THRESHOLD = 1e-6
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_autoencoder(
     params: NetworkParams, windows, cfg: TrainingConfig
 ) -> tuple[NetworkParams, list[float]]:
@@ -384,13 +385,11 @@ def train_autoencoder(
     the epoch loss has not improved by more than 1e-6 for
     ``early_stop_patience`` consecutive epochs, and returns ``params``, set
     in place to the parameters of the best (lowest-loss) epoch, together
-    with the loss history.
+    with the loss history. ``windows`` is not empty. Values that overflow
+    raise no warning: a loss that is not finite is a TrainingError.
     """
     targets = windows.targets
     count = len(windows)
-    if count == 0:
-        raise DataError("cannot train on an empty window set")
-
     rng = np.random.default_rng(cfg.seed)
     best_loss = np.inf
     best = params.values.copy()

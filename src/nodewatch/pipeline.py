@@ -71,17 +71,13 @@ def chronological_split(dataset: NodeDataset, ratio: float) -> SplitDataset:
     """Split into past (train) and future (test) with no overlap.
 
     The first floor(ratio * L) buckets become the training set, for a ratio
-    in (0, 1) as ``RunConfig`` admits. Splits that leave either side empty
-    are rejected.
+    in (0, 1) as ``RunConfig`` admits. Splits that leave either side empty,
+    as every split of fewer than 2 rows does, are rejected.
     """
     length = len(dataset)
-    if length < 2:
-        raise DataError(f"{dataset.node_id}: need at least 2 rows to split, have {length}")
     n_train = int(np.floor(ratio * length))
-    if n_train == 0 or n_train == length:
-        raise DataError(
-            f"{dataset.node_id}: ratio {ratio} leaves an empty side for {length} rows"
-        )
+    if not 0 < n_train < length:
+        raise DataError(f"{dataset.node_id}: ratio {ratio} leaves an empty side for {length} rows")
     return SplitDataset(
         train=dataset.take(slice(0, n_train)),
         test=dataset.take(slice(n_train, length)),
@@ -100,9 +96,7 @@ def semi_supervised_filter(dataset: NodeDataset) -> NodeDataset:
 
 def fit_minmax(train: NodeDataset) -> ScalerParams:
     """Per-feature min/max over the training rows. A feature whose span
-    max - min overflows a float is a DataError naming it."""
-    if len(train) == 0:
-        raise DataError("cannot fit scaler on an empty training set")
+    max - min overflows a float is a DataError naming it. ``train`` is not empty."""
     params = ScalerParams(train.features.min(axis=0), train.features.max(axis=0))
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(np.isinf(params.maximum - params.minimum))

@@ -160,10 +160,9 @@ def pool_nodes(series_list: list[ScoreSeries]) -> RocReport:
     Nodes are unweighted: a node with more scored buckets contributes more
     pairs, exactly as if its rows had been appended to one big test set.
     The report's ``nodes`` holds each node's positives, negatives, scored
-    buckets and own AUC (None where the node lacks a class).
+    buckets and own AUC (None where the node lacks a class). An empty list
+    has no positives, which ``roc_curve`` refuses.
     """
-    if not series_list:
-        raise DataError("cannot pool an empty list of score series")
     scores: list = []
     labels: list = []
     nodes = {}

@@ -123,10 +123,6 @@ class TestSilhouette:
         data = np.zeros((4, 2))
         assert silhouette(distances(data), np.array([0, 0, 1, 1])) == 0.0
 
-    def test_single_cluster_errors(self):
-        with pytest.raises(DataError, match="two non-empty clusters"):
-            silhouette(distances(np.zeros((3, 1))), np.array([0, 0, 0]))
-
     def test_range_and_label_permutation_invariance(self, rng):
         data = rng.normal(size=(30, 3))
         assignment = rng.integers(0, 3, size=30)
@@ -327,39 +323,42 @@ class TestStackedLloyd:
     def test_select_k_matches_per_restart_reference(self, monkeypatch):
         rng = np.random.default_rng(4)
         rows = blob_rows(rng, [[0, 0, 0], [4, 4, 0], [0, 4, 4]], per_blob=40, spread=0.8)
-        k, centroids = select_k(rows, range(2, 7), seed=9)
-        monkeypatch.setattr(bl, "kmeans_fit", lambda r, k, seed=0: reference_kmeans_fit(r, k, seed))
-        want_k, want_centroids = bl.select_k(rows, range(2, 7), seed=9)
+        monkeypatch.setattr(bl, "K_RANGE", range(2, 7))
+        k, centroids = select_k(rows, seed=9)
+        monkeypatch.setattr(bl, "kmeans_fit", lambda r, k, seed: reference_kmeans_fit(r, k, seed))
+        want_k, want_centroids = bl.select_k(rows, seed=9)
         assert k == want_k
         npt.assert_array_equal(centroids, want_centroids)
 
 
 class TestSelectK:
+    @pytest.fixture(autouse=True)
+    def k_range(self, monkeypatch):
+        monkeypatch.setattr(bl, "K_RANGE", range(2, 6))
+
     def test_two_blobs(self, rng):
         rows = blob_rows(rng, [[0, 0], [8, 8]])
-        k, centroids = select_k(rows, range(2, 6), seed=0)
+        k, centroids = select_k(rows, seed=0)
         assert k == 2
         # the winner's centroids are exactly what a fresh fit at that k gives
         npt.assert_array_equal(centroids, kmeans_fit(rows, 2, seed=0))
 
     def test_three_blobs(self, rng):
         rows = blob_rows(rng, [[0, 0], [8, 8], [-8, 8]])
-        k, centroids = select_k(rows, range(2, 6), seed=0)
+        k, centroids = select_k(rows, seed=0)
         assert k == 3 and centroids.shape == (3, 2)
 
     def test_no_feasible_k_errors(self):
         rows = np.array([[1.0], [1.0]])
         with pytest.raises(DataError, match="no feasible k"):
-            select_k(rows, range(2, 5), seed=0)
+            select_k(rows, seed=0)
 
     def test_ties_break_toward_smaller_k(self, monkeypatch):
         # force identical silhouette for every candidate k
-        import nodewatch.baselines as bl
-
         monkeypatch.setattr(bl, "silhouette", lambda d, a: 0.5)
         rng = np.random.default_rng(0)
         rows = blob_rows(rng, [[0, 0], [8, 8], [-8, 8]])
-        assert bl.select_k(rows, range(2, 6), seed=0)[0] == 2
+        assert bl.select_k(rows, seed=0)[0] == 2
 
 
 class TestClusterProbabilities:

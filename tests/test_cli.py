@@ -209,6 +209,29 @@ class TestTrainCommand:
             assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+class TestDivergence:
+    """A network whose values overflow prints no numpy warning (tier-1 turns
+    one into an error); a training loss that is not finite exits 3."""
+
+    def test_overflowing_network_trains_and_evaluates(self, tmp_path, generated_data):
+        training = {"max_epochs": 2, "learning_rate": 1e100}
+        cfg = tiny_run_config(
+            tmp_path, generated_data, methods=["DENSE_un", "RUAD"], training=training
+        )
+        for command in ("train", "evaluate"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+    def test_non_finite_loss_exits_three_with_one_line(self, tmp_path, generated_data, caplog):
+        training = {"max_epochs": 2, "learning_rate": 1e300}
+        cfg = tiny_run_config(tmp_path, generated_data, training=training)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert [r.getMessage() for r in errors] == [
+            "training failed: training diverged: loss became nan"
+        ]
+        assert "Traceback" not in caplog.text and errors[0].exc_info is None
+
+
 def decode_f8(entry):
     """A stored ``{"shape", "f8"}`` array, decoded by hand."""
     return np.frombuffer(base64.b64decode(entry["f8"]), dtype="<f8").reshape(entry["shape"])
@@ -853,7 +876,9 @@ class TestRunConfig:
 
     def test_method_instances_expand_windows(self):
         cfg = RunConfig(data_dir=".", methods=["EXP", "RUAD"], windows=[5, 10])
-        assert cfg.method_instances() == [("EXP", None), ("RUAD", 5), ("RUAD", 10)]
+        assert cfg.method_instances() == [
+            ("EXP", None, "EXP"), ("RUAD", 5, "RUAD_W5"), ("RUAD", 10, "RUAD_W10"),
+        ]
 
     @pytest.mark.parametrize("command", ["score", "generate"])
     @pytest.mark.parametrize(

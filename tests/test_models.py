@@ -10,9 +10,11 @@ import pytest
 from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
 from nodewatch.baselines import KMeansModel
+from nodewatch.cli import main
 from nodewatch.errors import DataError
 from nodewatch.pipeline import ScalerParams, apply_minmax, chronological_split, make_windows
 from nodewatch.neuralnet import TrainingConfig
+from nodewatch.util import write_json
 
 from conftest import build_dataset
 from test_neuralnet import layer_arrays, reference_lstm
@@ -37,9 +39,24 @@ def smooth_dataset(n=150, n_features=4, labels=None, seed=0):
 
 
 class TestRegimeMatrix:
-    def test_filter_matrix_rows(self):
-        expected = {"DENSE_semi": True, "DENSE_un": False, "RUAD_semi": True, "RUAD": False}
-        assert {name: r.semi_supervised for name, r in mdl.REGIMES.items()} == expected
+    def test_filter_matrix_rows(self, tmp_path):
+        """``train`` gives the methods named ``_semi`` the semi-supervised filter."""
+        synth, run = tmp_path / "synth.json", tmp_path / "run.json"
+        data, out = tmp_path / "data", tmp_path / "run"
+        write_json(synth, {"node_count": 1, "metric_count": 2, "timestep_count": 200, "seed": 3})
+        write_json(run, {
+            "data_dir": str(data), "methods": ["DENSE_semi", "DENSE_un", "RUAD_semi", "RUAD"],
+            "windows": [3], "training": {"max_epochs": 1},
+        })
+        assert main(["generate", "--config", str(synth), "--out", str(data)]) == 0
+        assert main(["train", "--config", str(run), "--out", str(out)]) == 0
+        stored = {
+            path.stem: mdl.load_trained_model(path).regime.semi_supervised
+            for path in (out / "models" / "node_000").glob("*.json")
+        }
+        assert stored == {
+            "DENSE_semi": True, "DENSE_un": False, "RUAD_semi_W3": True, "RUAD_W3": False,
+        }
 
     def test_instance_names_mirror_store_layout(self):
         assert mdl.method_instance_name("EXP") == "EXP"
@@ -47,10 +64,6 @@ class TestRegimeMatrix:
         assert mdl.method_instance_name("DENSE_semi") == "DENSE_semi"
         assert mdl.method_instance_name("RUAD", 10) == "RUAD_W10"
         assert mdl.method_instance_name("RUAD_semi", 5) == "RUAD_semi_W5"
-        with pytest.raises(DataError):
-            mdl.method_instance_name("RUAD")  # window required
-        with pytest.raises(DataError):
-            mdl.method_instance_name("MYSTERY")
 
 
 class TestBuildModel:
@@ -94,10 +107,10 @@ class TestTrainNodeModel:
         ds = smooth_dataset(n=120)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         semi, _ = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["DENSE_semi"], training_config(seed=11)
+            ds, spec, mdl.Regime(semi_supervised=True), training_config(seed=11)
         )
         unsup, _ = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["DENSE_un"], training_config(seed=11)
+            ds, spec, mdl.Regime(semi_supervised=False), training_config(seed=11)
         )
         npt.assert_array_equal(semi.network.values, unsup.network.values)
         assert semi.max_train_error == unsup.max_train_error
@@ -106,7 +119,7 @@ class TestTrainNodeModel:
         ds = smooth_dataset(n=160)
         spec = mdl.ModelSpec(kind="ruad", input_dim=4, window=5)
         model, history = mdl.train_node_model(
-            ds, spec, mdl.REGIMES["RUAD"], training_config(seed=3)
+            ds, spec, mdl.Regime(semi_supervised=False), training_config(seed=3)
         )
         assert model.max_train_error > 0
         assert len(history) >= 1 and all(np.isfinite(history))
@@ -115,19 +128,19 @@ class TestTrainNodeModel:
         ds = smooth_dataset(n=9)
         spec = mdl.ModelSpec(kind="ruad", input_dim=4, window=10)
         with pytest.raises(DataError, match="no training windows"):
-            mdl.train_node_model(ds, spec, mdl.REGIMES["RUAD"], training_config())
+            mdl.train_node_model(ds, spec, mdl.Regime(semi_supervised=False), training_config())
 
     def test_semi_filter_emptying_is_reported(self):
         ds = smooth_dataset(n=20, labels=[1] * 20)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         with pytest.raises(DataError, match="semi-supervised filter removed every row"):
-            mdl.train_node_model(ds, spec, mdl.REGIMES["DENSE_semi"], training_config())
+            mdl.train_node_model(ds, spec, mdl.Regime(semi_supervised=True), training_config())
 
     def test_train_probabilities_capped_by_construction(self):
         train = chronological_split(smooth_dataset(n=140), 0.8).train
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         model, _ = mdl.train_node_model(
-            train, spec, mdl.REGIMES["DENSE_un"], training_config(seed=2)
+            train, spec, mdl.Regime(semi_supervised=False), training_config(seed=2)
         )
         series = mdl.score_node_model(model, train)
         assert series.probabilities.max() <= 1.0
@@ -146,7 +159,7 @@ def constant_output_model(n, value, max_train_error=1.0):
         network=nn.NetworkParams([nn.DenseSpec(n, n, "relu")], values),
         scaler=identity_scaler(n),
         max_train_error=max_train_error,
-        regime=mdl.REGIMES["DENSE_un"],
+        regime=mdl.Regime(semi_supervised=False),
         seed=0,
     )
 
@@ -179,7 +192,7 @@ class TestScoreNodeModel:
             network=network,
             scaler=scaler,
             max_train_error=0.8,
-            regime=mdl.REGIMES["RUAD"],
+            regime=mdl.Regime(semi_supervised=False),
             seed=21,
         )
         series = mdl.score_node_model(model, ds)
@@ -203,7 +216,7 @@ class TestScoreNodeModel:
         split = chronological_split(smooth_dataset(n=60), 0.8)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         model, _ = mdl.train_node_model(
-            split.train, spec, mdl.REGIMES["DENSE_un"], training_config(seed=5)
+            split.train, spec, mdl.Regime(semi_supervised=False), training_config(seed=5)
         )
         test = split.test
         flipped = build_dataset(
@@ -218,7 +231,7 @@ class TestScoreNodeModel:
         split = chronological_split(smooth_dataset(n=80), 0.8)
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         model, _ = mdl.train_node_model(
-            split.train, spec, mdl.REGIMES["DENSE_un"], training_config(seed=9)
+            split.train, spec, mdl.Regime(semi_supervised=False), training_config(seed=9)
         )
         test = split.test
         series = mdl.score_node_model(model, test)
@@ -282,7 +295,7 @@ class TestReconstructionErrors:
             network=nn.init_params(mdl.layer_specs(spec), seed=0),
             scaler=ScalerParams(np.zeros(2), np.full(2, 0.5)),
             max_train_error=1.0,
-            regime=mdl.REGIMES["RUAD"],
+            regime=mdl.Regime(semi_supervised=False),
             seed=0,
         )
         series = mdl.score_node_model(model, build_dataset([0] * 4, features=features))
@@ -293,7 +306,9 @@ class TestReconstructionErrors:
         spec = mdl.ModelSpec(kind="ruad", input_dim=64, window=40)
         tracemalloc.start()
         try:
-            mdl.train_node_model(ds, spec, mdl.REGIMES["RUAD"], training_config(epochs=1))
+            mdl.train_node_model(
+                ds, spec, mdl.Regime(semi_supervised=False), training_config(epochs=1)
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,7 +387,7 @@ class TestModelStore:
         split = chronological_split(smooth_dataset(n=100), 0.8)
         spec = mdl.ModelSpec(kind="ruad", input_dim=4, window=3)
         model, _ = mdl.train_node_model(
-            split.train, spec, mdl.REGIMES["RUAD"], training_config(seed=13)
+            split.train, spec, mdl.Regime(semi_supervised=False), training_config(seed=13)
         )
         path = mdl.save_trained_model(tmp_path / "models", "RUAD_W3", model)
         assert path == tmp_path / "models" / "test_node" / "RUAD_W3.json"
@@ -448,7 +463,7 @@ class TestStoreFormat:
             for array in layer_arrays(network).values():
                 array.flat[:4] = EDGE_VALUES
             model = mdl.TrainedModel("n0", spec, network, edge_scaler(), 5e-324,
-                                     mdl.REGIMES["RUAD"], seed=3)
+                                     mdl.Regime(semi_supervised=False), seed=3)
             path = mdl.save_trained_model(tmp_path, kind, model)
             loaded = mdl.load_trained_model(path)
             assert loaded.max_train_error == 5e-324 and loaded.spec == spec
@@ -465,7 +480,7 @@ class TestStoreFormat:
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         network = nn.init_params(mdl.layer_specs(spec), seed=1)
         model = mdl.TrainedModel("n0", spec, network, edge_scaler(),
-                                 1.0, mdl.REGIMES["DENSE_un"], seed=1)
+                                 1.0, mdl.Regime(semi_supervised=False), seed=1)
         stored = json.loads(mdl.save_trained_model(tmp_path, "DENSE_un", model).read_text())
         values = model.network.values
         # 4-16-8-16-4: 4*16+16 + 16*8+8 + 8*16+16 + 16*4+4 parameters
@@ -497,7 +512,7 @@ class TestStoreFormat:
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         network = nn.init_params(mdl.layer_specs(spec), seed=1)
         model = mdl.TrainedModel("n0", spec, network, edge_scaler(),
-                                 1.0, mdl.REGIMES["DENSE_un"], seed=1)
+                                 1.0, mdl.Regime(semi_supervised=False), seed=1)
         path = mdl.save_trained_model(tmp_path, "DENSE_un", model)
         stored = json.loads(path.read_text())
         edit(stored)

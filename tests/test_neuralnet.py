@@ -7,7 +7,7 @@ import pytest
 
 from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
-from nodewatch.errors import DataError, TrainingError
+from nodewatch.errors import TrainingError
 from nodewatch.pipeline import make_windows
 
 from conftest import build_dataset
@@ -370,13 +370,6 @@ class TestTraining:
         specs = [nn.LstmSpec(3, 4, False), nn.DenseSpec(4, 3, "sigmoid")]
         _, history = nn.train_autoencoder(nn.init_params(specs, 2), windows, cfg)
         assert len(set(history)) == 1
-
-    def test_empty_window_set_rejected(self):
-        empty = windows_over_rows(np.zeros((4, 3)), 5)
-        cfg = nn.TrainingConfig(seed=0)
-        params = nn.init_params([nn.DenseSpec(3, 3)], seed=0)
-        with pytest.raises(DataError, match="empty window set|empty"):
-            nn.train_autoencoder(params, empty, cfg)
 
     def test_divergence_is_surfaced(self):
         windows = self.sinusoid_windows(count=8, w=1)

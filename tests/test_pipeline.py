@@ -31,7 +31,7 @@ class TestChronologicalSplit:
         assert len(split.train) == 4 and len(split.test) == 1
 
     def test_single_row_errors(self):
-        with pytest.raises(DataError, match="at least 2 rows"):
+        with pytest.raises(DataError, match="empty side"):
             chronological_split(build_dataset([0]), 0.8)
 
     def test_degenerate_ratio_errors(self):
