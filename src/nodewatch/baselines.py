@@ -178,15 +178,16 @@ def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations from a stack of seed sets, all restarts at once.
 
-    ``seeds`` is (R, k, N), one seed set per restart. Returns the (R, k, N)
-    centroids, the (R, n) assignments and each restart's WCSS, each bit for
-    bit what the restart gives when run alone. Each step makes one stacked
-    distance computation and one set of cluster masks for the live
-    restarts; a restart leaves the batch at the iteration where it
-    converges.
+    ``seeds`` is (R, k, N), one seed set per restart; ``rows`` are finite.
+    Returns the (R, k, N) centroids, the (R, n) assignments and each
+    restart's WCSS, each bit for bit what the restart gives when run alone.
+    Each step makes one stacked distance computation and one stacked
+    product of one-hot memberships with the rows, which gives every
+    cluster sum of the live restarts; a restart leaves the batch at the
+    iteration where it converges.
     """
     centroids = seeds.copy()
-    restarts, k, width = centroids.shape
+    restarts, k, _ = centroids.shape
     row_sq = _row_norms(rows)
 
     def assign(live: np.ndarray) -> np.ndarray:  # (len(live), n)
@@ -196,14 +197,12 @@ def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     assignment = assign(live)
     for _ in range(KMEANS_MAX_ITER):
         current = assignment[live]
-        members = current[:, None, :] == np.arange(k)[:, None]  # (A, k, n)
-        counts = members.sum(axis=2)
-        # the row-order sums that rows[mask].mean(axis=0) takes, so the means
-        # are bit for bit those of a per-cluster mean
-        sums = np.zeros((len(live), k, width))
-        for slot, j in zip(*np.nonzero(counts)):
-            sums[slot, j] = rows[members[slot, j]].sum(axis=0)
-        means = sums / np.maximum(counts, 1)[..., None]
+        onehot = (current[:, None, :] == np.arange(k)[:, None]).astype(np.float64)  # (A, k, n)
+        counts = onehot.sum(axis=2)
+        # a batched matmul multiplies each restart as a product of its own,
+        # so a restart's sums have the same bits stacked or alone
+        means = onehot @ rows
+        means /= np.maximum(counts, 1.0)[..., None]
         empty = (counts == 0).any(axis=1)
         centroids[live[~empty]] = means[~empty]
         # an empty cluster is re-seeded on the worst-fit point while clusters
@@ -282,13 +281,10 @@ def select_k(rows: np.ndarray, seed: int) -> tuple[int, np.ndarray]:
 def cluster_anomaly_probabilities(
     assignments: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
-    """Fraction of anomalous (label 1) members per cluster; empty -> 0."""
-    probs = np.zeros(k)
-    for j in range(k):
-        mask = assignments == j
-        if np.any(mask):
-            probs[j] = labels[mask].mean()
-    return probs
+    """Fraction of anomalous (label 1) members per cluster; empty -> 0. Sums
+    of 0/1 labels are exact in any order."""
+    anomalous = np.bincount(assignments, weights=labels, minlength=k)
+    return anomalous / np.maximum(np.bincount(assignments, minlength=k), 1)
 
 
 def kmeans_score(model: KMeansModel, rows: np.ndarray) -> np.ndarray:

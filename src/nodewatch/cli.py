@@ -109,7 +109,9 @@ def _write_loss_history(path: Path, history: list[float]) -> None:
 
 def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
     """Train one node's pending ``(method, window, name)`` instances on one
-    split of its dataset; returns one status row per instance."""
+    split of its dataset; returns one status row per instance. An instance
+    whose training fails is recorded as ``failed-training`` and the rest
+    still train."""
     from . import models as mdl
 
     cfg, out_dir, node_id, instances = args
@@ -135,6 +137,8 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
                 _write_loss_history(path.with_name(f"{name}_loss.csv"), history)
         except DataError as exc:
             rows.append((node_id, name, "skipped-data", str(exc)))
+        except TrainingError as exc:
+            rows.append((node_id, name, "failed-training", str(exc)))
         else:
             rows.append((node_id, name, "trained", ""))
     return rows
@@ -169,9 +173,12 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
         results = map(_run_train_job, jobs)
     rows.extend(row for job_rows in results for row in job_rows)
 
-    for node_id, name, status, detail in sorted(rows):
+    rows.sort()
+    for node_id, name, status, detail in rows:
         if status == "skipped-data":
             log.warning("%s/%s skipped: %s", node_id, name, detail)
+        elif status == "failed-training":
+            log.warning("%s/%s failed: %s", node_id, name, detail)
     write_json(
         out_dir / "train_log.json",
         {
@@ -179,12 +186,15 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
                 key: getattr(cfg, key)
                 for key in ("data_dir", "methods", "windows", "split_ratio", "training", "seed")
             },
-            "jobs": [
-                {"node": n, "model": m, "status": s, "detail": d}
-                for n, m, s, d in sorted(rows)
-            ],
+            "jobs": [{"node": n, "model": m, "status": s, "detail": d} for n, m, s, d in rows],
         },
     )
+    failed = [(node_id, name) for node_id, name, status, _ in rows if status == "failed-training"]
+    if failed:
+        raise TrainingError(
+            f"{len(failed)} of {len(rows)} model instances failed to train, "
+            f"first {'/'.join(failed[0])}; see train_log.json"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ LATENT_DIM = 8
 DECODER_DIM = 16
 
 # windows per scoring chunk: a recurrent chunk's caches grow with W and its errors are the same
-# bits at any chunk size; dense errors depend on the chunk's row count through the BLAS path
+# bits at any chunk size; dense errors depend on the chunk's row count through the BLAS path, so
+# a short last dense chunk is padded to SCORE_BATCH rows
 SCORE_BATCH = 512
 RECURRENT_SCORE_BATCH = 128
 
@@ -135,14 +136,21 @@ class TrainedModel:
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
     """Per-window L1 error between reconstruction and target, in chunks
-    gathered from the rows. An error too large for a float is inf, with no
+    gathered from the rows. Every dense pass takes SCORE_BATCH rows, the
+    last one padded with zeros, so a window's error does not depend on where
+    its chunk starts or ends. An error too large for a float is inf, with no
     warning: it scores 1 after the clamp. A network whose values overflow
     warns neither; an error that is NaN is refused where it is used."""
     errors, targets = np.empty(len(windows)), windows.targets
-    chunk = SCORE_BATCH if windows.window_length == 1 else RECURRENT_SCORE_BATCH
+    dense = windows.window_length == 1
+    chunk = SCORE_BATCH if dense else RECURRENT_SCORE_BATCH
     for lo in range(0, len(windows), chunk):
-        out = nn.forward(params, windows.gather(slice(lo, lo + chunk)))[0]
-        errors[lo : lo + chunk] = np.abs(out - targets[lo : lo + chunk]).sum(axis=1)
+        batch = windows.gather(slice(lo, lo + chunk))
+        count = len(batch)
+        if dense and count < chunk:
+            batch = np.concatenate([batch, np.zeros((chunk - count, *batch.shape[1:]))])
+        out = nn.forward(params, batch)[0][:count]
+        errors[lo : lo + count] = np.abs(out - targets[lo : lo + count]).sum(axis=1)
     return errors
 
 

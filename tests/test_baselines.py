@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -220,19 +221,43 @@ class TestKMeans:
         _, _, wcss = _lloyd(rows, seeds[None])
         assert wcss[0] <= at_seeds + 1e-12
 
+    @pytest.mark.parametrize("n", [2, 45, 700, 5000])
+    @pytest.mark.parametrize("width", [1, 3, 8, 64])
+    def test_centroids_are_member_means_within_the_summation_bound(self, width, n):
+        # any order of summing m values errs by at most (m - 1) eps sum|x|;
+        # mixed magnitudes make the last bits of the sums order-dependent
+        rng = np.random.default_rng(width * n)
+        rows = rng.uniform(size=(n, width)) ** 3 * 10.0 ** rng.integers(-3, 4, size=(n, width))
+        seeds = np.stack([_plus_plus_seeds(rows, min(n, 4), rng) for _ in range(3)])
+        centroids, assignment, _ = _lloyd(rows, seeds)
+        eps = np.finfo(float).eps
+        for own, labels in zip(centroids, assignment):
+            for j, centroid in enumerate(own):
+                members = rows[labels == j]
+                count = len(members)
+                assert count > 0
+                exact = np.array([math.fsum(col) / count for col in members.T])
+                bound = (count - 1) * eps * np.abs(members).sum(axis=0) / count
+                assert np.all(np.abs(centroid - exact) <= bound)
+
 
 def reference_lloyd(rows, seeds):
-    """Lloyd's algorithm one cluster at a time, empty clusters re-seeded on
-    the worst-fit point as they come up. Also returns the iteration that
-    converged (None when the iteration cap stopped it)."""
+    """Lloyd's algorithm on one restart. The cluster sums are the restart's
+    own one-hot membership product with the rows; empty clusters are
+    re-seeded on the worst-fit point one at a time, as they come up. Also
+    returns the iteration that converged (None when the iteration cap
+    stopped it)."""
     centroids = seeds.copy()
+    k = len(centroids)
     assignment = assign_clusters(rows, centroids)
     converged_at = None
     for iteration in range(bl.KMEANS_MAX_ITER):
-        for j in range(len(centroids)):
-            mask = assignment == j
-            if np.any(mask):
-                centroids[j] = rows[mask].mean(axis=0)
+        onehot = (assignment == np.arange(k)[:, None]).astype(float)
+        counts = onehot.sum(axis=1)
+        means = (onehot @ rows) / np.maximum(counts, 1)[:, None]
+        for j in range(k):
+            if counts[j]:
+                centroids[j] = means[j]
             else:
                 far = np.argmax(np.sum((rows - centroids[assignment]) ** 2, axis=1))
                 centroids[j] = rows[far]

@@ -227,9 +227,38 @@ class TestDivergence:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert [r.getMessage() for r in errors] == [
-            "training failed: training diverged: loss became nan"
+            "training failed: 2 of 2 model instances failed to train, "
+            "first node_000/DENSE_un; see train_log.json"
         ]
         assert "Traceback" not in caplog.text and errors[0].exc_info is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_diverging_method_leaves_the_others_trained(
+        self, tmp_path, generated_data, caplog, workers
+    ):
+        training = {"max_epochs": 2, "learning_rate": 1e300}
+        cfg = tiny_run_config(
+            tmp_path, generated_data, methods=["CLU", "DENSE_un"], training=training,
+            workers=workers,
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert sorted(p.relative_to(out).as_posix() for p in out.glob("models/*/*")) == [
+            "models/node_000/CLU.json", "models/node_001/CLU.json",
+        ]
+        jobs = json.loads((out / "train_log.json").read_text())["jobs"]
+        assert [(j["node"], j["model"], j["status"], j["detail"]) for j in jobs] == [
+            ("node_000", "CLU", "trained", ""),
+            ("node_000", "DENSE_un", "failed-training", "training diverged: loss became nan"),
+            ("node_001", "CLU", "trained", ""),
+            ("node_001", "DENSE_un", "failed-training", "training diverged: loss became nan"),
+        ]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [
+            "training failed: 2 of 4 model instances failed to train, "
+            "first node_000/DENSE_un; see train_log.json"
+        ]
+        assert "Traceback" not in caplog.text
 
 
 def decode_f8(entry):
