@@ -88,13 +88,16 @@ def _discover_nodes(cfg: RunConfig) -> list[str]:
     return nodes
 
 
-def _load_split(cfg: RunConfig, node_id: str):
-    """A node's dataset, read from its file and split chronologically: every
-    detector a command runs on the node gets this one split."""
+def _load_split(cfg: RunConfig, out_dir: str | Path, node_id: str):
+    """A node's dataset, read through its parsed copy in ``out_dir/datasets``
+    and split chronologically: every detector a command runs on the node
+    gets this one split."""
+    from .models import load_node_dataset
     from .pipeline import chronological_split
-    from .telemetry import NodeDataset
 
-    dataset = NodeDataset.from_csv(Path(cfg.data_dir) / f"{node_id}.csv")
+    dataset = load_node_dataset(
+        Path(cfg.data_dir) / f"{node_id}.csv", Path(out_dir) / "datasets" / f"{node_id}.json"
+    )
     return chronological_split(dataset, cfg.split_ratio)
 
 
@@ -117,7 +120,7 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
     cfg, out_dir, node_id, instances = args
     store = Path(out_dir) / "models"
     try:
-        train = _load_split(cfg, node_id).train
+        train = _load_split(cfg, out_dir, node_id).train
     except DataError as exc:
         return [(node_id, name, "skipped-data", str(exc)) for _, _, name in instances]
     rows = []
@@ -248,7 +251,7 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
 
     for node_id in nodes:
         try:
-            split = _load_split(cfg, node_id)
+            split = _load_split(cfg, out_dir, node_id)
         except DataError as exc:
             log.warning("skipping %s for every method: %s", node_id, exc)
             continue

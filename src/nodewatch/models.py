@@ -3,13 +3,15 @@
 Ties the pipeline, the network engine and the baselines together: builds
 the two autoencoder architectures at their published shapes, trains them
 with or without the semi-supervised filter, and turns a trained model plus a
-test set into a per-bucket score series. Also owns the on-disk model store
-(one JSON per node and method).
+test set into a per-bucket score series. Also owns the JSON files that hold
+arrays: the model store (one file per node and method) and each node's
+parsed dataset copy.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
 import math
@@ -47,7 +49,7 @@ from .pipeline import (
     semi_supervised_filter,
 )
 from .scoring import ScoreSeries
-from .telemetry import NodeDataset
+from .telemetry import NodeDataset, read_dataset_bytes
 from .util import read_json, write_json
 
 log = logging.getLogger(__name__)
@@ -279,38 +281,45 @@ def score_exp_method(split: SplitDataset, alpha: float) -> ScoreSeries:
 # A store is one JSON object: a header of plain values, ``"format": 3``, and
 # every float64 array as {"shape": [...], "f8": <base64 of its little-endian
 # bytes>}. Arrays pass through one codec, ``_encode_array`` on the way out and
-# ``_decode_array`` on the way in. An autoencoder's ``network`` is its one
-# parameter vector, ``NetworkParams.values``.
+# ``_decode_array`` on the way in; it writes an int64 array as {"shape": [...],
+# "i8": ...}, which only dataset copies hold. An autoencoder's ``network`` is
+# its one parameter vector, ``NetworkParams.values``.
 
 STORE_FORMAT = 3
 
+_ARRAY_KINDS = {"f8": np.float64, "i8": np.int64}
+
 
 def _encode_array(obj: object) -> dict:
-    """json ``default`` hook: a float64 array as its shape and base64 bytes."""
+    """json ``default`` hook: an array as its shape and base64 bytes, int64
+    for a signed integer array and float64 for any other."""
     if not isinstance(obj, np.ndarray):
-        raise TypeError(f"a model store cannot hold {type(obj).__name__}")
-    data = base64.b64encode(obj.astype("<f8", copy=False).tobytes())
-    return {"shape": list(obj.shape), "f8": data.decode("ascii")}
+        raise TypeError(f"cannot store {type(obj).__name__} as an array")
+    kind = "i8" if obj.dtype.kind == "i" else "f8"
+    data = base64.b64encode(obj.astype(f"<{kind}", copy=False).tobytes())
+    return {"shape": list(obj.shape), kind: data.decode("ascii")}
 
 
 def _decode_array(d: dict) -> object:
     """json ``object_hook``: an encoded array back as a writable native
-    float64 copy, checked whole and finite; any other object as it is."""
-    if "f8" not in d:
+    float64 or int64 copy, checked whole and, for float64, finite; any other
+    object as it is."""
+    kind = next((k for k in _ARRAY_KINDS if k in d), None)
+    if kind is None:
         return d
     shape = d["shape"]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise DataError(f"array shape {shape!r} is not a list of sizes")
     try:
-        data = base64.b64decode(d["f8"], validate=True)
+        data = base64.b64decode(d[kind], validate=True)
     except ValueError as exc:  # binascii.Error, or text that is not ASCII
         raise DataError(f"array payload is not base64 ({exc})") from None
     if len(data) != 8 * math.prod(shape):
         raise DataError(
             f"array payload holds {len(data)} bytes, shape {shape} needs {8 * math.prod(shape)}"
         )
-    array = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(array).all():
+    array = np.frombuffer(data, dtype=f"<{kind}").astype(_ARRAY_KINDS[kind]).reshape(shape)
+    if kind == "f8" and not np.isfinite(array).all():
         raise DataError(f"array of shape {shape} holds a value that is not finite")
     return array
 
@@ -420,3 +429,76 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
                 f"{len(scaler.minimum)} features"
             )
         return ClusterModel(node_id=d["node_id"], scaler=scaler, kmeans=kmeans, seed=d["seed"])
+
+
+# ---------------------------------------------------------------------------
+# parsed node datasets
+#
+# ``<out>/datasets/<node>.json`` holds a node's dataset as NodeDataset.from_csv
+# parsed it, with the sha256 of the CSV bytes it came from and the sha256 of
+# its own content. It stands in for the CSV only while the CSV's bytes have
+# that digest, and it is written only from a successful parse, so the CSV
+# stays the one source of truth and deleting a copy is always safe.
+
+DATASET_FORMAT = 1
+_DATASET_ARRAYS = ("bucket_starts", "labels", "features")
+
+
+def _content_sha256(feature_names: list, arrays: list[np.ndarray]) -> str:
+    """sha256 of a dataset copy's content: the feature names, then each
+    array's dtype, shape and bytes."""
+    digest = hashlib.sha256(json.dumps(feature_names).encode("utf-8"))
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode("ascii"))
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _read_dataset_copy(path: Path, node_id: str, csv_sha256: str) -> NodeDataset:
+    """The dataset a copy holds, when it records ``csv_sha256`` and its
+    content matches its own digest; a DataError otherwise."""
+    d = read_json(path, object_hook=_decode_array)
+    if not (
+        isinstance(d, dict)
+        and d.get("format") == DATASET_FORMAT
+        and d.get("csv_sha256") == csv_sha256
+    ):
+        raise DataError(f"{path}: not a copy of the current dataset file")
+    arrays = [d[key] for key in _DATASET_ARRAYS]
+    names = d["feature_names"]
+    if not all(isinstance(a, np.ndarray) for a in arrays) or (
+        _content_sha256(names, arrays) != d["content_sha256"]
+    ):
+        raise DataError(f"{path}: content does not match its digest")
+    return NodeDataset(node_id, feature_names=names, **dict(zip(_DATASET_ARRAYS, arrays)))
+
+
+def load_node_dataset(csv_path: Path, copy_path: Path) -> NodeDataset:
+    """The node dataset in ``csv_path``, read through its parsed copy at
+    ``copy_path``.
+
+    The CSV's bytes are read once and hashed. A copy that records their
+    sha256 is returned. Otherwise those same bytes go to
+    NodeDataset.from_csv, and what it returns is written to ``copy_path``
+    (atomically) and returned. A copy that cannot be read, fails a codec
+    check, records another digest or format, or whose content does not match
+    its own digest is rebuilt this way, without a warning. A CSV that fails
+    to parse raises its DataError and writes no copy.
+    """
+    data = read_dataset_bytes(csv_path)
+    csv_sha256 = hashlib.sha256(data).hexdigest()
+    try:
+        return _read_dataset_copy(copy_path, csv_path.stem, csv_sha256)
+    # missing, unreadable, damaged or stale (a DataError is a ValueError): rebuilt from the CSV
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    dataset = NodeDataset.from_csv(csv_path, data)
+    arrays = [getattr(dataset, key) for key in _DATASET_ARRAYS]
+    header = dict(
+        format=DATASET_FORMAT,
+        csv_sha256=csv_sha256,
+        content_sha256=_content_sha256(dataset.feature_names, arrays),
+        feature_names=dataset.feature_names,
+    )
+    write_json(copy_path, {**header, **dict(zip(_DATASET_ARRAYS, arrays))}, default=_encode_array)
+    return dataset

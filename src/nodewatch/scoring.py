@@ -197,24 +197,31 @@ def write_scores_csv(path: str | Path, series_list: list[ScoreSeries]) -> None:
 def read_scores_csv(path: str | Path) -> list[ScoreSeries]:
     """Read a score CSV back into per-node series (rows grouped by node).
 
-    A wrong header, a row without exactly four cells, a cell that does not
-    parse, a label other than 0 or 1 and rows that break a ScoreSeries rule
-    are each a DataError naming the file.
+    Bytes that are not UTF-8, a wrong header, a line ``csv`` cannot read, a
+    row without exactly four cells, a cell that does not parse, a label other
+    than 0 or 1 and rows that break a ScoreSeries rule are each a DataError
+    naming the file.
     """
     rows_by_node: dict[str, list[tuple[int, float, int]]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != SCORE_COLUMNS:
-            raise DataError(f"{path}: expected header {','.join(SCORE_COLUMNS)}")
-        for row in reader:
-            try:
-                node_id, bucket, probability, label = row
-                parsed = (int(bucket), float(probability), int(label))
-            except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: bad score row ({exc})") from None
-            if parsed[2] not in (0, 1):
-                raise DataError(f"{path}, line {reader.line_num}: label {label} is not 0 or 1")
-            rows_by_node.setdefault(node_id, []).append(parsed)
+        try:
+            if next(reader, None) != SCORE_COLUMNS:
+                raise DataError(f"{path}: expected header {','.join(SCORE_COLUMNS)}")
+            for row in reader:
+                try:
+                    node_id, bucket, probability, label = row
+                    parsed = (int(bucket), float(probability), int(label))
+                except ValueError as exc:
+                    line = reader.line_num
+                    raise DataError(f"{path}, line {line}: bad score row ({exc})") from None
+                if parsed[2] not in (0, 1):
+                    raise DataError(f"{path}, line {reader.line_num}: label {label} is not 0 or 1")
+                rows_by_node.setdefault(node_id, []).append(parsed)
+        except UnicodeDecodeError as exc:  # the file is decoded as it is read
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:  # a field longer than csv's limit
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     series_list = []
     for node_id in sorted(rows_by_node):
         buckets, probabilities, labels = zip(*sorted(rows_by_node[node_id]))

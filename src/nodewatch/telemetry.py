@@ -4,14 +4,18 @@
 A node's dataset is stored as a CSV file with the header
 ``bucket_start,label,<feature>...``: an integer bucket start in seconds, a
 0/1 label, then one finite float per feature. :meth:`NodeDataset.from_csv`
-is the only reader of node data and rejects any other shape with a
-:class:`DataError` that names the file. The synthetic generator writes these
-files; real telemetry has to be aggregated into the same format first.
+is the only parser of node data and rejects any other shape with a
+:class:`DataError` that names the file. A command keeps a parsed copy of each
+node under its output directory (``models.load_node_dataset``), but writes it
+only from what ``from_csv`` returned for the same bytes, so every check runs
+before a copy exists. The synthetic generator writes these files; real
+telemetry has to be aggregated into the same format first.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,43 +89,51 @@ class NodeDataset:
         write_atomic(path, "".join(lines))
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "NodeDataset":
-        """Read a node dataset CSV written by :meth:`to_csv`; the node id is
-        the file's stem.
+    def from_csv(cls, path: str | Path, data: bytes | None = None) -> "NodeDataset":
+        """Parse a node dataset CSV written by :meth:`to_csv`: the file at
+        ``path``, or ``data``, that file's bytes as the caller read them. The
+        node id is the file's stem.
 
-        The header is read with ``csv``, the rows with one ``np.loadtxt``
-        call, which parses floats to the same bits as ``float()``. A row of
-        the wrong width, a cell that does not parse (an integer bucket and
-        label, a float feature), a label other than 0 or 1, a non-finite
-        feature, a file without rows and one that cannot be opened are each a
-        DataError naming the file.
+        The bytes are checked to be UTF-8 as a whole, then the header is read
+        with ``csv`` and the rows with one ``np.loadtxt`` call, which parses
+        floats to the same bits as ``float()``. Bytes that are not UTF-8, a
+        header ``csv`` cannot read, a row of the wrong width, a cell that does
+        not parse (an integer bucket and label, a float feature), a label
+        other than 0 or 1, a non-finite feature, a file without rows and one
+        that cannot be opened are each a DataError naming the file.
         """
         path = Path(path)
+        if data is None:
+            data = read_dataset_bytes(path)
         try:
-            fh = open(path, "r", newline="", encoding="utf-8-sig")
-        except OSError as exc:
-            raise DataError(f"{path}: cannot read the dataset file ({exc.strerror})") from None
-        with fh:
+            data.decode("utf-8-sig")  # the whole file, before any of it is parsed
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+        # decoded in chunks as it is read, like a file opened with newline=""
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+        try:
             header = next(csv.reader(fh), None)
-            if header is None:
-                raise DataError(f"{path}: empty dataset file")
-            if header[:2] != ["bucket_start", "label"]:
-                raise DataError(f"{path}: expected header 'bucket_start,label,...'")
-            names = header[2:]
-            dtype = np.dtype(
-                [
-                    ("bucket_start", np.int64),
-                    ("label", np.int64),
-                    ("features", np.float64, (len(names),)),
-                ]
-            )
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is reported below, not warned about
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed dataset row: {exc}") from None
+        except csv.Error as exc:  # a field longer than csv's limit
+            raise DataError(f"{path}: malformed header ({exc})") from None
+        if header is None:
+            raise DataError(f"{path}: empty dataset file")
+        if header[:2] != ["bucket_start", "label"]:
+            raise DataError(f"{path}: expected header 'bucket_start,label,...'")
+        names = header[2:]
+        dtype = np.dtype(
+            [
+                ("bucket_start", np.int64),
+                ("label", np.int64),
+                ("features", np.float64, (len(names),)),
+            ]
+        )
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed dataset row: {exc}") from None
         if not len(rows):
             raise DataError(f"{path}: dataset has no rows")
         bad = np.flatnonzero(~np.isfinite(rows["features"]).all(axis=1))
@@ -139,6 +151,14 @@ class NodeDataset:
             )
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
+
+
+def read_dataset_bytes(path: Path) -> bytes:
+    """A node dataset file's bytes; a file that cannot be opened is a DataError naming it."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the dataset file ({exc.strerror})") from None
 
 
 def feature_names_for(metric_order: list[str]) -> list[str]:

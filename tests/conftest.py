@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,17 @@ def build_dataset(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The path of every NodeDataset.from_csv call, in call order."""
+    calls = []
+    read = NodeDataset.from_csv.__func__
+
+    def counting_read(cls, path, data=None):
+        calls.append(Path(path))
+        return read(cls, path, data)
+
+    monkeypatch.setattr(NodeDataset, "from_csv", classmethod(counting_read))
+    return calls

@@ -18,7 +18,6 @@ from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.models import load_trained_model
 from nodewatch.scoring import ScoreSeries, write_scores_csv
-from nodewatch.telemetry import NodeDataset
 from nodewatch.util import read_config, write_json
 
 
@@ -566,7 +565,10 @@ class TestEvaluateCommand:
             "ERROR nodewatch: RUAD_W5: no node produced any scores",
         ]
 
-    @pytest.mark.parametrize("damage", ["truncated", "unparsable cell", "nan cell", "label 7"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "unparsable cell", "nan cell", "label 7", "not UTF-8", "field too long"],
+    )
     def test_damaged_score_file_exits_two_with_one_line(
         self, tmp_path, generated_data, damage
     ):
@@ -583,6 +585,13 @@ class TestEvaluateCommand:
         elif damage == "nan cell":
             # parses as a float, and NaN compares false against [0, 1]
             path.write_text(text.replace(",0.0,", ",nan,", 1))
+        elif damage == "not UTF-8":
+            data = bytearray(path.read_bytes())
+            data[text.index("\n") + 3] = 0xFF  # inside the first row
+            path.write_bytes(data)
+        elif damage == "field too long":  # past csv's field size limit
+            head, row, rest = text.split("\n", 2)
+            path.write_text("\n".join([head, "x" * 200_000 + row[row.index(","):], rest]))
         else:
             head, row, rest = text.split("\n", 2)
             path.write_text("\n".join([head, row.rsplit(",", 1)[0] + ",7", rest]))
@@ -656,7 +665,10 @@ class TestCachedScores:
 class TestOutputDirectories:
     @pytest.mark.parametrize(
         "command, blocked",
-        [("score", "scores"), ("evaluate", "reports"), ("train", "models/node_000")],
+        [
+            ("score", "scores"), ("evaluate", "reports"), ("train", "models/node_000"),
+            ("score", "datasets"),
+        ],
     )
     def test_file_in_the_way_exits_one_with_one_line(
         self, tmp_path, generated_data, command, blocked
@@ -738,23 +750,19 @@ class TestRunInvariants:
     @pytest.mark.parametrize("label", ["two workers", "nodes reversed"])
     def test_outputs_are_byte_identical(self, output_trees, label):
         reference = output_trees["one worker"]
-        # per node 3 stores and 2 loss files; 3 score files, 6 reports, 2 logs
-        assert len(reference) == 21
+        # per node 3 stores, 2 loss files and 1 dataset copy; 3 score files, 6 reports, 2 logs
+        assert len(reference) == 23
+        assert {p for p in reference if p.startswith("datasets/")} == {
+            "datasets/node_000.json", "datasets/node_001.json",
+        }
         assert output_trees[label].keys() == reference.keys()
         assert [p for p in reference if output_trees[label][p] != reference[p]] == []
 
 
 class TestNodeMajorCommands:
     def test_each_node_file_is_read_once_per_command(
-        self, tmp_path, generated_data, monkeypatch
+        self, tmp_path, generated_data, monkeypatch, parses
     ):
-        loads = []
-        read = NodeDataset.from_csv.__func__
-
-        def counting_read(cls, path):
-            loads.append(Path(path).name)
-            return read(cls, path)
-
         splits = []
         split = pipeline.chronological_split
 
@@ -762,7 +770,6 @@ class TestNodeMajorCommands:
             splits.append(dataset.node_id)
             return split(dataset, ratio)
 
-        monkeypatch.setattr(NodeDataset, "from_csv", classmethod(counting_read))
         monkeypatch.setattr(pipeline, "chronological_split", counting_split)
         cfg = tiny_run_config(
             tmp_path,
@@ -770,15 +777,25 @@ class TestNodeMajorCommands:
             methods=["EXP", "CLU", "DENSE_un", "RUAD"],
             windows=[5, 10],
         )
-        out = tmp_path / "run"
-        per_command = {}
-        for command in ("train", "score", "evaluate"):
-            loads.clear()
+
+        def run(command, out):
+            parses.clear()
             splits.clear()
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-            per_command[command] = (sorted(loads), sorted(splits))
-        both = (["node_000.csv", "node_001.csv"], ["node_000", "node_001"])
-        assert per_command == {"train": both, "score": both, "evaluate": ([], [])}
+            return sorted(p.name for p in parses), sorted(splits)
+
+        out, models_only = tmp_path / "run", tmp_path / "models-only"
+        per_command = {command: run(command, out) for command in ("train", "score", "evaluate")}
+        shutil.copytree(out / "models", models_only / "models")
+        per_command["score into models only"] = run("score", models_only)
+        files, nodes = ["node_000.csv", "node_001.csv"], ["node_000", "node_001"]
+        # score after train reads the parsed copies that train wrote into the same --out
+        assert per_command == {
+            "train": (files, nodes),
+            "score": ([], nodes),
+            "evaluate": ([], []),
+            "score into models only": (files, nodes),
+        }
 
     def test_node_a_detector_cannot_score_is_skipped_for_that_detector(
         self, tmp_path, generated_data
@@ -835,6 +852,59 @@ class TestNodeMajorCommands:
             "CLU": 1,
             "DENSE_un": 1,
         }
+
+
+    @pytest.mark.parametrize("offset", [20, 2100, -100], ids=["header", "block", "deep"])
+    def test_node_file_that_is_not_utf8_skips_only_that_node(
+        self, tmp_path, generated_data, offset
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        bad = data / "node_000.csv"
+        raw = bytearray(bad.read_bytes())
+        raw[offset] = 0xFF
+        bad.write_bytes(raw)
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP", "DENSE_un"])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        jobs = json.loads((out / "train_log.json").read_text())["jobs"]
+        assert [(j["node"], j["status"]) for j in jobs] == [
+            ("node_000", "skipped-data"), ("node_001", "trained"),
+        ]
+        assert jobs[0]["detail"].startswith(f"{bad}: not UTF-8 text")
+        assert not (out / "datasets" / "node_000.json").exists()
+
+        score = run_cli("score", "--config", str(cfg), "--out", str(out))
+        assert score.returncode == 0 and "Traceback" not in score.stderr
+        warnings = [line for line in score.stderr.splitlines() if line.startswith("WARNING")]
+        assert len(warnings) == 1 and "skipping node_000 for every method" in warnings[0]
+        assert str(bad) in warnings[0]
+
+    def test_score_parses_a_node_file_edited_after_train(self, tmp_path, generated_data, parses):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP", "DENSE_un"])
+        out, before, fresh = tmp_path / "run", tmp_path / "before", tmp_path / "fresh"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        shutil.copytree(out / "models", before / "models")
+        assert main(["score", "--config", str(cfg), "--out", str(before)]) == 0
+
+        edited = data / "node_000.csv"
+        header, *rows = edited.read_text().splitlines(keepends=True)
+        cells = rows[-1].split(",")  # the last row is a test row
+        cells[2] = repr(float(cells[2]) + 0.5)
+        rows[-1] = ",".join(cells)
+        edited.write_text(header + "".join(rows))
+        parses.clear()
+        assert main(["score", "--config", str(cfg), "--out", str(out)]) == 0
+        assert parses == [edited]
+
+        shutil.copytree(out / "models", fresh / "models")
+        assert main(["score", "--config", str(cfg), "--out", str(fresh)]) == 0
+        for name in ("EXP.csv", "DENSE_un.csv", "../datasets/node_000.json"):
+            got = (out / "scores" / name).read_bytes()
+            assert got == (fresh / "scores" / name).read_bytes(), name
+            assert got != (before / "scores" / name).read_bytes(), name
 
 
 class TestRunConfig:

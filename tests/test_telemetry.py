@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -6,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from nodewatch.errors import DataError
+from nodewatch.models import load_node_dataset
 from nodewatch.telemetry import NodeDataset, feature_names_for
 
 
@@ -94,6 +97,33 @@ class TestCsvInterfaces:
         path.write_text("bucket_start,label,a_avg,b_avg\n" + rows)
         with pytest.raises(DataError, match=re.escape(str(path))):
             NodeDataset.from_csv(path)
+        # the loader gives the same error and keeps no parsed copy of the file
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_node_dataset(path, tmp_path / "copy.json")
+        assert not (tmp_path / "copy.json").exists()
+
+    @pytest.mark.parametrize("offset", [0, 20, 2100, -40], ids=["first", "header", "block", "deep"])
+    def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(self, tmp_path, offset):
+        ds = NodeDataset(
+            node_id="node_000",
+            bucket_starts=np.arange(100) * 900,
+            features=np.linspace(0.0, 1.0, 400).reshape(100, 4),
+            labels=np.zeros(100, dtype=np.int64),
+            feature_names=["a_min", "a_max", "a_avg", "a_var"],
+        )
+        path = tmp_path / "node_000.csv"
+        ds.to_csv(path)
+        data = bytearray(path.read_bytes())
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            NodeDataset.from_csv(path)
+
+    def test_header_past_the_csv_field_limit_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "node_000.csv"
+        path.write_text("bucket_start,label," + "a" * 200_000 + "\n0,0,1.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed header")):
+            NodeDataset.from_csv(path)
 
 
 class TestNodeDatasetInvariants:
@@ -114,3 +144,101 @@ class TestNodeDatasetInvariants:
                 features=np.zeros((2, 2)),
                 labels=np.array([0, 0]),
             )
+
+
+def node_dataset(bucket_starts=(0, 900, 2700), node_id="node_000"):
+    return NodeDataset(
+        node_id=node_id,
+        bucket_starts=np.array(bucket_starts),
+        features=np.array([[0.25, -1.5], [1e-9, 3.0], [2.0, 4.0]]),
+        labels=np.array([0, 1, 0]),
+        feature_names=["a_avg", 'b,"avg"'],
+    )
+
+
+def assert_same_dataset(got, want):
+    assert got.node_id == want.node_id
+    assert got.feature_names == want.feature_names
+    for key in ("bucket_starts", "labels", "features"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert a.tobytes() == b.tobytes(), key
+
+
+class TestParsedCopies:
+    @pytest.fixture
+    def files(self, tmp_path):
+        csv_path = tmp_path / "data" / "node_000.csv"
+        csv_path.parent.mkdir()
+        node_dataset().to_csv(csv_path)
+        return csv_path, tmp_path / "run" / "datasets" / "node_000.json"
+
+    def test_a_hit_equals_a_fresh_parse_bit_for_bit(self, files, parses):
+        csv_path, copy_path = files
+        first = load_node_dataset(csv_path, copy_path)
+        assert parses == [csv_path] and copy_path.exists()
+        written = copy_path.read_bytes()
+        hit = load_node_dataset(csv_path, copy_path)
+        assert parses == [csv_path]  # the second load parsed nothing
+        assert copy_path.read_bytes() == written
+        for got in (first, hit):
+            assert_same_dataset(got, NodeDataset.from_csv(csv_path))
+
+    def test_the_copy_records_the_csv_digest_and_its_content(self, files):
+        csv_path, copy_path = files
+        load_node_dataset(csv_path, copy_path)
+        d = json.loads(copy_path.read_text())
+        assert sorted(d) == [
+            "bucket_starts", "content_sha256", "csv_sha256", "feature_names", "features",
+            "format", "labels",
+        ]
+        assert d["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert d["bucket_starts"]["shape"] == [3] and "i8" in d["bucket_starts"]
+        assert d["features"]["shape"] == [3, 2] and "f8" in d["features"]
+
+    def test_bucket_starts_beyond_float_precision_round_trip(self, tmp_path, parses):
+        starts = [2**62, 2**62 + 900, 2**62 + 2700]
+        assert [int(float(start)) for start in starts] != starts  # float64 would move them
+        csv_path, copy_path = tmp_path / "node_000.csv", tmp_path / "node_000.json"
+        node_dataset(starts).to_csv(csv_path)
+        load_node_dataset(csv_path, copy_path)
+        hit = load_node_dataset(csv_path, copy_path)
+        assert len(parses) == 1
+        assert hit.bucket_starts.tolist() == starts
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "empty", "another format", "another digest", "not an object"]
+    )
+    def test_a_damaged_copy_is_rebuilt_silently(self, files, parses, caplog, damage):
+        csv_path, copy_path = files
+        want = load_node_dataset(csv_path, copy_path)
+        written = copy_path.read_bytes()
+        d = json.loads(written)
+        if damage == "truncated":
+            copy_path.write_bytes(written[: len(written) // 2])
+        elif damage == "empty":
+            copy_path.write_bytes(b"")
+        elif damage == "another format":
+            copy_path.write_text(json.dumps(dict(d, format=d["format"] + 1)))
+        elif damage == "another digest":
+            copy_path.write_text(json.dumps(dict(d, csv_sha256="0" * 64)))
+        else:
+            copy_path.write_text("[]")
+        caplog.set_level("DEBUG")
+        assert_same_dataset(load_node_dataset(csv_path, copy_path), want)
+        assert len(parses) == 2 and caplog.records == []
+        assert copy_path.read_bytes() == written
+
+    def test_every_flipped_byte_of_a_copy_is_caught(self, files):
+        csv_path, copy_path = files
+        want = load_node_dataset(csv_path, copy_path)
+        written = copy_path.read_bytes()
+        for position in range(len(written)):
+            flipped = bytearray(written)
+            flipped[position] ^= 0x01
+            copy_path.write_bytes(flipped)
+            got = load_node_dataset(csv_path, copy_path)
+            try:
+                assert_same_dataset(got, want)
+            except AssertionError:
+                pytest.fail(f"the copy with byte {position} flipped was trusted")
