@@ -19,6 +19,8 @@ from .pipeline import time_consistency_segments
 from .scoring import ScoreSeries
 from .telemetry import NodeDataset
 
+EXP_ALPHA = 0.1  # the smoothing factor EXP scores with: the weight of the newest value
+
 KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 10
 # restarts that run as one Lloyd batch hold at most this many row-centroid

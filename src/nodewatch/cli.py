@@ -24,6 +24,7 @@ from .util import write_atomic, write_json
 log = logging.getLogger("nodewatch")
 
 DEFAULT_WINDOWS = [5, 10, 20, 40]
+SPLIT_RATIO = 0.8  # the share of each node's buckets, oldest first, that trains
 
 
 @dataclass
@@ -34,9 +35,7 @@ class RunConfig:
     nodes: list[str] | None = None
     methods: list[str] = field(default_factory=lambda: list(METHODS))
     windows: list[int] = ranged("[1, inf)", default_factory=lambda: list(DEFAULT_WINDOWS))
-    split_ratio: float = ranged("(0, 1)", 0.8)
     training: dict = field(default_factory=dict)
-    exp_alpha: float = ranged("(0, 1]", 0.1)
     seed: int = 0
     workers: int = ranged("[1, inf)", 1)
 
@@ -98,7 +97,7 @@ def _load_split(cfg: RunConfig, out_dir: str | Path, node_id: str):
     dataset = load_node_dataset(
         Path(cfg.data_dir) / f"{node_id}.csv", Path(out_dir) / "datasets" / f"{node_id}.json"
     )
-    return chronological_split(dataset, cfg.split_ratio)
+    return chronological_split(dataset, SPLIT_RATIO)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
         {
             "config": {
                 key: getattr(cfg, key)
-                for key in ("data_dir", "methods", "windows", "split_ratio", "training", "seed")
+                for key in ("data_dir", "methods", "windows", "training", "seed")
             },
             "jobs": [{"node": n, "model": m, "status": s, "detail": d} for n, m, s, d in rows],
         },
@@ -258,7 +257,7 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
         for method, name in pending:
             path = model_path(store, node_id, name)
             if method == "EXP":
-                score, args = mdl.score_exp_method, (split, cfg.exp_alpha)
+                score, args = mdl.score_exp_method, (split,)
             elif not path.exists():
                 log.warning("%s: no model for %s; skipping", name, node_id)
                 continue
@@ -271,8 +270,7 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
             except DataError as exc:
                 log.warning("%s: skipping %s: %s", name, node_id, exc)
                 continue
-            if len(series):
-                scores[name].append(series)
+            scores[name].append(series)
     for _, name in pending:
         if scores[name]:
             write_scores_csv(out_dir / "scores" / f"{name}.csv", scores[name])

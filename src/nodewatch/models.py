@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import logging
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import neuralnet as nn
 from .baselines import (
+    EXP_ALPHA,
     KMeansModel,
     anomaly_probability,
     assign_clusters,
@@ -49,10 +49,8 @@ from .pipeline import (
     semi_supervised_filter,
 )
 from .scoring import ScoreSeries
-from .telemetry import NodeDataset, read_dataset_bytes
+from .telemetry import NodeDataset
 from .util import read_json, write_json
-
-log = logging.getLogger(__name__)
 
 ENCODER_DIM = 16
 LATENT_DIM = 8
@@ -201,15 +199,11 @@ def score_node_model(model: TrainedModel, test: NodeDataset) -> ScoreSeries:
     buckets, and each window's target timestep receives the clamped
     normalized reconstruction error. Labels pass through untouched; they
     never influence the probabilities. A test set too short or too gappy
-    for one window gives an empty series.
+    for one window is a DataError.
     """
     windows = make_windows(apply_minmax(model.scaler, test), model.spec.window)
     if len(windows) == 0:
-        log.warning(
-            "%s: no scoreable windows (need >= %d consecutive buckets)",
-            test.node_id,
-            model.spec.window,
-        )
+        raise DataError(f"no scoreable windows (need >= {model.spec.window} consecutive buckets)")
     errors = reconstruction_errors(model.network, windows)
     return ScoreSeries(
         node_id=test.node_id,
@@ -266,13 +260,13 @@ def score_clu_model(model: ClusterModel, test: NodeDataset) -> ScoreSeries:
     )
 
 
-def score_exp_method(split: SplitDataset, alpha: float) -> ScoreSeries:
+def score_exp_method(split: SplitDataset) -> ScoreSeries:
     """Training-free smoothing baseline over the test split.
 
     The scaler is still fitted on the training split (scaling is part of the
     shared pipeline), but no model state is learned or stored.
     """
-    return exp_smoothing_scores(apply_minmax(fit_minmax(split.train), split.test), alpha)
+    return exp_smoothing_scores(apply_minmax(fit_minmax(split.train), split.test), EXP_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +476,13 @@ def load_node_dataset(csv_path: Path, copy_path: Path) -> NodeDataset:
     NodeDataset.from_csv, and what it returns is written to ``copy_path``
     (atomically) and returned. A copy that cannot be read, fails a codec
     check, records another digest or format, or whose content does not match
-    its own digest is rebuilt this way, without a warning. A CSV that fails
-    to parse raises its DataError and writes no copy.
+    its own digest is rebuilt this way, without a warning. A CSV that cannot
+    be read or fails to parse is a DataError naming it and writes no copy.
     """
-    data = read_dataset_bytes(csv_path)
+    try:
+        data = csv_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{csv_path}: cannot read the dataset file ({exc.strerror})") from None
     csv_sha256 = hashlib.sha256(data).hexdigest()
     try:
         return _read_dataset_copy(copy_path, csv_path.stem, csv_sha256)

@@ -71,7 +71,7 @@ def chronological_split(dataset: NodeDataset, ratio: float) -> SplitDataset:
     """Split into past (train) and future (test) with no overlap.
 
     The first floor(ratio * L) buckets become the training set, for a ratio
-    in (0, 1) as ``RunConfig`` admits. Splits that leave either side empty,
+    in (0, 1) (the CLI's is ``cli.SPLIT_RATIO``). Splits that leave either side empty,
     as every split of fewer than 2 rows does, are rejected.
     """
     length = len(dataset)

@@ -35,7 +35,9 @@ PLACEMENT_MARGIN = 4  # buckets kept clear between injected intervals
 MIN_DURATION = 4
 MAX_DURATION = 12
 DAILY_PERIOD = 96
+REGIME_COUNT = 3  # workload regimes the factors switch between
 REGIME_SWITCH_PROB = 0.015  # per bucket: a workload regime lasts ~17 h on average
+NOISE_STD = 0.1  # per-metric noise, in units of the workload factor
 
 
 @dataclass
@@ -51,8 +53,6 @@ class SynthConfig:
             "temporal_disruption": 0.6,
         }
     )
-    regime_count: int = ranged("[1, inf)", 3)
-    noise_std: float = ranged("(0, inf)", 0.1)
     seed: int = 20240817
 
     def __post_init__(self) -> None:
@@ -112,13 +112,13 @@ def inject_anomaly(
         features[start:end, 4 * m : 4 * m + 4] = pristine[source, 4 * m : 4 * m + 4]
 
 
-def _regime_path(rng: np.random.Generator, steps: int, regimes: int) -> np.ndarray:
+def _regime_path(rng: np.random.Generator, steps: int) -> np.ndarray:
     path = np.empty(steps, dtype=np.int64)
-    current = int(rng.integers(regimes))
+    current = int(rng.integers(REGIME_COUNT))
     draws = rng.random(steps)
     for t in range(steps):
-        if draws[t] < REGIME_SWITCH_PROB and regimes > 1:
-            hop = int(rng.integers(regimes - 1))
+        if draws[t] < REGIME_SWITCH_PROB:
+            hop = int(rng.integers(REGIME_COUNT - 1))
             current = hop if hop < current else hop + 1
         path[t] = current
     return path
@@ -176,7 +176,7 @@ def generate_node(
     group_count = max(1, min(4, metric_count // 2))
 
     # workload factors, one per metric group
-    regimes = _regime_path(rng, steps, cfg.regime_count)
+    regimes = _regime_path(rng, steps)
     t_axis = np.arange(steps)
     factors = np.empty((group_count, steps))
     load = np.empty((group_count, steps))
@@ -185,7 +185,7 @@ def generate_node(
         period = rng.uniform(18.0, 36.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         daily_phase = rng.uniform(0.0, 2.0 * np.pi)
-        means = rng.uniform(-0.35, 0.35, size=cfg.regime_count)
+        means = rng.uniform(-0.35, 0.35, size=REGIME_COUNT)
         factors[g] = (
             means[regimes]
             + amp * np.sin(2.0 * np.pi * t_axis / period + phase)
@@ -200,9 +200,9 @@ def generate_node(
         g = j % group_count
         scale = rng.uniform(0.6, 1.6)
         base = rng.uniform(2.0, 20.0)
-        noise = rng.normal(0.0, cfg.noise_std, size=steps)
+        noise = rng.normal(0.0, NOISE_STD, size=steps)
         avg = base + scale * (factors[g] + noise)
-        spread = scale * cfg.noise_std * (
+        spread = scale * NOISE_STD * (
             0.4 + 0.4 * rng.random(steps) + 0.6 * load[g]
         )
         features[:, 4 * j] = avg - spread * rng.uniform(0.8, 1.2, size=steps)

@@ -89,22 +89,19 @@ class NodeDataset:
         write_atomic(path, "".join(lines))
 
     @classmethod
-    def from_csv(cls, path: str | Path, data: bytes | None = None) -> "NodeDataset":
-        """Parse a node dataset CSV written by :meth:`to_csv`: the file at
-        ``path``, or ``data``, that file's bytes as the caller read them. The
-        node id is the file's stem.
+    def from_csv(cls, path: str | Path, data: bytes) -> "NodeDataset":
+        """Parse ``data``, the bytes of the node dataset CSV at ``path`` as
+        :meth:`to_csv` wrote it. The node id is the file's stem.
 
         The bytes are checked to be UTF-8 as a whole, then the header is read
         with ``csv`` and the rows with one ``np.loadtxt`` call, which parses
         floats to the same bits as ``float()``. Bytes that are not UTF-8, a
         header ``csv`` cannot read, a row of the wrong width, a cell that does
         not parse (an integer bucket and label, a float feature), a label
-        other than 0 or 1, a non-finite feature, a file without rows and one
-        that cannot be opened are each a DataError naming the file.
+        other than 0 or 1, a non-finite feature and a file without rows are
+        each a DataError naming the file.
         """
         path = Path(path)
-        if data is None:
-            data = read_dataset_bytes(path)
         try:
             data.decode("utf-8-sig")  # the whole file, before any of it is parsed
         except UnicodeDecodeError as exc:
@@ -151,14 +148,6 @@ class NodeDataset:
             )
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-
-
-def read_dataset_bytes(path: Path) -> bytes:
-    """A node dataset file's bytes; a file that cannot be opened is a DataError naming it."""
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read the dataset file ({exc.strerror})") from None
 
 
 def feature_names_for(metric_order: list[str]) -> list[str]:

@@ -117,6 +117,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     The text goes to a temp file in the same directory, which then replaces
     ``path`` in one ``os.replace``; a write that fails part-way leaves the
     previous file as it was. The parent directory is made as by ``make_dir``.
+    An OSError names ``path``, not the temp file (which is gone by then).
     """
     path = Path(path)
     make_dir(path.parent)
@@ -125,6 +126,8 @@ def write_atomic(path: str | Path, text: str) -> None:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:  # a directory standing at ``path``, say
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)  # gone already once replaced
 

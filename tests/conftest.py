@@ -41,7 +41,7 @@ def parses(monkeypatch):
     calls = []
     read = NodeDataset.from_csv.__func__
 
-    def counting_read(cls, path, data=None):
+    def counting_read(cls, path, data):
         calls.append(Path(path))
         return read(cls, path, data)
 

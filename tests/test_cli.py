@@ -85,14 +85,12 @@ class TestGenerateCommand:
             ("timestep_count", 50.0),
             ("node_count", True),
             ("seed", "abc"),
-            ("noise_std", "0.1"),
             ("anomaly_mix", ["level_shift"]),
-            ("noise_std", math.nan),
             ("anomaly_mix", {"level_shift": math.nan, "temporal_disruption": 1.0}),
         ],
         ids=[
             "node-count-2.5", "timestep-count-50.0", "node-count-true", "seed-abc",
-            "noise-std-string", "mix-list", "noise-std-nan", "mix-weight-nan",
+            "mix-list", "mix-weight-nan",
         ],
     )
     def test_mistyped_value_exits_one_with_one_line(self, tmp_path, key, value):
@@ -696,8 +694,10 @@ class TestUnreadableFiles:
             ("evaluate", "run/scores/EXP.csv", 2, "ERROR"),
             ("score", "run/models/node_000/CLU.json", 2, "ERROR"),
             ("train", "data/node_000.csv", 0, "WARNING"),  # that node is skipped
+            ("evaluate", "run/summary.json", 2, "ERROR"),
+            ("score", "run/datasets/node_000.json", 2, "ERROR"),
         ],
-        ids=["score-file", "model-file", "data-file"],
+        ids=["score-file", "model-file", "data-file", "summary-file", "dataset-copy"],
     )
     def test_directory_in_place_of_a_file_is_one_line(
         self, tmp_path, generated_data, command, blocked, code, level
@@ -825,6 +825,30 @@ class TestNodeMajorCommands:
             "EXP": 1, "CLU": 1, "DENSE_un": 1, "RUAD_W5": 1,
         }
 
+    def test_node_without_a_scoreable_window_is_skipped_with_one_warning(
+        self, tmp_path, generated_data
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        node = data / "node_000.csv"
+        header, *rows = node.read_text().splitlines(keepends=True)
+        for i in range(320, len(rows)):  # a gap before every test row
+            _, rest = rows[i].split(",", 1)
+            rows[i] = f"{(2 * i - 319) * 900},{rest}"
+        node.write_text(header + "".join(rows))
+        cfg = tiny_run_config(tmp_path, data, methods=["DENSE_un", "RUAD"])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+
+        score = run_cli("score", "--config", str(cfg), "--out", str(out))
+        assert score.returncode == 0, score.stderr
+        assert [line for line in score.stderr.splitlines() if line.startswith("WARNING")] == [
+            "WARNING nodewatch: RUAD_W5: skipping node_000: "
+            "no scoreable windows (need >= 5 consecutive buckets)"
+        ]
+        with open(out / "scores" / "RUAD_W5.csv", newline="") as fh:
+            assert {row["node_id"] for row in csv.DictReader(fh)} == {"node_001"}
+
     def test_malformed_node_file_skips_only_that_node(self, tmp_path, generated_data):
         data = tmp_path / "data"
         shutil.copytree(generated_data, data)
@@ -928,34 +952,28 @@ class TestRunConfig:
             {"windows": [2.5]},
             {"training": {"batch_size": 0}},
             {"training": {"batch_size": 2.5}},
-            {"exp_alpha": 0},
             {"nodes": ["node_000", "node_000"]},
             {"workers": 2.5},
-            {"exp_alpha": True},
             {"training": {"learning_rate": True}},
             {"seed": True},
             {"nodes": "node_000"},
             {"methods": "EXP"},
             {"data_dir": 5},
-            {"split_ratio": "0.8"},
             {"training": [1]},
             {"nodes": []},
             {"training": {"learning_rate": math.inf}},
-            # make_windows and chronological_split trust these two ranges
+            # make_windows trusts this range
             {"windows": [0]},
-            {"split_ratio": 0},
-            {"split_ratio": 1.0},
             # a node's id is its file's stem
             {"nodes": ["sub/node_000"]},
             {"nodes": [""]},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
-            "alpha-0", "duplicate-nodes", "non-integer-workers", "alpha-true",
-            "learning-rate-true", "seed-true", "nodes-string", "methods-string",
-            "data-dir-number", "split-ratio-string", "training-list", "nodes-empty",
-            "learning-rate-infinity", "window-0", "split-ratio-0", "split-ratio-1",
-            "node-in-a-subdirectory", "node-without-a-name",
+            "duplicate-nodes", "non-integer-workers", "learning-rate-true", "seed-true",
+            "nodes-string", "methods-string", "data-dir-number", "training-list",
+            "nodes-empty", "learning-rate-infinity", "window-0", "node-in-a-subdirectory",
+            "node-without-a-name",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):
@@ -968,6 +986,29 @@ class TestRunConfig:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("ERROR") and str(path) in lines[0]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "split_ratio", 0.8),
+            ("train", "exp_alpha", 0.1),
+            ("generate", "regime_count", 3),
+            ("generate", "noise_std", 0.1),
+        ],
+        ids=["split-ratio", "exp-alpha", "regime-count", "noise-std"],
+    )
+    def test_removed_setting_exits_one_with_one_line(self, tmp_path, command, key, value):
+        # fixed values, not settings: a config that sets one is refused, not half-obeyed
+        if command == "train":
+            path = write_config(tmp_path / "run.json", data_dir=".", **{key: value})
+        else:
+            path = tiny_synth_config(tmp_path, **{key: value})
+        proc = run_cli(command, "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"ERROR nodewatch: config error: {path}: unknown config keys ['{key}']"
+        ]
+        assert not (tmp_path / "o").exists()
 
     def test_nodes_must_be_a_list_of_names(self):
         with pytest.raises(ConfigError, match="nodes must be a list of node names"):

@@ -241,14 +241,12 @@ class TestScoreNodeModel:
         expected = np.minimum(errors / model.max_train_error, 1.0)
         npt.assert_allclose(series.probabilities, expected, atol=1e-12)
 
-    def test_no_scoreable_windows_gives_empty_series(self, caplog):
+    def test_no_scoreable_windows_is_a_data_error(self):
         ds = build_dataset([0, 0], features=np.ones((2, 3)))
         model = constant_output_model(3, 0.5)
         model.spec = mdl.ModelSpec(kind="ruad", input_dim=3, window=5)
-        series = mdl.score_node_model(model, ds)
-        assert len(series) == 0 and series.node_id == "test_node"
-        assert series.bucket_starts.dtype == series.labels.dtype == np.int64
-        assert "no scoreable windows (need >= 5 consecutive buckets)" in caplog.text
+        with pytest.raises(DataError, match=r"^no scoreable windows \(need >= 5 consecutive"):
+            mdl.score_node_model(model, ds)
 
     def test_feature_count_mismatch_rejected(self):
         ds = build_dataset([0], features=np.ones((1, 2)))
@@ -353,13 +351,13 @@ class TestBaselineRunners:
         npt.assert_array_equal(a.kmeans.cluster_anomaly_prob, b.kmeans.cluster_anomaly_prob)
 
     def test_exp_runner_matches_manual_composition(self):
-        from nodewatch.baselines import exp_smoothing_scores
+        from nodewatch.baselines import EXP_ALPHA, exp_smoothing_scores
         from nodewatch.pipeline import fit_minmax
 
         split = chronological_split(smooth_dataset(n=100), 0.8)
-        series = mdl.score_exp_method(split, alpha=0.1)
+        series = mdl.score_exp_method(split)
         scaled_test = apply_minmax(fit_minmax(split.train), split.test)
-        expected = exp_smoothing_scores(scaled_test, 0.1)
+        expected = exp_smoothing_scores(scaled_test, EXP_ALPHA)
         npt.assert_array_equal(series.probabilities, expected.probabilities)
         npt.assert_array_equal(series.bucket_starts, split.test.bucket_starts)
 
@@ -369,7 +367,7 @@ class TestBaselineRunners:
         features[9, 1] = 1e308  # / 0.5 overflows to inf, with no warning
         split = chronological_split(build_dataset([0] * 10, features=features), 0.8)
         with pytest.raises(DataError, match="probabilities must be finite"):
-            mdl.score_exp_method(split, alpha=0.1)
+            mdl.score_exp_method(split)
 
     def cluster_model(self):
         """Three clusters on the line y = 0.5 of a [0, 1] square, scaled from

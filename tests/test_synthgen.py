@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nodewatch import synthgen
 from nodewatch.errors import ConfigError, DataError
 from nodewatch.synthgen import (
     SIGNATURE_KINDS,
@@ -116,11 +117,10 @@ class TestGenerateNode:
         with pytest.raises(DataError, match="too high"):
             generate_node(small_config(timestep_count=400, anomaly_rate=0.6), 1, "n0")
 
-    def test_stationary_without_regime_switches(self):
-        # one regime, no anomalies: chunk means must agree within noise
-        cfg = small_config(
-            anomaly_rate=0.0, regime_count=1, timestep_count=4800, metric_count=4
-        )
+    def test_stationary_without_regime_switches(self, monkeypatch):
+        # the first regime holds throughout, no anomalies: chunk means must agree within noise
+        monkeypatch.setattr(synthgen, "REGIME_SWITCH_PROB", 0.0)
+        cfg = small_config(anomaly_rate=0.0, timestep_count=4800, metric_count=4)
         ds, _ = generate_node(cfg, 23, "n0")
         for j in range(4):
             col = ds.features[:, 4 * j + 2]

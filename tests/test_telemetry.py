@@ -37,7 +37,7 @@ class TestCsvInterfaces:
         )
         path = tmp_path / "node_007.csv"
         ds.to_csv(path)
-        back = NodeDataset.from_csv(path)
+        back = NodeDataset.from_csv(path, path.read_bytes())
         assert back.node_id == "node_007"
         assert back.feature_names == ["a_avg", "b_avg"]
         npt.assert_array_equal(back.bucket_starts, ds.bucket_starts)
@@ -49,8 +49,10 @@ class TestCsvInterfaces:
         text = "bucket_start,label,a_avg,b_avg\r\n0,0,0.5,1.0\r\n900,1,0.25,2.0\r\n"
         (tmp_path / "plain.csv").write_bytes(text.encode("utf-8"))
         (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        plain = NodeDataset.from_csv(tmp_path / "plain.csv")
-        marked = NodeDataset.from_csv(tmp_path / "marked.csv")
+        plain, marked = (
+            NodeDataset.from_csv(path, path.read_bytes())
+            for path in (tmp_path / "plain.csv", tmp_path / "marked.csv")
+        )
         assert marked.feature_names == plain.feature_names == ["a_avg", "b_avg"]
         npt.assert_array_equal(marked.bucket_starts, plain.bucket_starts)
         npt.assert_array_equal(marked.labels, plain.labels)
@@ -96,7 +98,7 @@ class TestCsvInterfaces:
         path = tmp_path / "node_000.csv"
         path.write_text("bucket_start,label,a_avg,b_avg\n" + rows)
         with pytest.raises(DataError, match=re.escape(str(path))):
-            NodeDataset.from_csv(path)
+            NodeDataset.from_csv(path, path.read_bytes())
         # the loader gives the same error and keeps no parsed copy of the file
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_node_dataset(path, tmp_path / "copy.json")
@@ -117,13 +119,13 @@ class TestCsvInterfaces:
         data[offset] = 0xFF
         path.write_bytes(data)
         with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
-            NodeDataset.from_csv(path)
+            NodeDataset.from_csv(path, path.read_bytes())
 
     def test_header_past_the_csv_field_limit_is_a_data_error_naming_the_file(self, tmp_path):
         path = tmp_path / "node_000.csv"
         path.write_text("bucket_start,label," + "a" * 200_000 + "\n0,0,1.0\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: malformed header")):
-            NodeDataset.from_csv(path)
+            NodeDataset.from_csv(path, path.read_bytes())
 
 
 class TestNodeDatasetInvariants:
@@ -182,7 +184,7 @@ class TestParsedCopies:
         assert parses == [csv_path]  # the second load parsed nothing
         assert copy_path.read_bytes() == written
         for got in (first, hit):
-            assert_same_dataset(got, NodeDataset.from_csv(csv_path))
+            assert_same_dataset(got, NodeDataset.from_csv(csv_path, csv_path.read_bytes()))
 
     def test_the_copy_records_the_csv_digest_and_its_content(self, files):
         csv_path, copy_path = files
