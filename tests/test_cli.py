@@ -1,6 +1,7 @@
 import base64
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -87,10 +88,13 @@ class TestGenerateCommand:
             ("seed", "abc"),
             ("anomaly_mix", ["level_shift"]),
             ("anomaly_mix", {"level_shift": math.nan, "temporal_disruption": 1.0}),
+            # no longer a setting: refused as an unknown key, whatever its value
+            ("noise_std", "0.1"),
+            ("noise_std", math.nan),
         ],
         ids=[
             "node-count-2.5", "timestep-count-50.0", "node-count-true", "seed-abc",
-            "mix-list", "mix-weight-nan",
+            "mix-list", "mix-weight-nan", "noise-std-string", "noise-std-nan",
         ],
     )
     def test_mistyped_value_exits_one_with_one_line(self, tmp_path, key, value):
@@ -967,20 +971,30 @@ class TestRunConfig:
             # a node's id is its file's stem
             {"nodes": ["sub/node_000"]},
             {"nodes": [""]},
+            # no longer settings: refused as unknown keys, whatever their value
+            {"exp_alpha": 0},
+            {"exp_alpha": True},
+            {"split_ratio": 0},
+            {"split_ratio": 1.0},
+            {"split_ratio": "0.8"},
         ],
         ids=[
             "duplicate-windows", "non-integer-window", "batch-size-0", "batch-size-2.5",
             "duplicate-nodes", "non-integer-workers", "learning-rate-true", "seed-true",
             "nodes-string", "methods-string", "data-dir-number", "training-list",
             "nodes-empty", "learning-rate-infinity", "window-0", "node-in-a-subdirectory",
-            "node-without-a-name",
+            "node-without-a-name", "alpha-0", "alpha-true", "split-ratio-0",
+            "split-ratio-1", "split-ratio-string",
         ],
     )
     def test_invalid_value_exits_one_with_one_line(self, tmp_path, setting):
         values = {"data_dir": ".", "methods": ["EXP", "RUAD"], **setting}
-        with pytest.raises(ConfigError):
-            RunConfig(**values)
+        if set(setting) <= {f.name for f in dataclasses.fields(RunConfig)}:
+            with pytest.raises(ConfigError):
+                RunConfig(**values)
         path = write_config(tmp_path / "run.json", **values)
+        with pytest.raises(ConfigError):
+            read_config(RunConfig, path)
         proc = run_cli("train", "--config", str(path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
