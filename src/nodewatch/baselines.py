@@ -78,9 +78,10 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
     value, and the prediction for time t is the estimate built from values
     through t-1 only. Raw errors (summed per-feature absolute deviations)
     are normalized by the maximum error over the whole scored series; the
-    first point of every segment scores 0. A scaled value that overflowed
-    to inf gives non-finite probabilities, which ``ScoreSeries`` refuses,
-    without a warning on the way.
+    first point of every segment scores 0. The scaled values are finite
+    (``apply_minmax`` refuses one that overflows), but a deviation sum of
+    finite values can still overflow: it gives non-finite probabilities,
+    which ``ScoreSeries`` refuses, without a warning on the way.
     """
     raw = np.zeros(len(series))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -56,11 +56,10 @@ ENCODER_DIM = 16
 LATENT_DIM = 8
 DECODER_DIM = 16
 
-# windows per scoring chunk: a recurrent chunk's caches grow with W and its errors are the same
-# bits at any chunk size; dense errors depend on the chunk's row count through the BLAS path, so
-# a short last dense chunk is padded to SCORE_BATCH rows
-SCORE_BATCH = 512
-RECURRENT_SCORE_BATCH = 128
+# windows per scoring pass, for both stacks: a network's output bits depend on how many windows
+# a pass holds (the BLAS path), so every pass holds this many; it is small because a recurrent
+# pass's forward caches grow with W
+SCORE_BATCH = 128
 
 # keeps the error normalizer positive when a model reconstructs its training set exactly
 MAX_ERROR_FLOOR = 1e-12
@@ -135,22 +134,18 @@ class TrainedModel:
 
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
-    """Per-window L1 error between reconstruction and target, in chunks
-    gathered from the rows. Every dense pass takes SCORE_BATCH rows, the
-    last one padded with zeros, so a window's error does not depend on where
-    its chunk starts or ends. An error too large for a float is inf, with no
-    warning: it scores 1 after the clamp. A network whose values overflow
-    warns neither; an error that is NaN is refused where it is used."""
+    """Per-window L1 error between reconstruction and target, in passes of
+    SCORE_BATCH windows gathered from the rows, the last padded with copies
+    of the last window, so a window's error does not depend on the windows
+    around it. An error too large for a float is inf, with no warning: it
+    scores 1 after the clamp. A network whose values overflow warns neither;
+    an error that is NaN is refused where it is used."""
     errors, targets = np.empty(len(windows)), windows.targets
-    dense = windows.window_length == 1
-    chunk = SCORE_BATCH if dense else RECURRENT_SCORE_BATCH
-    for lo in range(0, len(windows), chunk):
-        batch = windows.gather(slice(lo, lo + chunk))
-        count = len(batch)
-        if dense and count < chunk:
-            batch = np.concatenate([batch, np.zeros((chunk - count, *batch.shape[1:]))])
-        out = nn.forward(params, batch)[0][:count]
-        errors[lo : lo + count] = np.abs(out - targets[lo : lo + count]).sum(axis=1)
+    for lo in range(0, len(windows), SCORE_BATCH):
+        pick = np.minimum(np.arange(lo, lo + SCORE_BATCH), len(windows) - 1)
+        out = nn.forward(params, windows.gather(pick))[0]
+        hi = min(lo + SCORE_BATCH, len(windows))
+        errors[lo:hi] = np.abs(out[: hi - lo] - targets[lo:hi]).sum(axis=1)
     return errors
 
 
@@ -248,10 +243,8 @@ def train_clu_model(train: NodeDataset, seed: int) -> ClusterModel:
 
 
 def score_clu_model(model: ClusterModel, test: NodeDataset) -> ScoreSeries:
-    """Each test row's nearest-cluster rate; a row that overflowed when scaled is a DataError."""
+    """Each test row's nearest-cluster rate."""
     scaled = apply_minmax(model.scaler, test)
-    if not np.isfinite(scaled.features).all():
-        raise DataError("scaled test rows contain non-finite values")
     return ScoreSeries(
         node_id=test.node_id,
         bucket_starts=test.bucket_starts,

@@ -111,8 +111,9 @@ def apply_minmax(params: ScalerParams, dataset: NodeDataset) -> NodeDataset:
 
     Test values outside the training range deliberately land outside [0, 1]:
     out-of-range readings are themselves anomaly evidence. Constant features
-    (max == min) map to 0.0. A value too far out overflows to inf without a
-    warning; the detectors refuse it.
+    (max == min) map to 0.0. A value so far out that it overflows when
+    scaled is a DataError naming its feature and bucket, with no warning on
+    the way; rows the scaler was fitted on never overflow.
     """
     if len(params.minimum) != dataset.feature_count:
         raise DataError(
@@ -124,6 +125,11 @@ def apply_minmax(params: ScalerParams, dataset: NodeDataset) -> NodeDataset:
     cols = span > 0
     with np.errstate(over="ignore"):
         scaled[:, cols] = (dataset.features[:, cols] - params.minimum[cols]) / span[cols]
+    bad = np.flatnonzero(~np.isfinite(scaled))
+    if len(bad):
+        row, col = divmod(bad[0], dataset.feature_count)
+        name, bucket = dataset.feature_names[col], dataset.bucket_starts[row]
+        raise DataError(f"feature {name} of bucket {bucket} overflows when scaled")
     return NodeDataset(
         node_id=dataset.node_id,
         bucket_starts=dataset.bucket_starts,
@@ -145,18 +151,14 @@ def make_windows(dataset: NodeDataset, window_length: int) -> WindowSet:
 
     A gap-free run of length L contributes max(0, L - W + 1) windows, for
     W >= 1 as ``ModelSpec`` admits. The target of a window is its final row,
-    labelled by that row's label. A window that holds a non-finite row is a
-    DataError; a row that no window covers is not checked.
+    labelled by that row's label. The rows are finite: ``apply_minmax``
+    refuses a row that overflows when scaled.
     """
     run_start = np.zeros(len(dataset), dtype=np.intp)
     for run in time_consistency_segments(dataset):
         run_start[run] = run.start
     # rows that end a full window
     ends = np.flatnonzero(np.arange(len(dataset)) - run_start >= window_length - 1)
-    # bad[i] counts the non-finite rows before row i
-    bad = np.concatenate([[0], np.cumsum(~np.isfinite(dataset.features).all(axis=1))])
-    if np.any(bad[ends + 1] > bad[ends + 1 - window_length]):
-        raise DataError("windows contain non-finite values")
     return WindowSet(
         rows=dataset.features,
         ends=ends,

@@ -96,10 +96,10 @@ class NodeDataset:
         The bytes are checked to be UTF-8 as a whole, then the header is read
         with ``csv`` and the rows with one ``np.loadtxt`` call, which parses
         floats to the same bits as ``float()``. Bytes that are not UTF-8, a
-        header ``csv`` cannot read, a row of the wrong width, a cell that does
-        not parse (an integer bucket and label, a float feature), a label
-        other than 0 or 1, a non-finite feature and a file without rows are
-        each a DataError naming the file.
+        header ``csv`` cannot read or that names no feature, a row of the
+        wrong width, a cell that does not parse (an integer bucket and label,
+        a float feature), a label other than 0 or 1, a non-finite feature and
+        a file without rows are each a DataError naming the file.
         """
         path = Path(path)
         try:
@@ -117,6 +117,8 @@ class NodeDataset:
         if header[:2] != ["bucket_start", "label"]:
             raise DataError(f"{path}: expected header 'bucket_start,label,...'")
         names = header[2:]
+        if not names:
+            raise DataError(f"{path}: no feature columns after 'bucket_start,label'")
         dtype = np.dtype(
             [
                 ("bucket_start", np.int64),

@@ -801,15 +801,18 @@ class TestNodeMajorCommands:
             "score into models only": (files, nodes),
         }
 
-    def test_node_a_detector_cannot_score_is_skipped_for_that_detector(
-        self, tmp_path, generated_data
-    ):
+    def check_every_detector_skips_an_overflowing_reading(self, tmp_path, generated_data, gap):
+        """Set node_000's last test reading of m00_var to 1.7e308, inf when
+        scaled, after a gap when ``gap``; every detector skips that node with
+        the one reason ``apply_minmax`` gives and scores the other."""
         data = tmp_path / "data"
         shutil.copytree(generated_data, data)
         bad = data / "node_000.csv"
         header, *rows = bad.read_text().splitlines(keepends=True)
         cells = rows[-1].split(",")  # the last row is a test row
-        cells[header.split(",").index("m00_var")] = repr(1.7e308)  # inf when scaled
+        cells[header.split(",").index("m00_var")] = repr(1.7e308)
+        if gap:  # the row becomes a run of its own, shorter than W
+            cells[0] = str(int(cells[0]) + 900)
         rows[-1] = ",".join(cells)
         bad.write_text(header + "".join(rows))
         cfg = tiny_run_config(tmp_path, data, methods=["EXP", "CLU", "DENSE_un", "RUAD"])
@@ -819,8 +822,9 @@ class TestNodeMajorCommands:
         score = run_cli("score", "--config", str(cfg), "--out", str(out))
         assert score.returncode == 0, score.stderr
         warnings = [line for line in score.stderr.splitlines() if line.startswith("WARNING")]
-        assert [line.split(": ")[1:3] for line in warnings] == [
-            [name, "skipping node_000"] for name in ("EXP", "CLU", "DENSE_un", "RUAD_W5")
+        reason = f"feature m00_var of bucket {cells[0]} overflows when scaled"
+        assert [line.split(": ")[1:] for line in warnings] == [
+            [name, "skipping node_000", reason] for name in ("EXP", "CLU", "DENSE_un", "RUAD_W5")
         ]
         assert "Traceback" not in score.stderr and "RuntimeWarning" not in score.stderr
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -828,6 +832,17 @@ class TestNodeMajorCommands:
         assert {name: s["nodes_scored"] for name, s in summary.items()} == {
             "EXP": 1, "CLU": 1, "DENSE_un": 1, "RUAD_W5": 1,
         }
+
+    def test_node_a_detector_cannot_score_is_skipped_for_that_detector(
+        self, tmp_path, generated_data
+    ):
+        self.check_every_detector_skips_an_overflowing_reading(tmp_path, generated_data, False)
+
+    def test_overflow_no_window_covers_is_skipped_by_every_detector(
+        self, tmp_path, generated_data
+    ):
+        # RUAD_W5 has no window that holds the row, and skips the node all the same
+        self.check_every_detector_skips_an_overflowing_reading(tmp_path, generated_data, True)
 
     def test_node_without_a_scoreable_window_is_skipped_with_one_warning(
         self, tmp_path, generated_data

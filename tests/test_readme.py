@@ -1,16 +1,22 @@
-"""README's config reference names exactly the fields the config classes take.
+"""README's config reference names exactly the fields the config classes take,
+and the messages README quotes are the ones the code gives.
 
-A field added without a rule in the README, or a rule left behind for a
-removed field, fails here.
+A field added without a rule in the README, a rule left behind for a
+removed field, or a message changed on one side only, fails here.
 """
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from nodewatch.cli import RunConfig
+from nodewatch.errors import DataError
 from nodewatch.methods import TrainingConfig
+from nodewatch.pipeline import ScalerParams, apply_minmax
 from nodewatch.synthgen import SynthConfig
+from nodewatch.telemetry import NodeDataset
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -44,3 +50,10 @@ def test_training_keys_are_the_training_config_fields():
 
 def test_synthetic_config_reference_names_every_field():
     assert named(rules("A synthetic-data config (`generate`):")) == names(SynthConfig)
+
+
+def test_quoted_overflow_reason_is_the_one_apply_minmax_gives():
+    row = NodeDataset("n", [1079100], [[1e308]], [0], feature_names=["m00_var"])
+    with pytest.raises(DataError) as raised:
+        apply_minmax(ScalerParams([0.0], [0.5]), row)
+    assert re.findall(r'"([^"]*when scaled)"', README) == [str(raised.value)]

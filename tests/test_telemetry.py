@@ -11,6 +11,8 @@ from nodewatch.errors import DataError
 from nodewatch.models import load_node_dataset
 from nodewatch.telemetry import NodeDataset, feature_names_for
 
+HEADER = "bucket_start,label,a_avg,b_avg\n"
+
 
 class TestAggregation:
     def test_feature_names_follow_metric_order(self):
@@ -79,24 +81,25 @@ class TestCsvInterfaces:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "rows",
+        "text",
         [
-            "0,0,1.5\n",
-            "0,0,1.5,abc\n",
-            "1.5,0,1.5,2.0\n",
-            "0,0,nan,2.0\n",
-            "0,0,1.5,inf\n",
-            "",
-            "0,0,1.5,2.0\n900,2,1.5,2.0\n",
+            HEADER + "0,0,1.5\n",
+            HEADER + "0,0,1.5,abc\n",
+            HEADER + "1.5,0,1.5,2.0\n",
+            HEADER + "0,0,nan,2.0\n",
+            HEADER + "0,0,1.5,inf\n",
+            HEADER,
+            HEADER + "0,0,1.5,2.0\n900,2,1.5,2.0\n",
+            "bucket_start,label\n" + "".join(f"{900 * i},0\n" for i in range(40)),
         ],
         ids=[
             "short-row", "non-numeric", "non-integer-bucket", "nan", "inf", "header-only",
-            "label-2",
+            "label-2", "no-features",
         ],
     )
-    def test_malformed_file_is_a_data_error_naming_it(self, tmp_path, rows):
+    def test_malformed_file_is_a_data_error_naming_it(self, tmp_path, text):
         path = tmp_path / "node_000.csv"
-        path.write_text("bucket_start,label,a_avg,b_avg\n" + rows)
+        path.write_text(text)
         with pytest.raises(DataError, match=re.escape(str(path))):
             NodeDataset.from_csv(path, path.read_bytes())
         # the loader gives the same error and keeps no parsed copy of the file
