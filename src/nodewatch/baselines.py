@@ -34,7 +34,6 @@ K_RANGE = range(2, 11)  # the cluster counts select_k tries
 
 @dataclass
 class KMeansModel:
-    k: int
     centroids: np.ndarray  # (k, N)
     cluster_anomaly_prob: np.ndarray  # (k,)
     seed: int
@@ -42,12 +41,13 @@ class KMeansModel:
     def __post_init__(self) -> None:
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
         self.cluster_anomaly_prob = np.asarray(self.cluster_anomaly_prob, dtype=np.float64)
-        if self.centroids.ndim != 2 or len(self.centroids) != self.k:
-            raise DataError(f"centroids have shape {self.centroids.shape}, not (k={self.k}, N)")
-        if self.cluster_anomaly_prob.shape != (self.k,):
+        if self.centroids.ndim != 2 or not len(self.centroids):
+            raise DataError(f"centroids have shape {self.centroids.shape}, not (k, N) with k >= 1")
+        k = len(self.centroids)
+        if self.cluster_anomaly_prob.shape != (k,):
             raise DataError(
                 f"cluster anomaly probabilities have shape "
-                f"{self.cluster_anomaly_prob.shape}, not (k={self.k},)"
+                f"{self.cluster_anomaly_prob.shape}, not (k={k},)"
             )
         if not np.all(np.isfinite(self.centroids)):
             raise DataError("centroids must be finite")
@@ -77,11 +77,11 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
     Within each gap-free segment the estimate starts at the first actual
     value, and the prediction for time t is the estimate built from values
     through t-1 only. Raw errors (summed per-feature absolute deviations)
-    are normalized by the maximum error over the whole scored series; the
-    first point of every segment scores 0. The scaled values are finite
+    are normalized by the largest finite error over the whole scored series;
+    the first point of every segment scores 0. The scaled values are finite
     (``apply_minmax`` refuses one that overflows), but a deviation sum of
-    finite values can still overflow: it gives non-finite probabilities,
-    which ``ScoreSeries`` refuses, without a warning on the way.
+    finite values can still overflow: that error is inf and scores 1, with
+    no warning, as an autoencoder's overflowing error does.
     """
     raw = np.zeros(len(series))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,7 +91,7 @@ def exp_smoothing_scores(series: NodeDataset, alpha: float) -> ScoreSeries:
             for t in range(1, len(rows)):
                 raw[run.start + t] = np.abs(estimate - rows[t]).sum()
                 estimate = alpha * rows[t] + (1.0 - alpha) * estimate
-        peak = raw.max(initial=0.0)
+        peak = raw.max(initial=0.0, where=np.isfinite(raw))
         return ScoreSeries(
             node_id=series.node_id,
             bucket_starts=series.bucket_starts,

@@ -117,7 +117,6 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
     from . import models as mdl
 
     cfg, out_dir, node_id, instances = args
-    store = Path(out_dir) / "models"
     try:
         train = _load_split(cfg, out_dir, node_id).train
     except DataError as exc:
@@ -125,9 +124,10 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
     rows = []
     for method, window, name in instances:
         seed = derive_seed(cfg.seed, node_id, name)
+        path = model_path(Path(out_dir) / "models", node_id, name)
         try:
             if method == "CLU":
-                mdl.save_cluster_model(store, name, mdl.train_clu_model(train, seed))
+                mdl.save_cluster_model(path, mdl.train_clu_model(train, seed))
             else:
                 kind = "dense" if method.startswith("DENSE") else "ruad"
                 spec = mdl.ModelSpec(kind=kind, input_dim=train.feature_count, window=window or 1)
@@ -135,7 +135,7 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
                 trained, history = mdl.train_node_model(
                     train, spec, regime, cfg.training_config(seed)
                 )
-                path = mdl.save_trained_model(store, name, trained)
+                mdl.save_trained_model(path, trained)
                 _write_loss_history(path.with_name(f"{name}_loss.csv"), history)
         except DataError as exc:
             rows.append((node_id, name, "skipped-data", str(exc)))

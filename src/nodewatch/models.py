@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .baselines import (
     select_k,
 )
 from .errors import DataError
-from .methods import (  # noqa: F401  (the method names are re-exported)
+from .methods import (  # noqa: F401  (the method names and model_path are re-exported)
     METHODS,
     WINDOWED_METHODS,
     TrainingConfig,
@@ -116,16 +116,14 @@ def layer_specs(spec: ModelSpec) -> list[nn.LayerSpec]:
 
 @dataclass
 class TrainedModel:
-    """A trained autoencoder plus everything needed to score new data."""
+    """A trained autoencoder, all that scoring new data needs, and its ``training`` settings."""
 
-    node_id: str
     spec: ModelSpec
     network: nn.NetworkParams
     scaler: ScalerParams
     max_train_error: float
     regime: Regime
-    seed: int
-    training: dict = field(default_factory=dict)
+    training: dict
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.max_train_error) or self.max_train_error <= 0:
@@ -175,13 +173,11 @@ def train_node_model(
 
     max_error = float(reconstruction_errors(network, windows).max())
     model = TrainedModel(
-        node_id=train.node_id,
         spec=spec,
         network=network,
         scaler=scaler,
         max_train_error=max(max_error, MAX_ERROR_FLOOR),
         regime=regime,
-        seed=cfg.seed,
         training=asdict(cfg),
     )
     return model, history
@@ -216,10 +212,8 @@ def score_node_model(model: TrainedModel, test: NodeDataset) -> ScoreSeries:
 class ClusterModel:
     """K-means detector bundle: scaler, centroids and per-cluster rates."""
 
-    node_id: str
     scaler: ScalerParams
     kmeans: KMeansModel
-    seed: int
 
 
 def train_clu_model(train: NodeDataset, seed: int) -> ClusterModel:
@@ -235,10 +229,8 @@ def train_clu_model(train: NodeDataset, seed: int) -> ClusterModel:
     k, centroids = select_k(rows, seed)
     probs = cluster_anomaly_probabilities(assign_clusters(rows, centroids), train.labels, k)
     return ClusterModel(
-        node_id=train.node_id,
         scaler=scaler,
-        kmeans=KMeansModel(k=k, centroids=centroids, cluster_anomaly_prob=probs, seed=seed),
-        seed=seed,
+        kmeans=KMeansModel(centroids=centroids, cluster_anomaly_prob=probs, seed=seed),
     )
 
 
@@ -265,14 +257,16 @@ def score_exp_method(split: SplitDataset) -> ScoreSeries:
 # ---------------------------------------------------------------------------
 # model store
 #
-# A store is one JSON object: a header of plain values, ``"format": 3``, and
-# every float64 array as {"shape": [...], "f8": <base64 of its little-endian
-# bytes>}. Arrays pass through one codec, ``_encode_array`` on the way out and
-# ``_decode_array`` on the way in; it writes an int64 array as {"shape": [...],
-# "i8": ...}, which only dataset copies hold. An autoencoder's ``network`` is
-# its one parameter vector, ``NetworkParams.values``.
+# A store is one JSON object: ``"format": 4`` and the entries its loader
+# reads, no more (its path gives the node and the name, and the scaler's
+# width the input width), with every float64 array as {"shape": [...], "f8":
+# <base64 of its little-endian bytes>}. Arrays pass through one codec,
+# ``_encode_array`` on the way out and ``_decode_array`` on the way in; it
+# writes an int64 array as {"shape": [...], "i8": ...}, which only dataset
+# copies hold. An autoencoder's ``network`` is its one parameter vector,
+# ``NetworkParams.values``.
 
-STORE_FORMAT = 3
+STORE_FORMAT = 4
 
 _ARRAY_KINDS = {"f8": np.float64, "i8": np.int64}
 
@@ -311,15 +305,11 @@ def _decode_array(d: dict) -> object:
     return array
 
 
-def _write_store(
-    store_dir: str | Path, name: str, kind: str, model: TrainedModel | ClusterModel, **entries
-) -> Path:
-    """Write ``model``'s store under ``name``: the header both kinds share, then ``entries``."""
-    path = model_path(store_dir, model.node_id, name)
+def _write_store(path: str | Path, model: TrainedModel | ClusterModel, **entries) -> Path:
+    """Write ``model``'s store to ``path``: the format, the scaler, then ``entries``."""
     scaler = {"min": model.scaler.minimum, "max": model.scaler.maximum}
-    header = dict(kind=kind, name=name, node_id=model.node_id, seed=model.seed, scaler=scaler)
-    write_json(path, {"format": STORE_FORMAT, **header, **entries}, default=_encode_array)
-    return path
+    write_json(path, {"format": STORE_FORMAT, "scaler": scaler, **entries}, default=_encode_array)
+    return Path(path)
 
 
 def _read_store(path: str | Path) -> tuple[dict, ScalerParams]:
@@ -335,13 +325,11 @@ def _read_store(path: str | Path) -> tuple[dict, ScalerParams]:
     return d, ScalerParams(d["scaler"]["min"], d["scaler"]["max"])
 
 
-def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) -> Path:
+def save_trained_model(path: str | Path, model: TrainedModel) -> Path:
     return _write_store(
-        store_dir,
-        name,
-        model.spec.kind,
+        path,
         model,
-        model_spec=asdict(model.spec),
+        model_spec={"kind": model.spec.kind, "window": model.spec.window},
         regime=asdict(model.regime),
         max_train_error=model.max_train_error,
         network=model.network.values,
@@ -349,15 +337,19 @@ def save_trained_model(store_dir: str | Path, name: str, model: TrainedModel) ->
     )
 
 
-def _from_stored(cls, d: dict, entry: str):
-    """Build ``cls`` from a stored entry that holds exactly its fields."""
-    unknown = set(d) - {f.name for f in fields(cls)}
+def _from_stored(cls, d: dict, entry: str, **derived):
+    """Build ``cls`` from a stored entry that holds exactly its fields, those
+    with a default too, except ``derived``, which the loader gives."""
+    stored = {f.name for f in fields(cls)} - derived.keys()
+    unknown, missing = set(d) - stored, stored - set(d)
     if unknown:
         raise DataError(
             f"unknown {entry} keys {sorted(unknown)}: the store was written by "
             "another nodewatch version and must be retrained"
         )
-    return cls(**d)
+    if missing:
+        raise DataError(f"missing {entry} keys {sorted(missing)}")
+    return cls(**d, **derived)
 
 
 @contextmanager
@@ -370,40 +362,37 @@ def _reading_store(path: str | Path):
         raise DataError(f"{path}: not a readable model file ({exc})") from exc
     except KeyError as exc:
         raise DataError(f"{path}: model file has no {exc} entry") from exc
-    # an entry of the wrong type or with a missing field, or a value numpy cannot take
+    except DataError as exc:  # before ValueError, its base
+        raise DataError(f"{path}: {exc}") from exc
+    # an entry of the wrong type, or a value numpy cannot take
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_trained_model(path: str | Path) -> TrainedModel:
     with _reading_store(path):
         d, scaler = _read_store(path)
-        spec = _from_stored(ModelSpec, d["model_spec"], "model_spec")
-        if scaler.minimum.shape != (spec.input_dim,):
-            raise DataError(
-                f"scaler has shape {scaler.minimum.shape}, model_spec gives ({spec.input_dim},)"
-            )
+        # the scaler's width is the input width, so a network that does not
+        # fit the scaler fails the parameter count
+        width = len(scaler.minimum)
+        spec = _from_stored(ModelSpec, d["model_spec"], "model_spec", input_dim=width)
         specs, values = layer_specs(spec), d["network"]
         count = nn.parameter_count(specs)
         if not (isinstance(values, np.ndarray) and values.shape == (count,)):
             got = getattr(values, "shape", type(values).__name__)
-            raise DataError(f"network is {got}, model_spec gives an array of {count} parameters")
+            raise DataError(f"network is {got}, the model needs an array of {count} parameters")
         return TrainedModel(
-            node_id=d["node_id"],
             spec=spec,
             network=nn.NetworkParams(specs, values),
             scaler=scaler,
             max_train_error=d["max_train_error"],
             regime=_from_stored(Regime, d["regime"], "regime"),
-            seed=d["seed"],
-            training=d.get("training", {}),
+            training=d["training"],
         )
 
 
-def save_cluster_model(store_dir: str | Path, name: str, model: ClusterModel) -> Path:
-    return _write_store(store_dir, name, "clu", model, kmeans=asdict(model.kmeans))
+def save_cluster_model(path: str | Path, model: ClusterModel) -> Path:
+    return _write_store(path, model, kmeans=asdict(model.kmeans))
 
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
@@ -415,7 +404,7 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
                 f"centroids have {kmeans.centroids.shape[1]} columns, the scaler "
                 f"{len(scaler.minimum)} features"
             )
-        return ClusterModel(node_id=d["node_id"], scaler=scaler, kmeans=kmeans, seed=d["seed"])
+        return ClusterModel(scaler=scaler, kmeans=kmeans)
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,6 @@ class TestClusterProbabilities:
 class TestKMeansScore:
     def model(self):
         return KMeansModel(
-            k=2,
             centroids=np.array([[0.0, 0.0], [4.0, 0.0]]),
             cluster_anomaly_prob=np.array([0.2, 0.9]),
             seed=0,
@@ -436,7 +435,6 @@ class TestKMeansScore:
         # the row's squared norm overflows, and so does twice its product with
         # the centroid at 0.9: inf - inf, which counts as inf like the others
         model = KMeansModel(
-            k=3,
             centroids=np.array([[0.1, 0.1], [0.9, 0.9], [0.5, 0.2]]),
             cluster_anomaly_prob=np.array([0.1, 0.5, 0.9]),
             seed=0,
@@ -451,5 +449,5 @@ class TestKMeansScore:
     @pytest.mark.parametrize("rate", [-0.1, 1.5, np.nan])
     def test_rate_outside_unit_range_rejected(self, rate):
         with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
-            KMeansModel(k=1, centroids=[[0.0]], cluster_anomaly_prob=[rate], seed=0)
+            KMeansModel(centroids=[[0.0]], cluster_anomaly_prob=[rate], seed=0)
 

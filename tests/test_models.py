@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -154,13 +155,12 @@ def constant_output_model(n, value, max_train_error=1.0):
     """Network that ignores its input and emits `value` (> 0) everywhere."""
     values = np.concatenate([np.zeros(n * n), np.full(n, value)])  # weights, then bias
     return mdl.TrainedModel(
-        node_id="crafted",
         spec=mdl.ModelSpec(kind="dense", input_dim=n),
         network=nn.NetworkParams([nn.DenseSpec(n, n, "relu")], values),
         scaler=identity_scaler(n),
         max_train_error=max_train_error,
         regime=mdl.Regime(semi_supervised=False),
-        seed=0,
+        training={},
     )
 
 
@@ -187,13 +187,12 @@ class TestScoreNodeModel:
         network = nn.init_params(mdl.layer_specs(spec), seed=21)
         scaler = ScalerParams(minimum=np.array([1.0, 4.0]), maximum=np.array([3.0, 6.0]))
         model = mdl.TrainedModel(
-            node_id="crafted",
             spec=spec,
             network=network,
             scaler=scaler,
             max_train_error=0.8,
             regime=mdl.Regime(semi_supervised=False),
-            seed=21,
+            training={},
         )
         series = mdl.score_node_model(model, ds)
 
@@ -278,13 +277,12 @@ class TestReconstructionErrors:
         # give some rows other bits when the scored rows start or end elsewhere
         spec = mdl.ModelSpec("dense", 32)
         model = mdl.TrainedModel(
-            node_id="crafted",
             spec=spec,
             network=nn.init_params(mdl.layer_specs(spec), seed=4),
             scaler=identity_scaler(32),
             max_train_error=1e3,
             regime=mdl.Regime(semi_supervised=False),
-            seed=0,
+            training={},
         )
         node = build_dataset(np.zeros(2 * 512 + 37), features=rng.uniform(size=(2 * 512 + 37, 32)))
         whole = mdl.score_node_model(model, node).probabilities
@@ -301,13 +299,12 @@ class TestReconstructionErrors:
         features = np.full((4, 2), 0.25)
         features[3] = 5e307
         model = mdl.TrainedModel(
-            node_id="crafted",
             spec=spec,
             network=nn.init_params(mdl.layer_specs(spec), seed=0),
             scaler=ScalerParams(np.zeros(2), np.full(2, 0.5)),
             max_train_error=1.0,
             regime=mdl.Regime(semi_supervised=False),
-            seed=0,
+            training={},
         )
         series = mdl.score_node_model(model, build_dataset([0] * 4, features=features))
         assert series.probabilities[-1] == 1.0
@@ -372,13 +369,22 @@ class TestBaselineRunners:
         with pytest.raises(DataError, match="^feature f1 of bucket 8100 overflows when scaled$"):
             mdl.score_exp_method(split)
 
+    def test_exp_deviation_too_large_for_a_float_scores_one(self):
+        # 5e307 over a training span of 0.5 scales to a finite 1e308 in both
+        # features, so the row's deviation sum overflows: inf, with no warning
+        features = np.full((10, 2), 0.25)
+        features[0], features[1] = 0.0, 0.5  # the training rows span 0.5
+        features[9] = 5e307
+        split = chronological_split(build_dataset([0] * 10, features=features), 0.8)
+        npt.assert_array_equal(mdl.score_exp_method(split).probabilities, [0.0, 1.0])
+
     def cluster_model(self):
         """Three clusters on the line y = 0.5 of a [0, 1] square, scaled from
         a span of 0.5 per feature."""
         centroids = np.array([[0.1, 0.5], [0.9, 0.5], [0.5, 0.5]])
-        kmeans = KMeansModel(k=3, centroids=centroids,
+        kmeans = KMeansModel(centroids=centroids,
                              cluster_anomaly_prob=np.array([0.2, 0.7, 0.4]), seed=0)
-        return mdl.ClusterModel("n0", ScalerParams(np.zeros(2), np.full(2, 0.5)), kmeans, seed=0)
+        return mdl.ClusterModel(ScalerParams(np.zeros(2), np.full(2, 0.5)), kmeans)
 
     def test_clu_row_whose_distances_overflow_ties_on_the_lowest_id(self):
         # 1e300 scales to 2e300, finite, but its squared norm overflows: every
@@ -400,7 +406,8 @@ class TestModelStore:
         model, _ = mdl.train_node_model(
             split.train, spec, mdl.Regime(semi_supervised=False), training_config(seed=13)
         )
-        path = mdl.save_trained_model(tmp_path / "models", "RUAD_W3", model)
+        target = mdl.model_path(tmp_path / "models", "test_node", "RUAD_W3")
+        path = mdl.save_trained_model(target, model)
         assert path == tmp_path / "models" / "test_node" / "RUAD_W3.json"
         loaded = mdl.load_trained_model(path)
         npt.assert_array_equal(
@@ -412,7 +419,7 @@ class TestModelStore:
 
     def test_missing_entry_is_a_data_error_naming_the_file(self, tmp_path):
         model = mdl.train_clu_model(TestBaselineRunners().clustered_dataset(), seed=2)
-        path = mdl.save_cluster_model(tmp_path / "models", "CLU", model)
+        path = mdl.save_cluster_model(tmp_path / "models" / "CLU.json", model)
         stored = json.loads(path.read_text())
         del stored["kmeans"]
         path.write_text(json.dumps(stored))
@@ -423,7 +430,7 @@ class TestModelStore:
     def test_cluster_model_round_trip(self, tmp_path):
         split = chronological_split(TestBaselineRunners().clustered_dataset(), 0.8)
         model = mdl.train_clu_model(split.train, seed=2)
-        path = mdl.save_cluster_model(tmp_path / "models", "CLU", model)
+        path = mdl.save_cluster_model(tmp_path / "models" / "CLU.json", model)
         loaded = mdl.load_cluster_model(path)
         npt.assert_array_equal(
             mdl.score_clu_model(loaded, split.test).probabilities,
@@ -463,22 +470,22 @@ class TestStoreFormat:
     def test_every_array_round_trips_bit_for_bit(self, tmp_path, kind):
         if kind == "clu":
             centroids = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
-            kmeans = KMeansModel(k=2, centroids=centroids,
+            kmeans = KMeansModel(centroids=centroids,
                                  cluster_anomaly_prob=np.array([-0.0, 5e-324]), seed=3)
-            model = mdl.ClusterModel("n0", edge_scaler(), kmeans, seed=3)
-            path = mdl.save_cluster_model(tmp_path, "CLU", model)
+            model = mdl.ClusterModel(edge_scaler(), kmeans)
+            path = mdl.save_cluster_model(tmp_path / "CLU.json", model)
             loaded = mdl.load_cluster_model(path)
         else:
             spec = mdl.ModelSpec(kind=kind, input_dim=4, window=3 if kind == "ruad" else 1)
             network = nn.init_params(mdl.layer_specs(spec), seed=3)
             for array in layer_arrays(network).values():
                 array.flat[:4] = EDGE_VALUES
-            model = mdl.TrainedModel("n0", spec, network, edge_scaler(), 5e-324,
-                                     mdl.Regime(semi_supervised=False), seed=3)
-            path = mdl.save_trained_model(tmp_path, kind, model)
+            model = mdl.TrainedModel(spec, network, edge_scaler(), 5e-324,
+                                     mdl.Regime(semi_supervised=False), {})
+            path = mdl.save_trained_model(tmp_path / f"{kind}.json", model)
             loaded = mdl.load_trained_model(path)
             assert loaded.max_train_error == 5e-324 and loaded.spec == spec
-        assert json.loads(path.read_text())["format"] == 3
+        assert json.loads(path.read_text())["format"] == 4
         pairs = list(zip(store_arrays(model), store_arrays(loaded)))
         assert len(pairs) >= 4
         for (name, array), (loaded_name, copy) in pairs:
@@ -490,9 +497,9 @@ class TestStoreFormat:
     def test_stored_arrays_are_shape_and_little_endian_float64(self, tmp_path):
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         network = nn.init_params(mdl.layer_specs(spec), seed=1)
-        model = mdl.TrainedModel("n0", spec, network, edge_scaler(),
-                                 1.0, mdl.Regime(semi_supervised=False), seed=1)
-        stored = json.loads(mdl.save_trained_model(tmp_path, "DENSE_un", model).read_text())
+        model = mdl.TrainedModel(spec, network, edge_scaler(),
+                                 1.0, mdl.Regime(semi_supervised=False), {})
+        stored = json.loads(mdl.save_trained_model(tmp_path / "DENSE_un.json", model).read_text())
         values = model.network.values
         # 4-16-8-16-4: 4*16+16 + 16*8+8 + 8*16+16 + 16*4+4 parameters
         assert stored["network"]["shape"] == [len(values)] == [428]
@@ -511,20 +518,29 @@ class TestStoreFormat:
             (lambda d: d.update(network=[0.0] * 428), "network is list"),
             (lambda d: d.update(network={"layers": []}), "network is dict"),
             (lambda d: d["scaler"]["min"].update(shape=[2, 2]), "scaler"),
+            # the scaler's width is the input width: 3 inputs take 395 parameters, 0 none
+            (lambda d: d.update(scaler={key: {"shape": [3], "f8": base64.b64encode(bytes(24))
+                                              .decode()} for key in ("min", "max")}),
+             r"network is \(428,\), the model needs an array of 395 parameters$"),
+            (lambda d: d.update(scaler={key: {"shape": [0], "f8": ""} for key in ("min", "max")}),
+             "input_dim must be an integer >= 1, not 0"),
             (lambda d: d.pop("format"), "older nodewatch"),
+            (lambda d: d.update(format=3),
+             r": store format 3, not 4: written by an older nodewatch, so it must be retrained$"),
             (lambda d: d["scaler"]["max"].update(shape=[5]), "bytes"),
             (lambda d: d["scaler"]["max"].update(f8="AAAA AAAA"), "base64"),
             (lambda d: d["scaler"].update(min={"f8": ""}), "'shape'"),
         ],
         ids=["network-short", "network-long", "network-not-array", "network-object",
-             "scaler-shape", "no-format", "short-payload", "not-base64", "no-shape"],
+             "scaler-shape", "scaler-narrow", "scaler-empty", "no-format", "format-3",
+             "short-payload", "not-base64", "no-shape"],
     )
     def test_damaged_trained_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
         network = nn.init_params(mdl.layer_specs(spec), seed=1)
-        model = mdl.TrainedModel("n0", spec, network, edge_scaler(),
-                                 1.0, mdl.Regime(semi_supervised=False), seed=1)
-        path = mdl.save_trained_model(tmp_path, "DENSE_un", model)
+        model = mdl.TrainedModel(spec, network, edge_scaler(),
+                                 1.0, mdl.Regime(semi_supervised=False), {})
+        path = mdl.save_trained_model(tmp_path / "DENSE_un.json", model)
         stored = json.loads(path.read_text())
         edit(stored)
         path.write_text(json.dumps(stored))
@@ -535,17 +551,21 @@ class TestStoreFormat:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda c, p: (c[:-1], p), "centroids have shape"),
+            # k is the centroids' row count, so a dropped row leaves a rate over
+            (lambda c, p: (c[:-1], p), r"probabilities have shape \(2,\), not \(k=1,\)"),
             (lambda c, p: (c[:, :-1], p), "columns"),
             (lambda c, p: (c, p[:-1]), "probabilities have shape"),
             (lambda c, p: (c * np.inf, p), "not finite"),
             (lambda c, p: (c, p * np.nan), "not finite"),
+            (lambda c, p: (c[:0], p[:0]),
+             r"centroids have shape \(0, 3\), not \(k, N\) with k >= 1"),
         ],
-        ids=["centroid-row", "centroid-column", "probability", "inf-centroid", "nan-probability"],
+        ids=["centroid-row", "centroid-column", "probability", "inf-centroid", "nan-probability",
+             "no-centroid"],
     )
     def test_damaged_cluster_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
         model = mdl.train_clu_model(TestBaselineRunners().clustered_dataset(), seed=2)
-        path = mdl.save_cluster_model(tmp_path, "CLU", model)
+        path = mdl.save_cluster_model(tmp_path / "CLU.json", model)
         stored = json.loads(path.read_text())
         entry = stored["kmeans"]
         centroids, probs = edit(model.kmeans.centroids, model.kmeans.cluster_anomaly_prob)
@@ -557,12 +577,50 @@ class TestStoreFormat:
             mdl.load_cluster_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("kind", ["dense", "ruad", "clu"])
+    def test_every_stored_key_is_read(self, tmp_path, kind):
+        # a key the loader does not need is one the store need not hold: deleting
+        # any one, at the top level or inside an entry, must make the load fail
+        if kind == "clu":
+            kmeans = KMeansModel(centroids=[[0.1, 0.2], [0.8, 0.9]],
+                                 cluster_anomaly_prob=[0.0, 0.5], seed=1)
+            model = mdl.ClusterModel(identity_scaler(2), kmeans)
+            save, load = mdl.save_cluster_model, mdl.load_cluster_model
+        else:
+            spec = mdl.ModelSpec(kind, 4, 3 if kind == "ruad" else 1)
+            model = mdl.TrainedModel(spec, nn.init_params(mdl.layer_specs(spec), seed=1),
+                                     identity_scaler(4), 1.0, mdl.Regime(semi_supervised=True),
+                                     dataclasses.asdict(training_config(seed=1)))
+            save, load = mdl.save_trained_model, mdl.load_trained_model
+        stored = json.loads(save(tmp_path / "whole.json", model).read_text())
+        keys = [(key,) for key in stored] + [
+            (key, inner) for key in ("scaler", "model_spec", "regime", "kmeans")
+            for inner in stored.get(key, ())
+        ]
+        assert len(keys) == {"clu": 8, "dense": 12, "ruad": 12}[kind]
+        loaded = []
+        for key in keys:
+            damaged = json.loads(json.dumps(stored))
+            entry = damaged
+            for name in key[:-1]:
+                entry = entry[name]
+            del entry[key[-1]]
+            path = tmp_path / f"{'.'.join(key)}.json"
+            path.write_text(json.dumps(damaged))
+            try:
+                load(path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc), key
+            else:
+                loaded.append(".".join(key))
+        assert loaded == []
+
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda kmeans: kmeans.update(inertia=1.0),
              r"unknown kmeans keys \['inertia'\].*retrained"),
-            (lambda kmeans: kmeans.pop("seed"), "malformed model file .*'seed'"),
+            (lambda kmeans: kmeans.pop("seed"), r"missing kmeans keys \['seed'\]$"),
         ],
         ids=["unknown-key", "missing-key"],
     )
@@ -570,7 +628,7 @@ class TestStoreFormat:
         self, tmp_path, edit, message
     ):
         model = mdl.train_clu_model(TestBaselineRunners().clustered_dataset(), seed=2)
-        path = mdl.save_cluster_model(tmp_path, "CLU", model)
+        path = mdl.save_cluster_model(tmp_path / "CLU.json", model)
         stored = json.loads(path.read_text())
         edit(stored["kmeans"])
         path.write_text(json.dumps(stored))

@@ -1,16 +1,22 @@
 """README's config reference names exactly the fields the config classes take,
-and the messages README quotes are the ones the code gives.
+its Outputs list names exactly the keys each model store holds, and the
+messages README quotes are the ones the code gives.
 
-A field added without a rule in the README, a rule left behind for a
-removed field, or a message changed on one side only, fails here.
+A field or store key added without a mention in the README, a mention left
+behind for a removed one, or a message changed on one side only, fails here.
 """
 
+import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nodewatch import models as mdl
+from nodewatch import neuralnet as nn
+from nodewatch.baselines import KMeansModel
 from nodewatch.cli import RunConfig
 from nodewatch.errors import DataError
 from nodewatch.methods import TrainingConfig
@@ -57,3 +63,40 @@ def test_quoted_overflow_reason_is_the_one_apply_minmax_gives():
     with pytest.raises(DataError) as raised:
         apply_minmax(ScalerParams([0.0], [0.5]), row)
     assert re.findall(r'"([^"]*when scaled)"', README) == [str(raised.value)]
+
+
+def listed_store_keys(kind):
+    """{key: the keys listed in parentheses after it} for the store kind
+    whose sentence in README's Outputs list starts "<kind> file holds"."""
+    text = " ".join(README.split())
+    match = re.search(re.escape(kind) + r" file holds (.*?)[;.] ", text)
+    assert match, f"no list of the keys a {kind} file holds"
+    pairs = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", match[1])
+    return {key: set(re.findall(r"`(\w+)`", inner)) for key, inner in pairs}
+
+
+def written_store_keys(path):
+    """{key: the keys inside it} of a store file; an array's are not keys."""
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    return {
+        key: set(value) if isinstance(value, dict) and "shape" not in value else set()
+        for key, value in stored.items()
+    }
+
+
+@pytest.mark.parametrize("kind", ["dense", "ruad"])
+def test_autoencoder_store_keys_are_the_ones_readme_lists(tmp_path, kind):
+    spec = mdl.ModelSpec(kind, 3, 2 if kind == "ruad" else 1)
+    scaler = ScalerParams(np.zeros(3), np.ones(3))
+    model = mdl.TrainedModel(spec, nn.init_params(mdl.layer_specs(spec), 0), scaler, 1.0,
+                             mdl.Regime(semi_supervised=False), asdict(TrainingConfig()))
+    path = mdl.save_trained_model(tmp_path / "model.json", model)
+    assert written_store_keys(path) == listed_store_keys("An autoencoder")
+
+
+def test_cluster_store_keys_are_the_ones_readme_lists(tmp_path):
+    kmeans = KMeansModel(centroids=[[0.0, 0.0], [1.0, 1.0]], cluster_anomaly_prob=[0.0, 1.0],
+                         seed=0)
+    model = mdl.ClusterModel(ScalerParams(np.zeros(2), np.ones(2)), kmeans)
+    path = mdl.save_cluster_model(tmp_path / "CLU.json", model)
+    assert written_store_keys(path) == listed_store_keys("a `CLU`")
