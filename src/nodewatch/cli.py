@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError, TrainingError
 from .methods import METHODS, WINDOWED_METHODS, TrainingConfig, method_instance_name, model_path
 from .util import check_fields, derive_seed, make_dir, ranged, read_config
-from .util import write_atomic, write_json
+from .util import file_sha256, read_json, write_atomic, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -203,23 +203,36 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
 # score / evaluate
 
 
-def _read_cached_scores(cfg: RunConfig, name: str, path: Path) -> list:
+def _score_path(out_dir: Path, name: str) -> Path:
+    return out_dir / "scores" / f"{name}.csv"
+
+
+def _read_cached_scores(cfg: RunConfig, path: Path) -> tuple[list, list[str]]:
     """A cached score file's series, narrowed to the configured ``nodes``
-    (all of them when the config lists none); one warning names the
-    configured nodes the file lacks."""
+    (all of them when the config lists none), and the configured nodes the
+    file lacks."""
     from .scoring import read_scores_csv
 
     series_list = read_scores_csv(path)
     if cfg.nodes is None:
-        return series_list
+        return series_list, []
     missing = sorted(set(cfg.nodes) - {s.node_id for s in series_list})
+    return [s for s in series_list if s.node_id in cfg.nodes], missing
+
+
+def _warn_missing(out_dir: Path, name: str, missing: list[str]) -> None:
+    """One warning naming the configured nodes that an instance's cached
+    score file lacks."""
     if missing:
+        path = _score_path(out_dir, name)
         log.warning("%s: the cached %s has no scores for %s", name, path, missing)
-    return [s for s in series_list if s.node_id in cfg.nodes]
 
 
-def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
-    """Each method instance's per-node score series, in config order.
+def _load_or_compute_scores(
+    cfg: RunConfig, out_dir: Path, names: list[str]
+) -> dict[str, tuple[list, list[str]]]:
+    """The per-node score series of each method instance in ``names``, in
+    config order, with the configured nodes its cached score file lacks.
 
     A cached ``scores/<name>.csv`` is read back, keeping the configured
     nodes. The other instances are scored node by node, from one load and
@@ -229,22 +242,26 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     an instance whose detector cannot score it, with one warning each. An
     instance that no node produced scores for maps to an empty list and
     gets no file. The data directory is read, and the detectors (and
-    numpy) load, only when some instance has no score file.
+    numpy) load, only when some instance has no score file; nothing loads
+    when ``names`` is empty.
     """
+    instances = [(method, name) for method, _, name in cfg.method_instances() if name in names]
+    if not instances:
+        return {}
     from .scoring import write_scores_csv
 
     store = out_dir / "models"
-    scores: dict[str, list] = {}
+    loaded: dict[str, tuple[list, list[str]]] = {}
     pending = []
-    for method, _, name in cfg.method_instances():
-        score_path = out_dir / "scores" / f"{name}.csv"
+    for method, name in instances:
+        score_path = _score_path(out_dir, name)
         if score_path.exists():
-            scores[name] = _read_cached_scores(cfg, name, score_path)
+            loaded[name] = _read_cached_scores(cfg, score_path)
         else:
-            scores[name] = []
+            loaded[name] = ([], [])
             pending.append((method, name))
     if not pending:
-        return scores
+        return loaded
     nodes = _discover_nodes(cfg)
     from . import models as mdl
 
@@ -270,11 +287,11 @@ def _load_or_compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
             except DataError as exc:
                 log.warning("%s: skipping %s: %s", name, node_id, exc)
                 continue
-            scores[name].append(series)
+            loaded[name][0].append(series)
     for _, name in pending:
-        if scores[name]:
-            write_scores_csv(out_dir / "scores" / f"{name}.csv", scores[name])
-    return scores
+        if loaded[name][0]:
+            write_scores_csv(_score_path(out_dir, name), loaded[name][0])
+    return loaded
 
 
 def _no_scores(name: str) -> DataError:
@@ -282,7 +299,9 @@ def _no_scores(name: str) -> DataError:
 
 
 def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
-    for name, series_list in _load_or_compute_scores(cfg, out_dir).items():
+    names = [name for _, _, name in cfg.method_instances()]
+    for name, (series_list, missing) in _load_or_compute_scores(cfg, out_dir, names).items():
+        _warn_missing(out_dir, name, missing)
         if not series_list:
             raise _no_scores(name)
         log.info(
@@ -293,30 +312,128 @@ def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
         )
 
 
-def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
+SOURCES_FORMAT = 1  # bumped by any change to what evaluate writes
+
+
+def _report_paths(out_dir: Path, name: str) -> tuple[Path, Path]:
+    return out_dir / "reports" / f"{name}_roc.json", out_dir / "reports" / f"{name}_roc.csv"
+
+
+def _read_sources(path: Path) -> dict:
+    """The instances ``reports/sources.json`` records; none when the record
+    is missing, unreadable, not JSON or of another ``format``."""
+    try:
+        record = read_json(path)
+    except (OSError, ValueError):
+        return {}
+    if not (isinstance(record, dict) and record.get("format") == SOURCES_FORMAT):
+        return {}
+    instances = record.get("instances")
+    return instances if isinstance(instances, dict) else {}
+
+
+def _inputs(out_dir: Path, name: str, nodes: list[str] | None, scores_sha256: str | None) -> dict:
+    """What the record checks an instance's reports by: the sorted ``nodes``
+    (or None), and the sha256 of its score file and of both reports (None
+    for a file that cannot be read)."""
+    json_path, csv_path = _report_paths(out_dir, name)
+    return {
+        "nodes": nodes,
+        "scores_sha256": scores_sha256,
+        "roc_json_sha256": file_sha256(json_path),
+        "roc_csv_sha256": file_sha256(csv_path),
+    }
+
+
+def _is_current(
+    kept: object, out_dir: Path, name: str, nodes: list[str] | None, scores_sha256: str | None
+) -> bool:
+    """Whether the recorded entry ``kept`` has the shape that ``evaluate``
+    writes and records the current inputs, every file among them readable."""
+    keys = {"nodes", "scores_sha256", "roc_json_sha256", "roc_csv_sha256", "summary", "missing"}
+    if not (isinstance(kept, dict) and kept.keys() == keys):
+        return False
+    entry, missing = kept["summary"], kept["missing"]
+    inputs = _inputs(out_dir, name, nodes, scores_sha256)
+    return (
+        None not in (scores_sha256, inputs["roc_json_sha256"], inputs["roc_csv_sha256"])
+        and all(kept[key] == value for key, value in inputs.items())
+        and isinstance(entry, dict)
+        and entry.keys() == {"auc", "positives", "negatives", "nodes_scored"}
+        and all(isinstance(value, (int, float)) for value in entry.values())
+        and isinstance(missing, list) and all(isinstance(node, str) for node in missing)
+    )
+
+
+def _pool_report(
+    out_dir: Path, name: str, loaded: tuple[list, list[str]], nodes: list[str] | None,
+    scores_sha256: str | None,
+) -> dict:
+    """Pool an instance's loaded series into its two report files; returns
+    its entry in the record. A DataError leaves neither report in place."""
     from .scoring import pool_nodes
 
+    series_list, missing = loaded
+    json_path, csv_path = _report_paths(out_dir, name)
+    try:
+        if not series_list:
+            raise _no_scores(name)
+        report = pool_nodes(series_list)
+    except DataError:
+        json_path.unlink(missing_ok=True)
+        csv_path.unlink(missing_ok=True)
+        raise
+    write_json(json_path, report.to_dict())
+    report.write_points_csv(csv_path)
+    entry = {
+        "auc": report.auc,
+        "positives": report.positives,
+        "negatives": report.negatives,
+        "nodes_scored": len(series_list),
+    }
+    # a score file computed just now is hashed once it is written
+    scores_sha256 = scores_sha256 or file_sha256(_score_path(out_dir, name))
+    return {**_inputs(out_dir, name, nodes, scores_sha256), "summary": entry, "missing": missing}
+
+
+def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
+    """Pool each method instance's scores into its reports and summary entry.
+
+    An instance whose score file, ``nodes`` and reports are those that
+    ``reports/sources.json`` records reuses its recorded entry without
+    reading its score file; the rest are loaded or computed and pooled. The
+    record is written last, and lists only the instances with a report.
+    """
+    nodes = None if cfg.nodes is None else sorted(cfg.nodes)
+    record_path = out_dir / "reports" / "sources.json"
+    recorded = _read_sources(record_path)
+    names = [name for _, _, name in cfg.method_instances()]
+    scores_sha256 = {name: file_sha256(_score_path(out_dir, name)) for name in names}
+    reused = {
+        name: recorded[name]
+        for name in names
+        if _is_current(recorded.get(name), out_dir, name, nodes, scores_sha256[name])
+    }
+    loaded = _load_or_compute_scores(cfg, out_dir, [n for n in names if n not in reused])
+
     summary: dict[str, dict] = {}
-    for name, series_list in _load_or_compute_scores(cfg, out_dir).items():
-        try:
-            if not series_list:
-                raise _no_scores(name)
-            report = pool_nodes(series_list)
-        except DataError as exc:
-            # the no-scores error already names the method
-            log.error("%s", f"{name}: {exc}" if series_list else exc)
-            summary[name] = {"error": str(exc)}
-            continue
-        write_json(out_dir / "reports" / f"{name}_roc.json", report.to_dict())
-        report.write_points_csv(out_dir / "reports" / f"{name}_roc.csv")
-        summary[name] = {
-            "auc": report.auc,
-            "positives": report.positives,
-            "negatives": report.negatives,
-            "nodes_scored": len(series_list),
-        }
-        log.info("%s: AUC %.4f over %d nodes", name, report.auc, len(series_list))
+    sources: dict[str, dict] = {}
+    for name in names:
+        source = reused.get(name)
+        _warn_missing(out_dir, name, source["missing"] if source else loaded[name][1])
+        if source is None:
+            try:
+                source = _pool_report(out_dir, name, loaded[name], nodes, scores_sha256[name])
+            except DataError as exc:
+                # the no-scores error already names the method
+                log.error("%s", f"{name}: {exc}" if loaded[name][0] else exc)
+                summary[name] = {"error": str(exc)}
+                continue
+        summary[name] = entry = source["summary"]
+        sources[name] = source
+        log.info("%s: AUC %.4f over %d nodes", name, entry["auc"], entry["nodes_scored"])
     write_json(out_dir / "summary.json", summary)
+    write_json(record_path, {"format": SOURCES_FORMAT, "instances": sources})
 
 
 def cmd_generate(config_path: Path, out_dir: Path) -> None:

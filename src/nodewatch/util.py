@@ -92,6 +92,15 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def file_sha256(path: str | Path) -> str | None:
+    """The sha256 of a file's bytes, or None when it cannot be read (it is
+    missing, a directory or unreadable)."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
 def csv_line(cells: list) -> str:
     """One CSV row, quoted as ``csv.writer`` quotes it, with its ``\\r\\n`` end."""
     buf = io.StringIO()

@@ -1,13 +1,15 @@
 """Acceptance gate: the whole CLI end to end on a small pinned synthetic config.
 
-Criteria, one PASS line each (run with ``pytest tests/test_acceptance.py -s``):
+Criteria, one PASS line per check (run with ``pytest tests/test_acceptance.py -s``):
 
 1. ``generate``, ``train``, ``score`` and ``evaluate`` exit 0, and every one
    of the six methods gets an AUC in ``summary.json``.
 2. A second run into a fresh directory gives a byte-identical
    ``summary.json`` and byte-identical ``scores/*.csv``.
 3. A cached rerun of ``train``, ``score`` and ``evaluate`` over the first
-   run's output directory trains nothing and changes no output file.
+   run's output directory trains nothing and changes no output file, and
+   its ``evaluate`` reads no score file: every report is current, so
+   ``scoring.read_scores_csv`` is made to fail for that command.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import json
 
 import pytest
 
+from nodewatch import scoring
 from nodewatch.cli import main
 from nodewatch.models import METHODS
 from nodewatch.util import write_json
@@ -69,11 +72,17 @@ def test_fresh_rerun_is_byte_identical(first_run, tmp_path):
     print("PASS a second run into a fresh directory gives byte-identical summary.json and scores/*.csv")
 
 
-def test_cached_rerun_changes_nothing(first_run):
+def read_no_score_file(path):
+    raise AssertionError(f"the cached evaluate read {path}")
+
+
+def test_cached_rerun_changes_nothing(first_run, monkeypatch):
     out, _ = first_run
     before = digests(out)
     del before["train_log.json"]  # its job statuses say what the rerun skipped
     for command in COMMANDS:
+        if command == "evaluate":
+            monkeypatch.setattr(scoring, "read_scores_csv", read_no_score_file)
         assert main([command, "--config", str(out.parent / "run.json"), "--out", str(out)]) == 0
     after = digests(out)
     del after["train_log.json"]
@@ -82,3 +91,4 @@ def test_cached_rerun_changes_nothing(first_run):
     assert len(jobs) == 5 * SYNTH["node_count"]
     assert {job["status"] for job in jobs} == {"skipped-exists"}
     print("PASS a cached rerun trains nothing and changes no output file")
+    print("PASS the cached rerun's evaluate reads no score file")

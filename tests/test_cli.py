@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nodewatch
-from nodewatch import pipeline
+from nodewatch import pipeline, scoring
 from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.models import load_trained_model
@@ -386,6 +386,19 @@ class TestImportCost:
         assert not any(m.split(".")[0] == "numpy" for m in loaded)
         assert "nodewatch.scoring" in loaded
 
+    def test_evaluate_with_every_report_current_loads_no_scoring(self, tmp_path, generated_data):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "DENSE_un", "RUAD"])
+        out = tmp_path / "run"
+        for step in ("train", "score", "evaluate"):
+            assert main([step, "--config", str(cfg), "--out", str(out)]) == 0
+        (loaded,) = python_in_child(
+            "import json, sys\nfrom nodewatch import cli\n"
+            f"assert cli.main(['evaluate', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            f"{LOADED}"
+        )
+        assert not any(m.split(".")[0] == "numpy" for m in loaded)
+        assert "nodewatch.scoring" not in loaded
+
     def test_evaluate_computes_a_missing_score_file_as_score_would(self, tmp_path, generated_data):
         cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "RUAD"])
         stepwise, direct = tmp_path / "stepwise", tmp_path / "direct"
@@ -643,11 +656,25 @@ class TestCachedScores:
         both = tiny_run_config(
             tmp_path, generated_data, methods=["EXP"], nodes=["node_000", "node_001"]
         )
-        caplog.clear()
+        # the second evaluate reuses the first one's report, and warns again
+        for _ in range(2):
+            caplog.clear()
+            assert main(["evaluate", "--config", str(both), "--out", str(out)]) == 0
+            warnings = [r.getMessage() for r in caplog.records if "node_000" in r.getMessage()]
+            assert len(warnings) == 1 and "EXP" in warnings[0]
+            assert json.loads((out / "summary.json").read_text())["EXP"]["nodes_scored"] == 1
+
+    def test_an_instance_with_an_error_keeps_no_earlier_report(self, tmp_path, generated_data):
+        both = tiny_run_config(tmp_path, generated_data, methods=["EXP"])
+        out = tmp_path / "run"
         assert main(["evaluate", "--config", str(both), "--out", str(out)]) == 0
-        warnings = [r.getMessage() for r in caplog.records if "node_000" in r.getMessage()]
-        assert len(warnings) == 1 and "EXP" in warnings[0]
-        assert json.loads((out / "summary.json").read_text())["EXP"]["nodes_scored"] == 1
+        assert (out / "reports" / "EXP_roc.json").exists()
+        absent = tiny_run_config(tmp_path, generated_data, methods=["EXP"], nodes=["node_009"])
+        assert main(["evaluate", "--config", str(absent), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"EXP": {"error": "EXP: no node produced any scores"}}
+        assert sorted(p.name for p in (out / "reports").iterdir()) == ["sources.json"]
+        assert json.loads((out / "reports" / "sources.json").read_text())["instances"] == {}
 
     @pytest.mark.parametrize("nodes", [None, ["node_001"]])
     def test_cached_evaluate_needs_no_data_directory(self, tmp_path, generated_data, nodes):
@@ -662,6 +689,95 @@ class TestCachedScores:
         (out / "summary.json").unlink()
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "summary.json").read_bytes() == first
+
+
+def change_output(out, change):
+    """Make one change to an evaluated output directory, as a user or a
+    crash might; ``nodes`` changes the config instead."""
+    reports = out / "reports"
+    if change == "score file byte":
+        path = out / "scores" / "EXP.csv"
+        data = bytearray(path.read_bytes())
+        # the last digit of the first probability written with several digits
+        row = next(row for row in data.split(b"\r\n")[1:] if len(row.split(b",")[2]) > 4)
+        at = data.index(row) + row.rindex(b",") - 1  # a row is unique by its node and bucket
+        data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+        path.write_bytes(data)
+    elif change == "score file recomputed":
+        (out / "scores" / "EXP.csv").unlink()
+    elif change == "report edited":
+        path = reports / "EXP_roc.json"
+        path.write_bytes(path.read_bytes().replace(b'"auc"', b'"AUC"', 1))
+    elif change == "report deleted":
+        (reports / "CLU_roc.csv").unlink()
+    elif change == "summary deleted":
+        (out / "summary.json").unlink()
+    elif change == "record truncated":
+        path = reports / "sources.json"
+        path.write_bytes(path.read_bytes()[:100])
+    elif change == "record deleted":
+        (reports / "sources.json").unlink()
+    elif change == "record format":
+        record = json.loads((reports / "sources.json").read_text())
+        write_json(reports / "sources.json", dict(record, format=record["format"] + 1))
+    elif change == "record entry malformed":
+        record = json.loads((reports / "sources.json").read_text())
+        record["instances"]["EXP"]["summary"]["auc"] = "0.5"
+        write_json(reports / "sources.json", record)
+
+
+# each change, and the instances whose score file the next evaluate reads
+REREAD = {
+    "score file byte": ["EXP"], "score file recomputed": [], "nodes": ["EXP", "CLU"],
+    "report edited": ["EXP"], "report deleted": ["CLU"], "summary deleted": [],
+    "record truncated": ["EXP", "CLU"], "record deleted": ["EXP", "CLU"],
+    "record format": ["EXP", "CLU"], "record entry malformed": ["EXP"],
+}
+
+
+class TestIncrementalEvaluate:
+    @pytest.fixture(scope="class")
+    def evaluated(self, tmp_path_factory, generated_data):
+        tmp = tmp_path_factory.mktemp("incremental")
+        cfg = tiny_run_config(tmp, generated_data, methods=["EXP", "CLU"])
+        out = tmp / "run"
+        for command in ("train", "score", "evaluate"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("change", list(REREAD))
+    def test_a_change_gives_what_a_fresh_evaluate_gives(
+        self, tmp_path, generated_data, evaluated, caplog, monkeypatch, change
+    ):
+        """Only the instances whose inputs or reports changed read their
+        score file again (a recomputed one is scored, not read), and the
+        outputs and log lines are those of an evaluate from scratch."""
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        shutil.copytree(evaluated, out)
+        change_output(out, change)
+        # the same inputs in a new directory, with no report, summary or record
+        shutil.copytree(out, fresh, ignore=shutil.ignore_patterns("reports", "summary.json"))
+        nodes = ["node_001"] if change == "nodes" else None
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU"], nodes=nodes)
+        read = []
+
+        def read_scores_csv(path, parse=scoring.read_scores_csv):
+            read.append(path.stem)
+            return parse(path)
+
+        monkeypatch.setattr(scoring, "read_scores_csv", read_scores_csv)
+        logs, trees = [], []
+        for run in (out, fresh):
+            caplog.clear()
+            assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+            if run == out:
+                assert read == REREAD[change]
+            logs.append([(r.levelname, r.getMessage()) for r in caplog.records])
+            files = sorted(p for p in run.rglob("*") if p.is_file())
+            trees.append({str(p.relative_to(run)): p.read_bytes() for p in files})
+        assert logs[0] == logs[1]
+        assert trees[0].keys() == trees[1].keys()
+        assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []
 
 
 class TestOutputDirectories:
@@ -754,8 +870,9 @@ class TestRunInvariants:
     @pytest.mark.parametrize("label", ["two workers", "nodes reversed"])
     def test_outputs_are_byte_identical(self, output_trees, label):
         reference = output_trees["one worker"]
-        # per node 3 stores, 2 loss files and 1 dataset copy; 3 score files, 6 reports, 2 logs
-        assert len(reference) == 23
+        # per node 3 stores, 2 loss files and 1 dataset copy; 3 score files, 6 reports and
+        # the record of their sources, 2 logs
+        assert len(reference) == 24
         assert {p for p in reference if p.startswith("datasets/")} == {
             "datasets/node_000.json", "datasets/node_001.json",
         }

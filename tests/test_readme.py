@@ -1,6 +1,6 @@
 """README's config reference names exactly the fields the config classes take,
-its Outputs list names exactly the keys each model store holds, and the
-messages README quotes are the ones the code gives.
+its Outputs list names exactly the keys each model store and the report
+record hold, and the messages README quotes are the ones the code gives.
 
 A field or store key added without a mention in the README, a mention left
 behind for a removed one, or a message changed on one side only, fails here.
@@ -17,10 +17,11 @@ import pytest
 from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
 from nodewatch.baselines import KMeansModel
-from nodewatch.cli import RunConfig
+from nodewatch.cli import RunConfig, main
 from nodewatch.errors import DataError
 from nodewatch.methods import TrainingConfig
 from nodewatch.pipeline import ScalerParams, apply_minmax
+from nodewatch.scoring import ScoreSeries, write_scores_csv
 from nodewatch.synthgen import SynthConfig
 from nodewatch.telemetry import NodeDataset
 
@@ -100,3 +101,15 @@ def test_cluster_store_keys_are_the_ones_readme_lists(tmp_path):
     model = mdl.ClusterModel(ScalerParams(np.zeros(2), np.ones(2)), kmeans)
     path = mdl.save_cluster_model(tmp_path / "CLU.json", model)
     assert written_store_keys(path) == listed_store_keys("a `CLU`")
+
+
+def test_report_record_keys_are_the_ones_readme_lists(tmp_path):
+    series = ScoreSeries("node_000", [0, 900, 1800, 2700], [0.9, 0.1, 0.6, 0.2], [1, 0, 1, 0])
+    out, cfg = tmp_path / "run", tmp_path / "run.json"
+    write_scores_csv(out / "scores" / "EXP.csv", [series])
+    cfg.write_text(json.dumps({"data_dir": "unread", "methods": ["EXP"]}))
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+    record = json.loads((out / "reports" / "sources.json").read_text())
+    written = {"format": set(), "instances": set(record["instances"]["EXP"])}
+    assert written.keys() == record.keys()
+    assert written == listed_store_keys("The record")
