@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 training failure.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from dataclasses import dataclass, field, fields
@@ -19,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError, TrainingError
 from .methods import METHODS, WINDOWED_METHODS, TrainingConfig, method_instance_name, model_path
 from .util import check_fields, derive_seed, make_dir, ranged, read_config
-from .util import file_sha256, read_json, write_atomic, write_json
+from .util import read_bytes, read_json, sha256, write_atomic, write_json
 
 log = logging.getLogger("nodewatch")
 
@@ -207,6 +208,11 @@ def _score_path(out_dir: Path, name: str) -> Path:
     return out_dir / "scores" / f"{name}.csv"
 
 
+def _missing(cfg: RunConfig, present: list[str]) -> list[str]:
+    """The configured ``nodes`` not in ``present``; none when no nodes are configured."""
+    return [] if cfg.nodes is None else sorted(set(cfg.nodes).difference(present))
+
+
 def _read_cached_scores(cfg: RunConfig, path: Path) -> tuple[list, list[str]]:
     """A cached score file's series, narrowed to the configured ``nodes``
     (all of them when the config lists none), and the configured nodes the
@@ -214,10 +220,8 @@ def _read_cached_scores(cfg: RunConfig, path: Path) -> tuple[list, list[str]]:
     from .scoring import read_scores_csv
 
     series_list = read_scores_csv(path)
-    if cfg.nodes is None:
-        return series_list, []
-    missing = sorted(set(cfg.nodes) - {s.node_id for s in series_list})
-    return [s for s in series_list if s.node_id in cfg.nodes], missing
+    kept = [s for s in series_list if cfg.nodes is None or s.node_id in cfg.nodes]
+    return kept, _missing(cfg, [s.node_id for s in series_list])
 
 
 def _warn_missing(out_dir: Path, name: str, missing: list[str]) -> None:
@@ -312,7 +316,7 @@ def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
         )
 
 
-SOURCES_FORMAT = 1  # bumped by any change to what evaluate writes
+SOURCES_FORMAT = 2  # bumped by any change to what evaluate writes
 
 
 def _report_paths(out_dir: Path, name: str) -> tuple[Path, Path]:
@@ -332,106 +336,100 @@ def _read_sources(path: Path) -> dict:
     return instances if isinstance(instances, dict) else {}
 
 
-def _inputs(out_dir: Path, name: str, nodes: list[str] | None, scores_sha256: str | None) -> dict:
+def _inputs(
+    out_dir: Path, name: str, nodes: list[str] | None, scores_sha256: str | None
+) -> tuple[dict, bytes | None]:
     """What the record checks an instance's reports by: the sorted ``nodes``
     (or None), and the sha256 of its score file and of both reports (None
-    for a file that cannot be read)."""
+    for a file that cannot be read); and the bytes of its ``_roc.json``."""
     json_path, csv_path = _report_paths(out_dir, name)
+    report = read_bytes(json_path)
     return {
         "nodes": nodes,
         "scores_sha256": scores_sha256,
-        "roc_json_sha256": file_sha256(json_path),
-        "roc_csv_sha256": file_sha256(csv_path),
-    }
+        "roc_json_sha256": sha256(report),
+        "roc_csv_sha256": sha256(read_bytes(csv_path)),
+    }, report
 
 
-def _is_current(
-    kept: object, out_dir: Path, name: str, nodes: list[str] | None, scores_sha256: str | None
-) -> bool:
-    """Whether the recorded entry ``kept`` has the shape that ``evaluate``
-    writes and records the current inputs, every file among them readable."""
-    keys = {"nodes", "scores_sha256", "roc_json_sha256", "roc_csv_sha256", "summary", "missing"}
-    if not (isinstance(kept, dict) and kept.keys() == keys):
-        return False
-    entry, missing = kept["summary"], kept["missing"]
-    inputs = _inputs(out_dir, name, nodes, scores_sha256)
-    return (
-        None not in (scores_sha256, inputs["roc_json_sha256"], inputs["roc_csv_sha256"])
-        and all(kept[key] == value for key, value in inputs.items())
-        and isinstance(entry, dict)
-        and entry.keys() == {"auc", "positives", "negatives", "nodes_scored"}
-        and all(isinstance(value, (int, float)) for value in entry.values())
-        and isinstance(missing, list) and all(isinstance(node, str) for node in missing)
-    )
+def _summary_entry(report: dict) -> dict:
+    """An instance's ``summary.json`` entry, read from its ``_roc.json`` report."""
+    figures = {key: report[key] for key in ("auc", "positives", "negatives")}
+    return {**figures, "nodes_scored": len(report["nodes"])}
 
 
 def _pool_report(
-    out_dir: Path, name: str, loaded: tuple[list, list[str]], nodes: list[str] | None,
+    out_dir: Path, name: str, series_list: list, nodes: list[str] | None,
     scores_sha256: str | None,
-) -> dict:
+) -> tuple[dict, dict]:
     """Pool an instance's loaded series into its two report files; returns
-    its entry in the record. A DataError leaves neither report in place."""
+    its entry in the record and its ``_roc.json`` report. A DataError leaves
+    neither report in place."""
     from .scoring import pool_nodes
 
-    series_list, missing = loaded
     json_path, csv_path = _report_paths(out_dir, name)
     try:
         if not series_list:
             raise _no_scores(name)
-        report = pool_nodes(series_list)
+        pooled = pool_nodes(series_list)
     except DataError:
         json_path.unlink(missing_ok=True)
         csv_path.unlink(missing_ok=True)
         raise
-    write_json(json_path, report.to_dict())
-    report.write_points_csv(csv_path)
-    entry = {
-        "auc": report.auc,
-        "positives": report.positives,
-        "negatives": report.negatives,
-        "nodes_scored": len(series_list),
-    }
+    report = pooled.to_dict()
+    write_json(json_path, report)
+    pooled.write_points_csv(csv_path)
     # a score file computed just now is hashed once it is written
-    scores_sha256 = scores_sha256 or file_sha256(_score_path(out_dir, name))
-    return {**_inputs(out_dir, name, nodes, scores_sha256), "summary": entry, "missing": missing}
+    scores_sha256 = scores_sha256 or sha256(read_bytes(_score_path(out_dir, name)))
+    return _inputs(out_dir, name, nodes, scores_sha256)[0], report
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     """Pool each method instance's scores into its reports and summary entry.
 
     An instance whose score file, ``nodes`` and reports are those that
-    ``reports/sources.json`` records reuses its recorded entry without
-    reading its score file; the rest are loaded or computed and pooled. The
-    record is written last, and lists only the instances with a report.
+    ``reports/sources.json`` records keeps its reports without reading its
+    score file: its summary entry and missing-node warning are read from its
+    ``_roc.json``. The rest are loaded or computed and pooled. The reports
+    of instances the config does not list are deleted, and the record is
+    written last, listing only the instances with a report.
     """
     nodes = None if cfg.nodes is None else sorted(cfg.nodes)
     record_path = out_dir / "reports" / "sources.json"
     recorded = _read_sources(record_path)
     names = [name for _, _, name in cfg.method_instances()]
-    scores_sha256 = {name: file_sha256(_score_path(out_dir, name)) for name in names}
-    reused = {
-        name: recorded[name]
-        for name in names
-        if _is_current(recorded.get(name), out_dir, name, nodes, scores_sha256[name])
-    }
+    scores_sha256 = {name: sha256(read_bytes(_score_path(out_dir, name))) for name in names}
+    reused = {}
+    for name in names:
+        inputs, report = _inputs(out_dir, name, nodes, scores_sha256[name])
+        digests = [inputs[key] for key in ("scores_sha256", "roc_json_sha256", "roc_csv_sha256")]
+        if None not in digests and recorded.get(name) == inputs:
+            reused[name] = inputs, json.loads(report)
     loaded = _load_or_compute_scores(cfg, out_dir, [n for n in names if n not in reused])
 
     summary: dict[str, dict] = {}
     sources: dict[str, dict] = {}
     for name in names:
-        source = reused.get(name)
-        _warn_missing(out_dir, name, source["missing"] if source else loaded[name][1])
-        if source is None:
+        if name in reused:
+            sources[name], report = reused[name]
+            _warn_missing(out_dir, name, _missing(cfg, report["nodes"]))
+        else:
+            series_list, missing = loaded[name]
+            _warn_missing(out_dir, name, missing)
             try:
-                source = _pool_report(out_dir, name, loaded[name], nodes, scores_sha256[name])
+                sources[name], report = _pool_report(
+                    out_dir, name, series_list, nodes, scores_sha256[name]
+                )
             except DataError as exc:
                 # the no-scores error already names the method
-                log.error("%s", f"{name}: {exc}" if loaded[name][0] else exc)
+                log.error("%s", f"{name}: {exc}" if series_list else exc)
                 summary[name] = {"error": str(exc)}
                 continue
-        summary[name] = entry = source["summary"]
-        sources[name] = source
+        summary[name] = entry = _summary_entry(report)
         log.info("%s: AUC %.4f over %d nodes", name, entry["auc"], entry["nodes_scored"])
+    reports = {*record_path.parent.glob("*_roc.json"), *record_path.parent.glob("*_roc.csv")}
+    for path in reports - {path for name in sources for path in _report_paths(out_dir, name)}:
+        path.unlink()
     write_json(out_dir / "summary.json", summary)
     write_json(record_path, {"format": SOURCES_FORMAT, "instances": sources})
 
@@ -453,25 +451,25 @@ def cmd_generate(config_path: Path, out_dir: Path) -> None:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error: one line, exit 1
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nodewatch",
-        description="Per-node HPC telemetry anomaly detection toolkit",
+    parser = _Parser(
+        prog="nodewatch", description="Per-node HPC telemetry anomaly detection toolkit"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("generate", "train", "score", "evaluate"):
-        p = sub.add_parser(command)
-        p.add_argument("--config", required=True, type=Path, help="JSON config file")
-        p.add_argument("--out", required=True, type=Path, help="output directory")
+    parser.add_argument("command", choices=("generate", "train", "score", "evaluate"))
+    parser.add_argument("--config", required=True, type=Path, help="JSON config file")
+    parser.add_argument("--out", required=True, type=Path, help="output directory")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
-    args = _build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "generate":
             cmd_generate(args.config, args.out)
         else:

@@ -92,13 +92,18 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def file_sha256(path: str | Path) -> str | None:
-    """The sha256 of a file's bytes, or None when it cannot be read (it is
-    missing, a directory or unreadable)."""
+def read_bytes(path: str | Path) -> bytes | None:
+    """A file's bytes, or None when it cannot be read (it is missing, a
+    directory or unreadable)."""
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        return Path(path).read_bytes()
     except OSError:
         return None
+
+
+def sha256(data: bytes | None) -> str | None:
+    """The sha256 of ``data`` in hex; None for no data."""
+    return None if data is None else hashlib.sha256(data).hexdigest()
 
 
 def csv_line(cells: list) -> str:

@@ -722,7 +722,7 @@ def change_output(out, change):
         write_json(reports / "sources.json", dict(record, format=record["format"] + 1))
     elif change == "record entry malformed":
         record = json.loads((reports / "sources.json").read_text())
-        record["instances"]["EXP"]["summary"]["auc"] = "0.5"
+        record["instances"]["EXP"]["roc_json_sha256"] = 5
         write_json(reports / "sources.json", record)
 
 
@@ -778,6 +778,60 @@ class TestIncrementalEvaluate:
         assert logs[0] == logs[1]
         assert trees[0].keys() == trees[1].keys()
         assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []
+
+    def test_a_reused_report_warns_of_a_node_its_scores_lack(
+        self, tmp_path, generated_data, caplog, monkeypatch
+    ):
+        """A configured node skipped when the scores were computed is missing
+        from the score file: an evaluate that reuses the report warns of it
+        as an evaluate that reads the file does."""
+        data = tmp_path / "data"
+        shutil.copytree(generated_data, data)
+        (data / "node_000.csv").write_text("not a node file\n")  # node_001 has the positives
+        cfg = tiny_run_config(tmp_path, data, methods=["EXP"], nodes=["node_000", "node_001"])
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        # the same score file in a new directory, with no report, summary or record
+        shutil.copytree(out / "scores", fresh / "scores")
+        read = []
+
+        def read_scores_csv(path, parse=scoring.read_scores_csv):
+            read.append(path.parents[1])
+            return parse(path)
+
+        monkeypatch.setattr(scoring, "read_scores_csv", read_scores_csv)
+        logs = []
+        for run in (out, fresh):
+            caplog.clear()
+            assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+            logs.append([(r.levelname, r.getMessage().replace(str(run), "<out>"))
+                         for r in caplog.records])
+        assert read == [fresh]
+        assert logs[0] == logs[1]
+        assert logs[0][0] == (
+            "WARNING", "EXP: the cached <out>/scores/EXP.csv has no scores for ['node_000']"
+        )
+        for name in ("summary.json", "reports/EXP_roc.json", "reports/EXP_roc.csv",
+                     "reports/sources.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_reports_of_instances_no_longer_configured_are_deleted(
+        self, tmp_path, generated_data, evaluated
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(evaluated, out)
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP"])
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert list(json.loads((out / "summary.json").read_text())) == ["EXP"]
+        assert list(json.loads((out / "reports" / "sources.json").read_text())["instances"]) == [
+            "EXP"
+        ]
+        assert sorted(p.name for p in (out / "reports").iterdir()) == [
+            "EXP_roc.csv", "EXP_roc.json", "sources.json",
+        ]
+        # score files and models stay
+        assert (out / "scores" / "CLU.csv").exists()
+        assert (out / "models" / "node_000" / "CLU.json").exists()
 
 
 class TestOutputDirectories:
@@ -1199,3 +1253,22 @@ class TestRunConfig:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("ERROR") and str(named) in lines[0]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus", "--config", "run.json", "--out", "run"], ["train", "--config"], []],
+        ids=["unknown-command", "option-without-value", "no-arguments"],
+    )
+    def test_usage_error_exits_one_with_one_line(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR")
+        assert "usage:" not in proc.stderr and proc.stdout == ""
+
+    def test_help_exits_zero(self):
+        proc = run_cli("-h")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: nodewatch")
