@@ -208,67 +208,42 @@ def _score_path(out_dir: Path, name: str) -> Path:
     return out_dir / "scores" / f"{name}.csv"
 
 
-def _missing(cfg: RunConfig, present: list[str]) -> list[str]:
-    """The configured ``nodes`` not in ``present``; none when no nodes are configured."""
-    return [] if cfg.nodes is None else sorted(set(cfg.nodes).difference(present))
-
-
-def _read_cached_scores(cfg: RunConfig, path: Path) -> tuple[list, list[str]]:
-    """A cached score file's series, narrowed to the configured ``nodes``
-    (all of them when the config lists none), and the configured nodes the
-    file lacks."""
-    from .scoring import read_scores_csv
-
-    series_list = read_scores_csv(path)
-    kept = [s for s in series_list if cfg.nodes is None or s.node_id in cfg.nodes]
-    return kept, _missing(cfg, [s.node_id for s in series_list])
-
-
-def _warn_missing(out_dir: Path, name: str, missing: list[str]) -> None:
-    """One warning naming the configured nodes that an instance's cached
-    score file lacks."""
+def _warn_missing(cfg: RunConfig, out_dir: Path, name: str, present: list[str]) -> None:
+    """One warning naming the configured ``nodes`` that are not in
+    ``present``, the nodes of an instance's cached score file (or of the
+    report pooled from it); none when no nodes are configured."""
+    missing = [] if cfg.nodes is None else sorted(set(cfg.nodes).difference(present))
     if missing:
         path = _score_path(out_dir, name)
         log.warning("%s: the cached %s has no scores for %s", name, path, missing)
 
 
-def _load_or_compute_scores(
-    cfg: RunConfig, out_dir: Path, names: list[str]
-) -> dict[str, tuple[list, list[str]]]:
-    """The per-node score series of each method instance in ``names``, in
-    config order, with the configured nodes its cached score file lacks.
+def _compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
+    """Score every method instance that has no ``scores/<name>.csv`` and
+    write the file of each that some node scored; returns the computed
+    per-node series by name, an empty list for an instance no node scored.
 
-    A cached ``scores/<name>.csv`` is read back, keeping the configured
-    nodes. The other instances are scored node by node, from one load and
-    split per node, and their files are written in config order. A node is
-    skipped for every instance when its dataset cannot be read or split,
-    for an instance without a stored model (training skipped it), and for
-    an instance whose detector cannot score it, with one warning each. An
-    instance that no node produced scores for maps to an empty list and
-    gets no file. The data directory is read, and the detectors (and
-    numpy) load, only when some instance has no score file; nothing loads
-    when ``names`` is empty.
+    The instances are scored node by node, from one load and split per
+    node. A node is skipped for every instance when its dataset cannot be
+    read or split, for an instance without a stored model (training skipped
+    it), and for an instance whose detector cannot score it, with one
+    warning each. The data directory is read, and the detectors (and numpy)
+    load, only when some instance has no score file.
     """
-    instances = [(method, name) for method, _, name in cfg.method_instances() if name in names]
-    if not instances:
+    pending = [
+        (method, name)
+        for method, _, name in cfg.method_instances()
+        if not _score_path(out_dir, name).exists()
+    ]
+    if not pending:
         return {}
     from .scoring import write_scores_csv
 
-    store = out_dir / "models"
-    loaded: dict[str, tuple[list, list[str]]] = {}
-    pending = []
-    for method, name in instances:
-        score_path = _score_path(out_dir, name)
-        if score_path.exists():
-            loaded[name] = _read_cached_scores(cfg, score_path)
-        else:
-            loaded[name] = ([], [])
-            pending.append((method, name))
-    if not pending:
-        return loaded
     nodes = _discover_nodes(cfg)
     from . import models as mdl
 
+    store = out_dir / "models"
+    computed: dict[str, list] = {name: [] for _, name in pending}
     for node_id in nodes:
         try:
             split = _load_split(cfg, out_dir, node_id)
@@ -287,15 +262,27 @@ def _load_or_compute_scores(
             else:
                 score, args = mdl.score_node_model, (mdl.load_trained_model(path), split.test)
             try:
-                series = score(*args)
+                computed[name].append(score(*args))
             except DataError as exc:
                 log.warning("%s: skipping %s: %s", name, node_id, exc)
-                continue
-            loaded[name][0].append(series)
-    for _, name in pending:
-        if loaded[name][0]:
-            write_scores_csv(_score_path(out_dir, name), loaded[name][0])
-    return loaded
+    for name, series_list in computed.items():
+        if series_list:
+            write_scores_csv(_score_path(out_dir, name), series_list)
+    return computed
+
+
+def _scores(cfg: RunConfig, out_dir: Path, name: str, computed: dict[str, list]) -> list:
+    """An instance's per-node score series: those ``computed`` in this run,
+    or else its cached score file's, narrowed to the configured ``nodes``
+    (all of them when the config lists none), with one warning naming the
+    configured nodes the file lacks."""
+    if name in computed:
+        return computed[name]
+    from .scoring import read_scores_csv
+
+    series_list = read_scores_csv(_score_path(out_dir, name))
+    _warn_missing(cfg, out_dir, name, [s.node_id for s in series_list])
+    return [s for s in series_list if cfg.nodes is None or s.node_id in cfg.nodes]
 
 
 def _no_scores(name: str) -> DataError:
@@ -303,9 +290,9 @@ def _no_scores(name: str) -> DataError:
 
 
 def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
-    names = [name for _, _, name in cfg.method_instances()]
-    for name, (series_list, missing) in _load_or_compute_scores(cfg, out_dir, names).items():
-        _warn_missing(out_dir, name, missing)
+    computed = _compute_scores(cfg, out_dir)
+    for _, _, name in cfg.method_instances():
+        series_list = _scores(cfg, out_dir, name, computed)
         if not series_list:
             raise _no_scores(name)
         log.info(
@@ -358,73 +345,58 @@ def _summary_entry(report: dict) -> dict:
     return {**figures, "nodes_scored": len(report["nodes"])}
 
 
-def _pool_report(
-    out_dir: Path, name: str, series_list: list, nodes: list[str] | None,
-    scores_sha256: str | None,
-) -> tuple[dict, dict]:
-    """Pool an instance's loaded series into its two report files; returns
-    its entry in the record and its ``_roc.json`` report. A DataError leaves
-    neither report in place."""
+def _pool_report(out_dir: Path, name: str, series_list: list) -> dict:
+    """Pool an instance's series into its two report files; returns its
+    ``_roc.json`` report."""
     from .scoring import pool_nodes
 
-    json_path, csv_path = _report_paths(out_dir, name)
-    try:
-        if not series_list:
-            raise _no_scores(name)
-        pooled = pool_nodes(series_list)
-    except DataError:
-        json_path.unlink(missing_ok=True)
-        csv_path.unlink(missing_ok=True)
-        raise
+    if not series_list:
+        raise _no_scores(name)
+    pooled = pool_nodes(series_list)
     report = pooled.to_dict()
+    json_path, csv_path = _report_paths(out_dir, name)
     write_json(json_path, report)
     pooled.write_points_csv(csv_path)
-    # a score file computed just now is hashed once it is written
-    scores_sha256 = scores_sha256 or sha256(read_bytes(_score_path(out_dir, name)))
-    return _inputs(out_dir, name, nodes, scores_sha256)[0], report
+    return report
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     """Pool each method instance's scores into its reports and summary entry.
 
-    An instance whose score file, ``nodes`` and reports are those that
-    ``reports/sources.json`` records keeps its reports without reading its
-    score file: its summary entry and missing-node warning are read from its
-    ``_roc.json``. The rest are loaded or computed and pooled. The reports
-    of instances the config does not list are deleted, and the record is
-    written last, listing only the instances with a report.
+    The missing score files are computed first, as ``score`` computes them.
+    Then each instance in config order keeps or pools its reports before
+    the next is read. An instance whose score file, ``nodes`` and reports
+    are those that ``reports/sources.json`` records keeps its reports
+    without reading its score file: its summary entry and missing-node
+    warning are read from its ``_roc.json``. The rest are read and pooled.
+    The reports of instances with no entry in the new record (the config
+    does not list them, or their pooling failed) are deleted, and the
+    record is written last.
     """
+    computed = _compute_scores(cfg, out_dir)
     nodes = None if cfg.nodes is None else sorted(cfg.nodes)
     record_path = out_dir / "reports" / "sources.json"
     recorded = _read_sources(record_path)
-    names = [name for _, _, name in cfg.method_instances()]
-    scores_sha256 = {name: sha256(read_bytes(_score_path(out_dir, name))) for name in names}
-    reused = {}
-    for name in names:
-        inputs, report = _inputs(out_dir, name, nodes, scores_sha256[name])
-        digests = [inputs[key] for key in ("scores_sha256", "roc_json_sha256", "roc_csv_sha256")]
-        if None not in digests and recorded.get(name) == inputs:
-            reused[name] = inputs, json.loads(report)
-    loaded = _load_or_compute_scores(cfg, out_dir, [n for n in names if n not in reused])
-
     summary: dict[str, dict] = {}
     sources: dict[str, dict] = {}
-    for name in names:
-        if name in reused:
-            sources[name], report = reused[name]
-            _warn_missing(out_dir, name, _missing(cfg, report["nodes"]))
+    for _, _, name in cfg.method_instances():
+        scores_sha256 = sha256(read_bytes(_score_path(out_dir, name)))
+        inputs, report = _inputs(out_dir, name, nodes, scores_sha256)
+        digests = [inputs[key] for key in ("scores_sha256", "roc_json_sha256", "roc_csv_sha256")]
+        if name not in computed and None not in digests and recorded.get(name) == inputs:
+            sources[name], report = inputs, json.loads(report)
+            _warn_missing(cfg, out_dir, name, report["nodes"])
         else:
-            series_list, missing = loaded[name]
-            _warn_missing(out_dir, name, missing)
+            series_list = _scores(cfg, out_dir, name, computed)
             try:
-                sources[name], report = _pool_report(
-                    out_dir, name, series_list, nodes, scores_sha256[name]
-                )
+                report = _pool_report(out_dir, name, series_list)
             except DataError as exc:
                 # the no-scores error already names the method
                 log.error("%s", f"{name}: {exc}" if series_list else exc)
                 summary[name] = {"error": str(exc)}
                 continue
+            # the score file is hashed already; only the reports are new
+            sources[name] = _inputs(out_dir, name, nodes, scores_sha256)[0]
         summary[name] = entry = _summary_entry(report)
         log.info("%s: AUC %.4f over %d nodes", name, entry["auc"], entry["nodes_scored"])
     reports = {*record_path.parent.glob("*_roc.json"), *record_path.parent.glob("*_roc.csv")}

@@ -834,6 +834,92 @@ class TestIncrementalEvaluate:
         assert (out / "models" / "node_000" / "CLU.json").exists()
 
 
+def damage_score_file(path):
+    """Give a score file's first row a probability that does not parse."""
+    path.write_text(path.read_text().replace(",0.0,", ",zero,", 1))
+
+
+class TestOneInstanceAtATime:
+    """Missing score files are computed first; then each instance is read
+    and pooled, or its reports reused, before the next, in config order."""
+
+    def test_each_cached_instance_is_pooled_before_the_next_is_read(
+        self, tmp_path, generated_data, monkeypatch
+    ):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "RUAD"])
+        out = tmp_path / "run"
+        for i, name in enumerate(["EXP", "CLU", "RUAD_W5"]):
+            series = ScoreSeries(
+                node_id="node_000",
+                bucket_starts=np.arange(8) * 900,
+                probabilities=np.linspace(0.0, 1.0, 8) ** (i + 1),
+                labels=np.array([0, 0, 1, 0, 1, 0, 1, 1]),
+            )
+            write_scores_csv(out / "scores" / f"{name}.csv", [series])
+        calls = []
+
+        def read_scores_csv(path, parse=scoring.read_scores_csv):
+            calls.append(("read", path.stem))
+            return parse(path)
+
+        def pool_nodes(series_list, pool=scoring.pool_nodes):
+            calls.append(("pool", len(series_list)))
+            return pool(series_list)
+
+        monkeypatch.setattr(scoring, "read_scores_csv", read_scores_csv)
+        monkeypatch.setattr(scoring, "pool_nodes", pool_nodes)
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == [
+            ("read", "EXP"), ("pool", 1), ("read", "CLU"), ("pool", 1),
+            ("read", "RUAD_W5"), ("pool", 1),
+        ]
+
+    def test_a_damaged_score_file_between_two_others(self, tmp_path, generated_data, caplog):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "DENSE_un"])
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        for command in ("train", "score", "evaluate"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        kept = {name: (out / name).read_bytes() for name in ("summary.json", "reports/sources.json")}
+        path = out / "scores" / "CLU.csv"
+        damage_score_file(path)
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and str(path) in errors[0]
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+        path.unlink()
+        # the same inputs in a new directory, with no report, summary or record
+        shutil.copytree(out, fresh, ignore=shutil.ignore_patterns("reports", "summary.json"))
+        logs, trees = [], []
+        for run in (out, fresh):
+            caplog.clear()
+            assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+            logs.append([(r.levelname, r.getMessage()) for r in caplog.records])
+            files = sorted(p for p in run.rglob("*") if p.is_file())
+            trees.append({str(p.relative_to(run)): p.read_bytes() for p in files})
+        assert logs[0] == logs[1]
+        assert trees[0].keys() == trees[1].keys()
+        assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []
+
+    def test_score_writes_the_missing_files_before_reading_a_damaged_one(
+        self, tmp_path, generated_data
+    ):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU"])
+        out = tmp_path / "run"
+        for command in ("train", "score"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        damaged, computed = out / "scores" / "EXP.csv", out / "scores" / "CLU.csv"
+        scored = computed.read_bytes()
+        damage_score_file(damaged)
+        computed.unlink()
+        proc = run_cli("score", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(damaged) in lines[0]
+        assert computed.read_bytes() == scored
+
+
 class TestOutputDirectories:
     @pytest.mark.parametrize(
         "command, blocked",
