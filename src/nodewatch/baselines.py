@@ -109,25 +109,29 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sum(a * a, axis=-1)
 
 
-def _pairwise_distances(
-    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None
-) -> np.ndarray:
-    """Euclidean distance matrix between row sets a (M, N) and b (K, N).
-
-    For a stack of row sets b (R, K, N) the result is (R, M, K), each
-    matrix bit for bit the one its row set gives alone: the product is one
-    batched matmul, which multiplies each set as a product of its own.
-    ``a_sq`` is ``_row_norms(a)``, for callers that reuse it across calls.
-    """
-    if a_sq is None:
-        a_sq = _row_norms(a)
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between row sets a (M, N) and b (K, N)."""
     # (a_sq + b_sq) - 2 ab, built in place
-    sq = a_sq[:, None] + _row_norms(b)[..., None, :]
-    prod = a @ b.swapaxes(-1, -2)
+    sq = _row_norms(a)[:, None] + _row_norms(b)
+    prod = a @ b.T
     prod *= 2.0
     sq -= prod
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
+
+
+def _squared_distances(rows: np.ndarray, row_sq: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Squared distances (R, n, k), unclamped, of ``rows`` (n, N) to each
+    centroid set of ``stack`` (R, k, N): the values that
+    ``_pairwise_distances`` clamps and roots, since moving its factor 2 onto
+    the centroids is exact short of underflow. The product is one batched
+    matmul, which multiplies each set as a product of its own, so each set
+    gets the bits it gets alone. ``row_sq`` is ``_row_norms(rows)`` repeated
+    in each of the k columns, (n, k): a broadcast sum along whole rows is
+    faster than one from an (n, 1) column."""
+    sq = row_sq + _row_norms(stack)[:, None, :]
+    sq -= rows @ (2.0 * stack).swapaxes(1, 2)
+    return sq
 
 
 def silhouette(dist: np.ndarray, assignment: np.ndarray) -> float:
@@ -164,17 +168,21 @@ def assign_clusters(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _plus_plus_seeds(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by squared distance."""
+    """k-means++ seeding: spread initial centroids by squared distance.
+
+    Each draw after the first reads every row's squared distance to its
+    nearest seed so far; no draw reads the distances to the last seed, so
+    they are not computed."""
     centroids = np.empty((k, rows.shape[1]))
     centroids[0] = rows[rng.integers(len(rows))]
-    closest_sq = np.sum((rows - centroids[0]) ** 2, axis=1)
+    closest_sq = np.full(len(rows), np.inf)
     for j in range(1, k):
+        closest_sq = np.minimum(closest_sq, np.sum((rows - centroids[j - 1]) ** 2, axis=1))
         total = closest_sq.sum()
         if total == 0:
             centroids[j] = rows[rng.integers(len(rows))]
         else:
             centroids[j] = rows[rng.choice(len(rows), p=closest_sq / total)]
-        closest_sq = np.minimum(closest_sq, np.sum((rows - centroids[j]) ** 2, axis=1))
     return centroids
 
 
@@ -187,20 +195,29 @@ def _lloyd(rows: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Each step makes one stacked distance computation and one stacked
     product of one-hot memberships with the rows, which gives every
     cluster sum of the live restarts; a restart leaves the batch at the
-    iteration where it converges.
+    iteration where it converges. A row joins the centroid at the least
+    squared distance, the lowest id among equal values: ``assign_clusters``'
+    rule, except where two squared distances round to the same root or both
+    lie below 0, which its clamped roots tie.
     """
     centroids = seeds.copy()
     restarts, k, _ = centroids.shape
-    row_sq = _row_norms(rows)
+    n = len(rows)
+    row_sq = np.repeat(_row_norms(rows)[:, None], k, axis=1)
+    # the flat index of (slot, cluster 0, row) in a stacked (A, k, n) one-hot
+    # array; a row's own cluster adds cluster * n
+    flat_index = np.arange(restarts)[:, None] * (k * n) + np.arange(n)
 
     def assign(live: np.ndarray) -> np.ndarray:  # (len(live), n)
-        return _pairwise_distances(rows, centroids[live], row_sq).argmin(axis=2)
+        return _squared_distances(rows, row_sq, centroids[live]).argmin(axis=2)
 
     live = np.arange(restarts)
     assignment = assign(live)
     for _ in range(KMEANS_MAX_ITER):
         current = assignment[live]
-        onehot = (current[:, None, :] == np.arange(k)[:, None]).astype(np.float64)  # (A, k, n)
+        onehot = np.zeros(len(live) * k * n)
+        onehot[current * n + flat_index[: len(live)]] = 1.0
+        onehot = onehot.reshape(len(live), k, n)
         counts = onehot.sum(axis=2)
         # a batched matmul multiplies each restart as a product of its own,
         # so a restart's sums have the same bits stacked or alone

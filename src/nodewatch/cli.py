@@ -323,20 +323,21 @@ def _read_sources(path: Path) -> dict:
     return instances if isinstance(instances, dict) else {}
 
 
-def _inputs(
-    out_dir: Path, name: str, nodes: list[str] | None, scores_sha256: str | None
-) -> tuple[dict, bytes | None]:
-    """What the record checks an instance's reports by: the sorted ``nodes``
-    (or None), and the sha256 of its score file and of both reports (None
-    for a file that cannot be read); and the bytes of its ``_roc.json``."""
+def _kept_report(out_dir: Path, name: str, record: object, inputs: dict) -> dict | None:
+    """An instance's ``_roc.json`` report when ``record``, its entry in
+    ``reports/sources.json``, holds its ``inputs`` (the sorted ``nodes`` or
+    None, and its score file's sha256) and the sha256 of both its reports;
+    else None. The reports are read only once the inputs match."""
+    if inputs["scores_sha256"] is None or not isinstance(record, dict):
+        return None
+    if any(record.get(key) != value for key, value in inputs.items()):
+        return None
     json_path, csv_path = _report_paths(out_dir, name)
     report = read_bytes(json_path)
-    return {
-        "nodes": nodes,
-        "scores_sha256": scores_sha256,
-        "roc_json_sha256": sha256(report),
-        "roc_csv_sha256": sha256(read_bytes(csv_path)),
-    }, report
+    digests = {"roc_json_sha256": sha256(report), "roc_csv_sha256": sha256(read_bytes(csv_path))}
+    if None in digests.values() or record != {**inputs, **digests}:
+        return None
+    return json.loads(report)
 
 
 def _summary_entry(report: dict) -> dict:
@@ -345,9 +346,10 @@ def _summary_entry(report: dict) -> dict:
     return {**figures, "nodes_scored": len(report["nodes"])}
 
 
-def _pool_report(out_dir: Path, name: str, series_list: list) -> dict:
+def _pool_report(out_dir: Path, name: str, series_list: list) -> tuple[dict, dict]:
     """Pool an instance's series into its two report files; returns its
-    ``_roc.json`` report."""
+    ``_roc.json`` report and the sha256 of each file, from the bytes
+    written."""
     from .scoring import pool_nodes
 
     if not series_list:
@@ -355,9 +357,11 @@ def _pool_report(out_dir: Path, name: str, series_list: list) -> dict:
     pooled = pool_nodes(series_list)
     report = pooled.to_dict()
     json_path, csv_path = _report_paths(out_dir, name)
-    write_json(json_path, report)
-    pooled.write_points_csv(csv_path)
-    return report
+    digests = {
+        "roc_json_sha256": sha256(write_json(json_path, report)),
+        "roc_csv_sha256": sha256(pooled.write_points_csv(csv_path)),
+    }
+    return report, digests
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
@@ -380,23 +384,23 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     summary: dict[str, dict] = {}
     sources: dict[str, dict] = {}
     for _, _, name in cfg.method_instances():
-        scores_sha256 = sha256(read_bytes(_score_path(out_dir, name)))
-        inputs, report = _inputs(out_dir, name, nodes, scores_sha256)
-        digests = [inputs[key] for key in ("scores_sha256", "roc_json_sha256", "roc_csv_sha256")]
-        if name not in computed and None not in digests and recorded.get(name) == inputs:
-            sources[name], report = inputs, json.loads(report)
+        inputs = {"nodes": nodes, "scores_sha256": sha256(read_bytes(_score_path(out_dir, name)))}
+        report = None
+        if name not in computed:
+            report = _kept_report(out_dir, name, recorded.get(name), inputs)
+        if report is not None:
+            sources[name] = recorded[name]
             _warn_missing(cfg, out_dir, name, report["nodes"])
         else:
             series_list = _scores(cfg, out_dir, name, computed)
             try:
-                report = _pool_report(out_dir, name, series_list)
+                report, digests = _pool_report(out_dir, name, series_list)
             except DataError as exc:
                 # the no-scores error already names the method
                 log.error("%s", f"{name}: {exc}" if series_list else exc)
                 summary[name] = {"error": str(exc)}
                 continue
-            # the score file is hashed already; only the reports are new
-            sources[name] = _inputs(out_dir, name, nodes, scores_sha256)[0]
+            sources[name] = {**inputs, **digests}
         summary[name] = entry = _summary_entry(report)
         log.info("%s: AUC %.4f over %d nodes", name, entry["auc"], entry["nodes_scored"])
     reports = {*record_path.parent.glob("*_roc.json"), *record_path.parent.glob("*_roc.csv")}

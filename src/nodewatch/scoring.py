@@ -81,10 +81,10 @@ class RocReport:
             "nodes": self.nodes,
         }
 
-    def write_points_csv(self, path: str | Path) -> None:
+    def write_points_csv(self, path: str | Path) -> bytes:
         lines = [csv_line(["threshold", "fpr", "tpr"])]
         lines.extend(",".join(map(repr, row)) + "\r\n" for row in self.points)
-        write_atomic(path, "".join(lines))
+        return write_atomic(path, "".join(lines))
 
 
 def _pairwise_sum(values: list[float], lo: int = 0, hi: int | None = None) -> float:

@@ -125,8 +125,9 @@ def make_dir(path: Path) -> None:
         raise ConfigError(f"cannot make the output directory {path} ({exc.strerror})") from None
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` (UTF-8, newlines as given) to ``path`` atomically.
+def write_atomic(path: str | Path, text: str) -> bytes:
+    """Write ``text`` (UTF-8, newlines as given) to ``path`` atomically;
+    returns the bytes written, for callers that hash them.
 
     The text goes to a temp file in the same directory, which then replaces
     ``path`` in one ``os.replace``; a write that fails part-way leaves the
@@ -134,22 +135,25 @@ def write_atomic(path: str | Path, text: str) -> None:
     An OSError names ``path``, not the temp file (which is gone by then).
     """
     path = Path(path)
+    data = text.encode("utf-8")
     make_dir(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:  # a directory standing at ``path``, say
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)  # gone already once replaced
+    return data
 
 
-def write_json(path: str | Path, obj: object, default=None) -> None:
+def write_json(path: str | Path, obj: object, default=None) -> bytes:
     """Write JSON deterministically (sorted keys, fixed separators);
-    ``default`` turns what json cannot write into what it can."""
-    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n")
+    ``default`` turns what json cannot write into what it can. Returns the
+    bytes written."""
+    return write_atomic(path, json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n")
 
 
 def read_json(path: str | Path, object_hook=None) -> dict:

@@ -22,6 +22,7 @@ from nodewatch.baselines import (
     _pairwise_distances,
     _plus_plus_seeds,
     _row_norms,
+    _squared_distances,
 )
 from nodewatch.errors import DataError
 
@@ -270,6 +271,38 @@ def reference_lloyd(rows, seeds):
     return centroids, assignment, wcss, converged_at
 
 
+def reference_plus_plus_seeds(rows, k, rng):
+    """k-means++ seeding that also updates the nearest-seed distances after
+    the last draw, which nothing reads."""
+    centroids = np.empty((k, rows.shape[1]))
+    centroids[0] = rows[rng.integers(len(rows))]
+    closest_sq = np.sum((rows - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest_sq.sum()
+        if total == 0:
+            centroids[j] = rows[rng.integers(len(rows))]
+        else:
+            centroids[j] = rows[rng.choice(len(rows), p=closest_sq / total)]
+        closest_sq = np.minimum(closest_sq, np.sum((rows - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+class TestPlusPlusSeeds:
+    # three distinct rows: from the fourth seed on every row sits on a seed,
+    # the distances sum to 0 and the draws are uniform
+    @pytest.mark.parametrize("distinct", [640, 3])
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_seeds_and_generator_state_match_a_final_update(self, k, distinct):
+        data = np.random.default_rng(2).uniform(size=(distinct, 32))
+        rows = data[np.arange(640) % distinct]
+        got, want = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(KMEANS_RESTARTS):
+            npt.assert_array_equal(
+                _plus_plus_seeds(rows, k, got), reference_plus_plus_seeds(rows, k, want)
+            )
+        assert got.random() == want.random()
+
+
 def reference_kmeans_fit(rows, k, seed):
     """Best of the restarts, each run on its own; the first lowest WCSS wins."""
     rng = np.random.default_rng(seed)
@@ -324,14 +357,34 @@ class TestStackedLloyd:
 
     @pytest.mark.parametrize("shape", [(640, 32), (4800, 64)])
     def test_stacked_distances_have_each_restarts_bits(self, shape):
+        """Lloyd's squared distances to a stack of centroid sets are each
+        set's own; with distinct centroids their argmin is
+        ``assign_clusters``'. Two equal centroids may differ by an ulp in
+        the squared value, by their column in the product, where the root
+        makes them tie."""
         rng = np.random.default_rng(11)
         rows = rng.uniform(size=shape)
         for k in (1, 2, 7, 10):
-            stack = rows[rng.integers(len(rows), size=(KMEANS_RESTARTS, k))]
-            dist = _pairwise_distances(rows, stack, _row_norms(rows))
-            for seeds, own in zip(stack, dist):
-                npt.assert_array_equal(own, _pairwise_distances(rows, seeds))
+            row_sq = np.repeat(_row_norms(rows)[:, None], k, axis=1)
+            picks = [rng.choice(len(rows), size=k, replace=False) for _ in range(KMEANS_RESTARTS)]
+            stack = rows[np.stack(picks)]
+            sq = _squared_distances(rows, row_sq, stack)
+            for seeds, own in zip(stack, sq):
+                npt.assert_array_equal(own, _squared_distances(rows, row_sq, seeds[None])[0])
                 npt.assert_array_equal(own.argmin(axis=1), assign_clusters(rows, seeds))
+
+    @pytest.mark.parametrize("shape", [(640, 32), (4800, 64)])
+    @pytest.mark.parametrize("k", [2, 7, 10])
+    def test_plus_plus_seeded_batch_matches_the_root_rule(self, shape, k):
+        """At the benchmark's and the paper's row shapes, Lloyd steps that
+        take the argmin of squared distances give the bits of
+        ``reference_lloyd``, whose steps take it over the roots of
+        ``_pairwise_distances``. Skewed rows keep each restart going for
+        tens of steps (up to ~110 at 4800 rows)."""
+        rng = np.random.default_rng(k)
+        rows = rng.uniform(size=shape) ** 3
+        stack = np.stack([_plus_plus_seeds(rows, k, rng) for _ in range(3)])
+        assert None not in assert_batch_matches_reference(rows, stack)
 
     # one batch of ten restarts, batches of 12 // k (the last one short),
     # and one restart per batch

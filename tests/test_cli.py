@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nodewatch
-from nodewatch import pipeline, scoring
+from nodewatch import cli, pipeline, scoring
 from nodewatch.cli import RunConfig, main
 from nodewatch.errors import ConfigError
 from nodewatch.models import load_trained_model
@@ -778,6 +778,36 @@ class TestIncrementalEvaluate:
         assert logs[0] == logs[1]
         assert trees[0].keys() == trees[1].keys()
         assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []
+
+    @pytest.mark.parametrize("change, kept", [("score file byte", ["CLU"]), ("nodes", [])])
+    def test_changed_inputs_read_no_old_report(
+        self, tmp_path, generated_data, evaluated, monkeypatch, change, kept
+    ):
+        """An instance whose score file or ``nodes`` differ from its record
+        is pooled without reading its old reports, and the new reports'
+        digests come from the bytes written: only the kept instances'
+        reports are read, and the record is that of a fresh evaluate."""
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        shutil.copytree(evaluated, out)
+        change_output(out, change)
+        shutil.copytree(out, fresh, ignore=shutil.ignore_patterns("reports", "summary.json"))
+        nodes = ["node_001"] if change == "nodes" else None
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU"], nodes=nodes)
+        read = []
+
+        def read_bytes(path, read_file=cli.read_bytes):
+            read.append(Path(path))
+            return read_file(path)
+
+        monkeypatch.setattr(cli, "read_bytes", read_bytes)
+        for run in (out, fresh):
+            assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+        assert [p.relative_to(out) for p in read if p.parent == out / "reports"] == [
+            Path("reports", f"{name}_roc.{ext}") for name in kept for ext in ("json", "csv")
+        ]
+        assert [p for p in read if p.parent == fresh / "reports"] == []
+        record = Path("reports", "sources.json")
+        assert (out / record).read_bytes() == (fresh / record).read_bytes()
 
     def test_a_reused_report_warns_of_a_node_its_scores_lack(
         self, tmp_path, generated_data, caplog, monkeypatch
