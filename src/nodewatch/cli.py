@@ -303,7 +303,7 @@ def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
         )
 
 
-SOURCES_FORMAT = 2  # bumped by any change to what evaluate writes
+SOURCES_FORMAT = 3  # bumped by any change to what evaluate writes
 
 
 def _report_paths(out_dir: Path, name: str) -> tuple[Path, Path]:

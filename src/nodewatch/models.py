@@ -71,6 +71,11 @@ class Regime:
 
     semi_supervised: bool
 
+    def __post_init__(self) -> None:
+        # a stored regime is JSON, where "no" or 0 would pass as a truth value
+        if not isinstance(self.semi_supervised, bool):
+            raise DataError(f"semi_supervised must be true or false, not {self.semi_supervised!r}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -87,7 +92,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dense", "ruad"):
             raise DataError(f"unknown model kind {self.kind!r}")
-        # a stored spec is JSON: 5.5 or true would pass a bare range test
+        # a stored spec's window is JSON, where 5.5 or true would pass a bare
+        # range test; input_dim is the scaler's width, checked the same way
         if type(self.input_dim) is not int or self.input_dim < 1:
             raise DataError(f"input_dim must be an integer >= 1, not {self.input_dim!r}")
         if type(self.window) is not int or self.window < 1:
@@ -126,8 +132,10 @@ class TrainedModel:
     training: dict
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.max_train_error) or self.max_train_error <= 0:
-            raise DataError("max_train_error must be finite and > 0")
+        # a stored value is JSON, where true would pass as 1.0
+        error = self.max_train_error
+        if isinstance(error, bool) or not (np.isfinite(error) and error > 0):
+            raise DataError(f"max_train_error must be a finite number > 0, not {error!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -414,15 +414,10 @@ def train_autoencoder(
         epoch_loss = total / count
         history.append(epoch_loss)
 
+        stale_epochs = 0 if best_loss - epoch_loss > IMPROVEMENT_THRESHOLD else stale_epochs + 1
         if epoch_loss < best_loss:
-            if best_loss - epoch_loss > IMPROVEMENT_THRESHOLD:
-                stale_epochs = 0
-            else:
-                stale_epochs += 1
             best_loss = epoch_loss
             best = params.values.copy()
-        else:
-            stale_epochs += 1
         if stale_epochs >= cfg.early_stop_patience:
             break
     params.values[...] = best

@@ -4,8 +4,8 @@ A score series holds one node's per-bucket anomaly probabilities and
 labels. Evaluation sweeps every observed probability as a decision
 threshold and reports the area under the resulting ROC curve, per node or
 pooled across nodes. Nothing here imports numpy, so evaluating cached score
-files loads no numpy; the arithmetic reproduces the numpy formulation bit
-for bit (see :func:`_pairwise_sum`).
+files loads no numpy. The area is counted in integers and divided once, so
+every AUC is the float nearest to the exact Mann-Whitney ratio.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class ScoreSeries:
 
 @dataclass
 class RocReport:
-    """Threshold sweep (descending) with trapezoidal AUC.
+    """Threshold sweep (descending) and the area under it (see :func:`roc_curve`).
 
     ``points`` is a list of (threshold, fpr, tpr) tuples from the +inf
     sentinel at (0, 0) down to the smallest observed score at (1, 1).
@@ -87,42 +87,13 @@ class RocReport:
         return write_atomic(path, "".join(lines))
 
 
-def _pairwise_sum(values: list[float], lo: int = 0, hi: int | None = None) -> float:
-    """Sum ``values[lo:hi]`` in the order numpy's float64 ``np.sum`` uses.
-
-    A port of numpy's pairwise summation: below 8 terms a plain loop from
-    0.0; up to 128 terms eight running sums, combined as a tree, then the
-    remainder; above that, split at half the length rounded down to a
-    multiple of 8 and recurse. The AUCs therefore keep the bits they had
-    when the area was an ``np.sum``; ``math.fsum`` would round differently.
-    """
-    hi = len(values) if hi is None else hi
-    n = hi - lo
-    if n < 8:
-        res = 0.0
-        for i in range(lo, hi):
-            res += values[i]
-        return res
-    if n <= 128:
-        r = values[lo : lo + 8]
-        end = hi - n % 8
-        for i in range(lo + 8, end, 8):
-            r = [a + b for a, b in zip(r, values[i : i + 8])]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, hi):
-            res += values[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
-
-
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocReport:
     """Exact ROC over all observed score thresholds.
 
     Tied scores move between classes together, which makes the trapezoidal
     area identical to the Mann-Whitney pairwise statistic with ties counted
-    as one half.
+    as one half. The area is an integer count of pairs, divided once: the
+    AUC is the float nearest the true ratio (CPython's int / int rounds so).
     """
     scores = [float(s) for s in _plain(scores)]
     labels = _plain(labels)
@@ -138,20 +109,17 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocReport:
     # stable descending sort; a point closes each run of equal scores
     ranked = sorted(zip(scores, labels), key=itemgetter(0), reverse=True)
     points = [(math.inf, 0.0, 0.0)]
-    tp = fp = 0
+    tp = fp = last_tp = last_fp = area = 0
     for i, (score, label) in enumerate(ranked, 1):
         tp += label == 1
         fp += label == 0
         if i == len(ranked) or ranked[i][0] != score:
             points.append((score, fp / negatives, tp / positives))
+            area += (fp - last_fp) * (tp + last_tp)  # twice the trapezoid, in pairs
+            last_tp, last_fp = tp, fp
 
-    terms = [
-        (f1 - f0) * (t1 + t0) / 2.0
-        for (_, f0, t0), (_, f1, t1) in zip(points, points[1:])
-    ]
-    return RocReport(
-        points=points, auc=_pairwise_sum(terms), positives=positives, negatives=negatives
-    )
+    auc = area / (2 * positives * negatives)
+    return RocReport(points=points, auc=auc, positives=positives, negatives=negatives)
 
 
 def pool_nodes(series_list: list[ScoreSeries]) -> RocReport:

@@ -2,8 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nodewatch.telemetry import BUCKET_SECONDS, NodeDataset
+
+# property tests draw the same examples on every run and keep no example
+# database, so a run's outcome depends on the code alone
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def build_dataset(

@@ -137,6 +137,20 @@ class TestTrainNodeModel:
         with pytest.raises(DataError, match="semi-supervised filter removed every row"):
             mdl.train_node_model(ds, spec, mdl.Regime(semi_supervised=True), training_config())
 
+    @pytest.mark.parametrize("patience", [1, 3])
+    def test_early_stopping_ends_a_run_that_stops_improving(self, patience):
+        # at learning rate 0 no epoch improves on the first by more than 1e-6,
+        # so the run stops after the first epoch and ``patience`` stale ones
+        spec = mdl.ModelSpec(kind="dense", input_dim=4)
+        cfg = TrainingConfig(learning_rate=0.0, max_epochs=10,
+                             early_stop_patience=patience, seed=4)
+        model, history = mdl.train_node_model(
+            smooth_dataset(n=60), spec, mdl.Regime(semi_supervised=False), cfg
+        )
+        assert len(history) == patience + 1
+        first = nn.init_params(mdl.layer_specs(spec), cfg.seed)
+        assert model.network.values.tobytes() == first.values.tobytes()
+
     def test_train_probabilities_capped_by_construction(self):
         train = chronological_split(smooth_dataset(n=140), 0.8).train
         spec = mdl.ModelSpec(kind="dense", input_dim=4)
@@ -530,10 +544,15 @@ class TestStoreFormat:
             (lambda d: d["scaler"]["max"].update(shape=[5]), "bytes"),
             (lambda d: d["scaler"]["max"].update(f8="AAAA AAAA"), "base64"),
             (lambda d: d["scaler"].update(min={"f8": ""}), "'shape'"),
+            # JSON values that Python would take as a truth value or as 1.0
+            (lambda d: d["regime"].update(semi_supervised="no"),
+             "semi_supervised must be true or false, not 'no'$"),
+            (lambda d: d.update(max_train_error=True),
+             "max_train_error must be a finite number > 0, not True$"),
         ],
         ids=["network-short", "network-long", "network-not-array", "network-object",
              "scaler-shape", "scaler-narrow", "scaler-empty", "no-format", "format-3",
-             "short-payload", "not-base64", "no-shape"],
+             "short-payload", "not-base64", "no-shape", "regime-not-bool", "max-error-true"],
     )
     def test_damaged_trained_store_is_a_data_error_naming_the_file(self, tmp_path, edit, message):
         spec = mdl.ModelSpec(kind="dense", input_dim=4)

@@ -1,6 +1,7 @@
 """README's config reference names exactly the fields the config classes take,
 its Outputs list names exactly the keys each model store and the report
-record hold, and the messages README quotes are the ones the code gives.
+record hold and the format numbers they carry, and the messages README
+quotes are the ones the code gives.
 
 A field or store key added without a mention in the README, a mention left
 behind for a removed one, or a message changed on one side only, fails here.
@@ -17,7 +18,7 @@ import pytest
 from nodewatch import models as mdl
 from nodewatch import neuralnet as nn
 from nodewatch.baselines import KMeansModel
-from nodewatch.cli import RunConfig, main
+from nodewatch.cli import SOURCES_FORMAT, RunConfig, main
 from nodewatch.errors import DataError
 from nodewatch.methods import TrainingConfig
 from nodewatch.pipeline import ScalerParams, apply_minmax
@@ -113,3 +114,12 @@ def test_report_record_keys_are_the_ones_readme_lists(tmp_path):
     written = {"format": set(), "instances": set(record["instances"]["EXP"])}
     assert written.keys() == record.keys()
     assert written == listed_store_keys("The record")
+
+
+def test_quoted_format_numbers_are_the_ones_written():
+    text = " ".join(README.split())
+    assert set(re.findall(r'`"format": (\d+)`', text)) == {str(mdl.STORE_FORMAT)}
+    (dataset,) = re.findall(r"dataset as parsed from .*? It holds `format` \((\d+)\)", text)
+    assert dataset == str(mdl.DATASET_FORMAT)
+    (record,) = re.findall(r"The record file holds `format` \((\d+)\)", text)
+    assert record == str(SOURCES_FORMAT)
