@@ -76,7 +76,8 @@ class RunConfig:
 def _discover_nodes(cfg: RunConfig) -> list[str]:
     data_dir = Path(cfg.data_dir)
     if not data_dir.is_dir():
-        raise DataError(f"data directory {data_dir} does not exist")
+        problem = "is not a directory" if data_dir.exists() else "does not exist"
+        raise DataError(f"data directory {data_dir} {problem}")
     if cfg.nodes is not None:
         missing = [n for n in cfg.nodes if not (data_dir / f"{n}.csv").exists()]
         if missing:
@@ -136,8 +137,9 @@ def _run_train_job(args: tuple) -> list[tuple[str, str, str, str]]:
                 trained, history = mdl.train_node_model(
                     train, spec, regime, cfg.training_config(seed)
                 )
-                mdl.save_trained_model(path, trained)
+                # the history first, so that a store on disk implies its history
                 _write_loss_history(path.with_name(f"{name}_loss.csv"), history)
+                mdl.save_trained_model(path, trained)
         except DataError as exc:
             rows.append((node_id, name, "skipped-data", str(exc)))
         except TrainingError as exc:
@@ -210,7 +212,7 @@ def _score_path(out_dir: Path, name: str) -> Path:
 
 def _warn_missing(cfg: RunConfig, out_dir: Path, name: str, present: list[str]) -> None:
     """One warning naming the configured ``nodes`` that are not in
-    ``present``, the nodes of an instance's cached score file (or of the
+    ``present``, the nodes of an instance's score file (or of the
     report pooled from it); none when no nodes are configured."""
     missing = [] if cfg.nodes is None else sorted(set(cfg.nodes).difference(present))
     if missing:
@@ -218,10 +220,10 @@ def _warn_missing(cfg: RunConfig, out_dir: Path, name: str, present: list[str]) 
         log.warning("%s: the cached %s has no scores for %s", name, path, missing)
 
 
-def _compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
+def _compute_scores(cfg: RunConfig, out_dir: Path) -> None:
     """Score every method instance that has no ``scores/<name>.csv`` and
-    write the file of each that some node scored; returns the computed
-    per-node series by name, an empty list for an instance no node scored.
+    write the file of each that some node scored, with one line counting
+    its nodes and points; an instance no node scored gets no file.
 
     The instances are scored node by node, from one load and split per
     node. A node is skipped for every instance when its dataset cannot be
@@ -236,7 +238,7 @@ def _compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
         if not _score_path(out_dir, name).exists()
     ]
     if not pending:
-        return {}
+        return
     from .scoring import write_scores_csv
 
     nodes = _discover_nodes(cfg)
@@ -268,19 +270,21 @@ def _compute_scores(cfg: RunConfig, out_dir: Path) -> dict[str, list]:
     for name, series_list in computed.items():
         if series_list:
             write_scores_csv(_score_path(out_dir, name), series_list)
-    return computed
+            points = sum(len(s) for s in series_list)
+            log.info("%s: scored %d nodes, %d points", name, len(series_list), points)
 
 
-def _scores(cfg: RunConfig, out_dir: Path, name: str, computed: dict[str, list]) -> list:
-    """An instance's per-node score series: those ``computed`` in this run,
-    or else its cached score file's, narrowed to the configured ``nodes``
-    (all of them when the config lists none), with one warning naming the
-    configured nodes the file lacks."""
-    if name in computed:
-        return computed[name]
+def _scores(cfg: RunConfig, out_dir: Path, name: str) -> list:
+    """An instance's per-node score series, read from its score file and
+    narrowed to the configured ``nodes`` (all of them when the config lists
+    none), with one warning naming the configured nodes the file lacks;
+    none when nothing stands at the file's path (no node scored it)."""
+    path = _score_path(out_dir, name)
+    if not path.exists():
+        return []
     from .scoring import read_scores_csv
 
-    series_list = read_scores_csv(_score_path(out_dir, name))
+    series_list = read_scores_csv(path)
     _warn_missing(cfg, out_dir, name, [s.node_id for s in series_list])
     return [s for s in series_list if cfg.nodes is None or s.node_id in cfg.nodes]
 
@@ -290,17 +294,11 @@ def _no_scores(name: str) -> DataError:
 
 
 def cmd_score(cfg: RunConfig, out_dir: Path) -> None:
-    computed = _compute_scores(cfg, out_dir)
+    """Write the missing score files, reading no cached one."""
+    _compute_scores(cfg, out_dir)
     for _, _, name in cfg.method_instances():
-        series_list = _scores(cfg, out_dir, name, computed)
-        if not series_list:
+        if not _score_path(out_dir, name).exists():
             raise _no_scores(name)
-        log.info(
-            "%s: scored %d nodes, %d points",
-            name,
-            len(series_list),
-            sum(len(s) for s in series_list),
-        )
 
 
 SOURCES_FORMAT = 3  # bumped by any change to what evaluate writes
@@ -372,12 +370,12 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     the next is read. An instance whose score file, ``nodes`` and reports
     are those that ``reports/sources.json`` records keeps its reports
     without reading its score file: its summary entry and missing-node
-    warning are read from its ``_roc.json``. The rest are read and pooled.
-    The reports of instances with no entry in the new record (the config
-    does not list them, or their pooling failed) are deleted, and the
-    record is written last.
+    warning are read from its ``_roc.json``. The rest are pooled from their
+    score files, those just computed too. The reports of instances with no
+    entry in the new record (the config does not list them, or their
+    pooling failed) are deleted, and the record is written last.
     """
-    computed = _compute_scores(cfg, out_dir)
+    _compute_scores(cfg, out_dir)
     nodes = None if cfg.nodes is None else sorted(cfg.nodes)
     record_path = out_dir / "reports" / "sources.json"
     recorded = _read_sources(record_path)
@@ -385,14 +383,12 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
     sources: dict[str, dict] = {}
     for _, _, name in cfg.method_instances():
         inputs = {"nodes": nodes, "scores_sha256": sha256(read_bytes(_score_path(out_dir, name)))}
-        report = None
-        if name not in computed:
-            report = _kept_report(out_dir, name, recorded.get(name), inputs)
+        report = _kept_report(out_dir, name, recorded.get(name), inputs)
         if report is not None:
             sources[name] = recorded[name]
             _warn_missing(cfg, out_dir, name, report["nodes"])
         else:
-            series_list = _scores(cfg, out_dir, name, computed)
+            series_list = _scores(cfg, out_dir, name)
             try:
                 report, digests = _pool_report(out_dir, name, series_list)
             except DataError as exc:

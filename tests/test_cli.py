@@ -160,9 +160,15 @@ class TestTrainCommand:
         for p, mtime in first.items():
             assert p.stat().st_mtime_ns == mtime
 
-    def test_missing_data_dir_is_a_data_error(self, tmp_path):
-        cfg = tiny_run_config(tmp_path, tmp_path / "nowhere")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    def test_missing_data_dir_is_a_data_error(self, tmp_path, caplog):
+        (tmp_path / "a_file").write_text("not a directory")
+        for name, problem in (("nowhere", "does not exist"), ("a_file", "is not a directory")):
+            cfg = tiny_run_config(tmp_path, tmp_path / name)
+            caplog.clear()
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+                ("ERROR", f"data error: data directory {tmp_path / name} {problem}"),
+            ]
 
     def test_pool_is_no_larger_than_the_job_count(self, tmp_path, generated_data, monkeypatch):
         sizes = []
@@ -384,7 +390,8 @@ class TestImportCost:
             f"{LOADED}"
         )
         assert not any(m.split(".")[0] == "numpy" for m in loaded)
-        assert "nodewatch.scoring" in loaded
+        # score reads no cached score file; evaluate reads each to pool it
+        assert ("nodewatch.scoring" in loaded) == (command == "evaluate")
 
     def test_evaluate_with_every_report_current_loads_no_scoring(self, tmp_path, generated_data):
         cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU", "DENSE_un", "RUAD"])
@@ -494,6 +501,18 @@ class TestScoreCommand:
             if damage == "old layout":
                 assert "encoder_dim" in lines[0] and "retrained" in lines[0]
         assert not (out / "summary.json").exists()
+
+    def test_fully_cached_score_reads_no_score_file(self, tmp_path, generated_data, monkeypatch):
+        cfg = tiny_run_config(tmp_path, generated_data, methods=["EXP", "CLU"])
+        out = tmp_path / "run"
+        for command in ("train", "score"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+        def read_scores_csv(path):
+            raise AssertionError(f"score read {path}")
+
+        monkeypatch.setattr(scoring, "read_scores_csv", read_scores_csv)
+        assert main(["score", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 class TestEvaluateCommand:
@@ -610,14 +629,17 @@ class TestEvaluateCommand:
         else:
             head, row, rest = text.split("\n", 2)
             path.write_text("\n".join([head, row.rsplit(",", 1)[0] + ",7", rest]))
-        for command in ("score", "evaluate"):
-            proc = run_cli(command, "--config", str(cfg), "--out", str(out))
-            assert proc.returncode == 2
-            lines = proc.stderr.splitlines()
-            assert len(lines) == 1 and "Traceback" not in proc.stderr
-            assert lines[0].startswith("ERROR") and str(path) in lines[0]
-            if damage == "label 7":
-                assert "line 2" in lines[0] and "label 7" in lines[0]
+        damaged = path.read_bytes()
+        # score reads no cached file, so it leaves the damaged one as it is
+        assert run_cli("score", "--config", str(cfg), "--out", str(out)).returncode == 0
+        assert path.read_bytes() == damaged
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("ERROR") and str(path) in lines[0]
+        if damage == "label 7":
+            assert "line 2" in lines[0] and "label 7" in lines[0]
         assert not (out / "summary.json").exists()
 
     def test_roc_csv_cells_are_plain_numbers(self, tmp_path, generated_data):
@@ -942,12 +964,14 @@ class TestOneInstanceAtATime:
         scored = computed.read_bytes()
         damage_score_file(damaged)
         computed.unlink()
-        proc = run_cli("score", "--config", str(cfg), "--out", str(out))
+        # score writes the missing file and reads no cached one
+        assert run_cli("score", "--config", str(cfg), "--out", str(out)).returncode == 0
+        assert computed.read_bytes() == scored
+        proc = run_cli("evaluate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("ERROR") and str(damaged) in lines[0]
-        assert computed.read_bytes() == scored
 
 
 class TestOutputDirectories:
@@ -1018,12 +1042,15 @@ class TestRunInvariants:
     @pytest.fixture(scope="class")
     def output_trees(self, tmp_path_factory, generated_data):
         """Every output file of train/score/evaluate, by relative path, for
-        one run config under three settings of ``workers`` and ``nodes``."""
+        one run config under three settings of ``workers`` and ``nodes``, and
+        of train/evaluate with no score step."""
         trees = {}
-        for label, workers, nodes in (
-            ("one worker", 1, ["node_000", "node_001"]),
-            ("two workers", 2, ["node_000", "node_001"]),
-            ("nodes reversed", 1, ["node_001", "node_000"]),
+        for label, workers, nodes, commands in (
+            ("one worker", 1, ["node_000", "node_001"], ("train", "score", "evaluate")),
+            ("two workers", 2, ["node_000", "node_001"], ("train", "score", "evaluate")),
+            ("nodes reversed", 1, ["node_001", "node_000"], ("train", "score", "evaluate")),
+            # evaluate computes the score files itself, then pools them from disk
+            ("no score step", 1, ["node_000", "node_001"], ("train", "evaluate")),
         ):
             tmp = tmp_path_factory.mktemp("invariants")
             cfg = tiny_run_config(
@@ -1031,13 +1058,13 @@ class TestRunInvariants:
                 training={"max_epochs": 1}, workers=workers, nodes=nodes,
             )
             out = tmp / "run"
-            for command in ("train", "score", "evaluate"):
+            for command in commands:
                 assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
             files = sorted(p for p in out.rglob("*") if p.is_file())
             trees[label] = {str(p.relative_to(out)): p.read_bytes() for p in files}
         return trees
 
-    @pytest.mark.parametrize("label", ["two workers", "nodes reversed"])
+    @pytest.mark.parametrize("label", ["two workers", "nodes reversed", "no score step"])
     def test_outputs_are_byte_identical(self, output_trees, label):
         reference = output_trees["one worker"]
         # per node 3 stores, 2 loss files and 1 dataset copy; 3 score files, 6 reports and
@@ -1048,6 +1075,62 @@ class TestRunInvariants:
         }
         assert output_trees[label].keys() == reference.keys()
         assert [p for p in reference if output_trees[label][p] != reference[p]] == []
+
+
+class Crash(BaseException):
+    """A process killed mid-command: no ``except Exception`` in nodewatch catches it."""
+
+
+class TestCrashRecovery:
+    def test_train_after_a_crash_at_any_rename_writes_what_a_clean_train_writes(
+        self, tmp_path, generated_data, monkeypatch
+    ):
+        """``train`` crashes just before or just after its k-th ``os.replace``,
+        for every k; an unpatched rerun then leaves ``models/`` and
+        ``datasets/`` byte for byte as a clean run does. (``train_log.json``
+        is left out: the rerun rightly calls the models saved before the
+        crash ``skipped-exists``.)"""
+        cfg = tiny_run_config(
+            tmp_path, generated_data, methods=["DENSE_un", "RUAD"], windows=[5],
+            training={"max_epochs": 1}, nodes=["node_000"],
+        )
+
+        def outputs(out):
+            files = sorted(p for d in ("models", "datasets") for p in (out / d).rglob("*"))
+            return {str(p.relative_to(out)): p.read_bytes() for p in files if p.is_file()}
+
+        replace = os.replace
+
+        def replace_crashing_at(k, after):
+            """``os.replace``, but the k-th call (from 0) crashes; None never crashes."""
+            calls = []
+
+            def crashing_replace(src, dst):
+                calls.append(dst)
+                if len(calls) - 1 != k:
+                    return replace(src, dst)
+                if after:
+                    replace(src, dst)
+                raise Crash
+
+            return crashing_replace, calls
+
+        counting_replace, renames = replace_crashing_at(None, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", counting_replace)
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "clean")]) == 0
+        clean = outputs(tmp_path / "clean")
+        # the dataset copy, each model's store and loss history, the train log
+        assert len(renames) == 6 and len(clean) == 5
+        for k in range(len(renames)):
+            for after in (False, True):
+                out = tmp_path / f"crash_{k}_{after}"
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "replace", replace_crashing_at(k, after)[0])
+                    with pytest.raises(Crash):
+                        main(["train", "--config", str(cfg), "--out", str(out)])
+                assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+                assert outputs(out) == clean, (k, after)
 
 
 class TestNodeMajorCommands:
