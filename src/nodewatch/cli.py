@@ -163,6 +163,8 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> None:
                 rows.append((node_id, name, "skipped-exists", ""))
             else:
                 pending.setdefault(node_id, []).append((method, window, name))
+    # one job per node: a job writes only its node's dataset copy and
+    # models, so no two workers write one path (util.write_atomic relies on it)
     jobs = [(cfg, str(out_dir), node_id, pending[node_id]) for node_id in sorted(pending)]
     if jobs:
         # numpy and the engine load once here, so forked workers share them

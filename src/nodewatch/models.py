@@ -141,15 +141,17 @@ class TrainedModel:
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
     """Per-window L1 error between reconstruction and target, in passes of
-    SCORE_BATCH windows gathered from the rows, the last padded with copies
+    SCORE_BATCH windows that share one workspace, gathered from the rows,
+    the last padded with copies
     of the last window, so a window's error does not depend on the windows
     around it. An error too large for a float is inf, with no warning: it
     scores 1 after the clamp. A network whose values overflow warns neither;
     an error that is NaN is refused where it is used."""
     errors, targets = np.empty(len(windows)), windows.targets
+    space = nn.Workspace(params.specs, SCORE_BATCH, windows.window_length)
     for lo in range(0, len(windows), SCORE_BATCH):
         pick = np.minimum(np.arange(lo, lo + SCORE_BATCH), len(windows) - 1)
-        out = nn.forward(params, windows.gather(pick))[0]
+        out = nn.forward(params, windows.gather(pick), space)[0]
         hi = min(lo + SCORE_BATCH, len(windows))
         errors[lo:hi] = np.abs(out[: hi - lo] - targets[lo:hi]).sum(axis=1)
     return errors

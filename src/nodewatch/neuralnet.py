@@ -10,12 +10,21 @@ machine.
 Inputs are batches (B, W, N). Gate order throughout is (input, forget,
 output, candidate). Nothing here re-checks shapes or settings: the model
 store's loader and ``ModelSpec`` admit only the two stacks.
+
+Every pass runs in a :class:`Workspace`: a training run, or a scoring call,
+builds one sized for its largest batch, and each batch reuses its buffers
+and step views, so a pass allocates no arrays of its own. What a pass
+returns (outputs, caches, gradients) lives in the workspace and is valid
+until the next pass there. The buffers copy the layouts of the arrays they
+replace, down to one column-major gradient, because numpy's matmul picks its
+BLAS call, and so the result's last bits, by the layouts of its operands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,160 +157,345 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
 
 
 # ---------------------------------------------------------------------------
+# workspace: the buffers every pass runs in
+
+
+class _Buffers:
+    """Flat float64 arrays by name, each of a size fixed up front and made
+    the first time a view of it is carved, so a buffer that no pass uses
+    costs nothing. Every view covers the first entries of its array: a
+    batch smaller than the largest reuses the largest one's memory."""
+
+    def __init__(self, **sizes: int) -> None:
+        self.sizes = sizes
+        self.flat: dict[str, np.ndarray] = {}
+
+    def carve(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-ordered view of ``shape`` over the first entries of ``name``."""
+        flat = self.flat.get(name)
+        if flat is None:
+            flat = self.flat[name] = np.empty(self.sizes[name])
+        return flat[: math.prod(shape)].reshape(shape)
+
+
+class _DenseSpace:
+    """A dense layer's part of a workspace: its (B, features) output and
+    gradient buffers, and the input and output of the last forward pass."""
+
+    def __init__(self, spec: DenseSpec, batch: int) -> None:
+        out = batch * spec.out_dim
+        self.buffers = _Buffers(out=out, d_pre=out, factor=out, d_in=batch * spec.in_dim)
+        self.x = self.out = None
+
+    def forward(self, layer: DenseLayer, x: np.ndarray) -> np.ndarray:
+        # a dense layer that meets a sequence reads its only step: the dense
+        # stack's windows are one row long
+        x = x[:, 0] if x.ndim == 3 else x
+        out = self.buffers.carve("out", (len(x), layer.out_dim))
+        np.matmul(x, layer.weights.T, out=out)
+        out += layer.bias
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        else:
+            _sigmoid(out, out=out)
+        self.x, self.out = x, out
+        return out
+
+    def backward(
+        self, layer: DenseLayer, grad: DenseLayer, d_out: np.ndarray, input_grad: bool
+    ) -> np.ndarray | None:
+        """Fill ``grad``; return the input gradient when ``input_grad``."""
+        out = self.out
+        d_pre = self.buffers.carve("d_pre", out.shape)
+        if layer.activation == "relu":
+            np.greater(out, 0.0, out=d_pre)  # 1.0 where the unit is active
+            d_pre *= d_out
+        else:
+            np.multiply(d_out, out, out=d_pre)
+            d_pre *= np.subtract(1.0, out, out=self.buffers.carve("factor", out.shape))
+        np.matmul(d_pre.T, self.x, out=grad.weights)
+        d_pre.sum(axis=0, out=grad.bias)
+        if not input_grad:
+            return None
+        return np.matmul(d_pre, layer.weights, out=self.buffers.carve("d_in", self.x.shape))
+
+
+class _LstmSpace:
+    """An LSTM layer's part of a workspace.
+
+    Its batch-sized buffers are step-major, (W, features, B), so every step
+    and every gate within it is a contiguous block at any batch size. The
+    views a batch size needs, down to each step's, are built the first time
+    that size runs and then kept. What a pass needs only while it runs
+    lives in ``scratch``, which every LSTM layer of the network shares:
+    the layers run one after another, and only their caches and input
+    gradients outlive their pass.
+    """
+
+    def __init__(self, spec: LstmSpec, batch: int, steps: int, scratch: _Buffers) -> None:
+        h, n = spec.hidden_dim, spec.in_dim
+        self.spec, self.steps, self.scratch = spec, steps, scratch
+        self.scale = np.full((4 * h, 1), 0.5)  # the sigmoid gates' rows
+        self.scale[3 * h :] = 1.0
+        self.w_scaled, self.u_scaled = np.empty((4 * h, n)), np.empty((4 * h, h))
+        self.b_scaled = np.empty((4 * h, 1))
+        self.buffers = _Buffers(
+            x=steps * n * batch,
+            gates=steps * 4 * h * batch,
+            cells=(steps + 1) * h * batch,
+            hidden=(steps + 1) * h * batch,
+            tanh_c=steps * h * batch,
+            d_in=steps * n * batch,
+            u_t=h * 4 * h,
+            w_t=n * 4 * h,
+        )
+        self.by_batch: dict[int, SimpleNamespace] = {}
+        self.x = self.cache = None
+
+    def _views(self, batch: int) -> SimpleNamespace:
+        """The forward views of a pass over ``batch`` windows."""
+        views = self.by_batch.get(batch)
+        if views is not None:
+            return views
+        steps, h, carve = self.steps, self.spec.hidden_dim, self.buffers.carve
+        gates = carve("gates", (steps, 4 * h, batch))
+        cells = carve("cells", (steps + 1, h, batch))
+        hidden = carve("hidden", (steps + 1, h, batch))
+        tanh_c = carve("tanh_c", (steps, h, batch))
+        views = self.by_batch[batch] = SimpleNamespace(
+            batch=batch,
+            gates=gates,
+            cells=cells,
+            hidden=hidden,
+            tanh_c=tanh_c,
+            recurrent=self.scratch.carve("recurrent", (4 * h, batch)),
+            candidate=self.scratch.carve("candidate", (h, batch)),
+            out=hidden[1:].transpose(2, 0, 1) if self.spec.return_sequence else hidden[-1].T,
+            # (a, its sigmoid rows, i, f, o, g, c before, c, tanh c, h before, h)
+            steps=[
+                (gates[t], gates[t, : 3 * h], *gates[t].reshape(4, h, batch),
+                 cells[t], cells[t + 1], tanh_c[t], hidden[t], hidden[t + 1])
+                for t in range(steps)
+            ],
+            back=None,
+        )
+        return views
+
+    def forward(self, layer: LstmLayer, x: np.ndarray) -> np.ndarray:
+        """Run the recurrence over a (B, W, N) batch.
+
+        All four gates are activated by one tanh per step: the sigmoid
+        gates' pre-activations are halved (an exact scaling, folded into the
+        weights) and sigmoid(a) = 0.5 * (1 + tanh(a / 2)).
+        """
+        views = self._views(len(x))
+        x = x.transpose(1, 2, 0)  # (W, N, B), as an LSTM layer below gives it
+        if not x.flags.c_contiguous:
+            step_major = self.buffers.carve("x", x.shape)
+            np.copyto(step_major, x)
+            x = step_major
+        np.multiply(layer.w, self.scale, out=self.w_scaled)
+        np.matmul(self.w_scaled, x, out=views.gates)  # (W, 4H, B), bias added below
+        views.gates += np.multiply(layer.b[:, None], self.scale, out=self.b_scaled)
+        np.multiply(layer.u, self.scale, out=self.u_scaled)
+        views.cells[0] = 0.0
+        views.hidden[0] = 0.0
+        for t, (a, sig, i, f, o, g, c_prev, c, tanh_c, h_prev, h) in enumerate(views.steps):
+            if t:  # the state before the first step is zero
+                a += np.matmul(self.u_scaled, h_prev, out=views.recurrent)
+            np.tanh(a, out=a)
+            sig += 1.0
+            sig *= 0.5
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, g, out=views.candidate)
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
+        self.x, self.cache = x, views
+        return views.out
+
+    def _backward_views(self, views: SimpleNamespace) -> SimpleNamespace:
+        """The backward views of the pass ``views`` holds."""
+        if views.back is not None:
+            return views.back
+        steps, h, n, batch = self.steps, self.spec.hidden_dim, self.spec.in_dim, views.batch
+        carve = self.scratch.carve
+        gate4 = views.gates.reshape(steps, 4, h, batch)
+        i, f, o, g = gate4.swapaxes(0, 1)
+        factor = carve("factor", (steps, 4, h, batch))
+        d_all = carve("d_all", (steps, 4, h, batch))
+        dc_dh = carve("dc_dh", (steps, h, batch))
+        # The last LSTM layer's dh starts as a copy of the dense layer's
+        # gradient transposed, so it is column-major. Keep it so: matmul
+        # writes a column-major result as the transposed product, and a
+        # row-major buffer changes the recurrent product's bits at many
+        # batch sizes (3, 4, 51 and 100 among them, though not 64 or 128).
+        dh = carve("dh", (h, batch))
+        if not self.spec.return_sequence:
+            dh = carve("dh", (batch, h)).T
+        views.back = SimpleNamespace(
+            gate4=gate4,
+            g=g,
+            o=o,
+            factor=factor,
+            # each gate's factor and its partner in the cell update
+            partners=list(zip(factor.swapaxes(0, 1), (g, views.cells[:-1], views.tanh_c, i))),
+            dc_dh=dc_dh,
+            d_all=d_all.reshape(steps, 4 * h, batch),
+            dh=dh,
+            dc=carve("dc", (h, batch)),
+            dc_step=carve("dc_step", (h, batch)),
+            # (t, dc/dh, da, its factor, the output gate's da and factor, f,
+            # da as rows), last step first
+            steps=[
+                (t, dc_dh[t], d_all[t], factor[t], d_all[t, 2], factor[t, 2], f[t],
+                 d_all[t].reshape(4 * h, batch))
+                for t in range(steps - 1, -1, -1)
+            ],
+            hidden_t=views.hidden[:-1].transpose(0, 2, 1),
+            bias_rows=carve("bias_rows", (4 * h, batch)),
+            # the weight gradients' (W, 4H, N) and (W, 4H, H) products
+            x_product=carve("products", (steps, 4 * h, n)),
+            h_product=carve("products", (steps, 4 * h, h)),
+            u_t=self.buffers.carve("u_t", (h, 4 * h)),
+        )
+        return views.back
+
+    def backward(
+        self, layer: LstmLayer, grad: LstmLayer, d_out: np.ndarray, input_grad: bool
+    ) -> np.ndarray | None:
+        """Backpropagation through time over the whole window, into ``grad``.
+
+        Each gate's pre-activation gradient is dc (dh for the output gate)
+        times a factor built for all steps at once: the gate's derivative
+        times its partner in the cell update (g, c_prev, tanh c, i for i, f,
+        o, g). The gradient with respect to the input sequence is built only
+        when ``input_grad``.
+        """
+        views = self.cache
+        back = self._backward_views(views)
+        factor = back.factor
+        np.subtract(1.0, back.gate4, out=factor)
+        factor *= back.gate4
+        d_g = factor[:, 3]
+        np.multiply(back.g, back.g, out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
+        for gate_factor, partner in back.partners:
+            gate_factor *= partner
+        dc_dh = back.dc_dh  # dc/dh through h = o * tanh(c)
+        np.multiply(views.tanh_c, views.tanh_c, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= back.o
+        np.copyto(back.u_t, layer.u.T)
+
+        dh, dc, dc_step = back.dh, back.dc, back.dc_step
+        d_seq = d_out.transpose(1, 2, 0) if self.spec.return_sequence else None
+        if d_seq is None:
+            np.copyto(dh, d_out.T)
+        else:
+            dh[...] = 0.0
+        dc[...] = 0.0
+        for t, dc_dh_t, da, factor_t, da_o, factor_o, f, da_rows in back.steps:
+            if d_seq is not None:
+                dh += d_seq[t]
+            dc += np.multiply(dh, dc_dh_t, out=dc_step)
+            np.multiply(factor_t, dc, out=da)
+            np.multiply(factor_o, dh, out=da_o)
+            if t:
+                dc *= f
+                np.matmul(back.u_t, da_rows, out=dh)
+
+        d_all = back.d_all
+        np.matmul(d_all, self.x.transpose(0, 2, 1), out=back.x_product).sum(axis=0, out=grad.w)
+        np.matmul(d_all, back.hidden_t, out=back.h_product).sum(axis=0, out=grad.u)
+        np.sum(d_all, axis=0, out=back.bias_rows).sum(axis=1, out=grad.b)
+        if not input_grad:
+            return None
+        w_t = self.buffers.carve("w_t", layer.w.T.shape)
+        np.copyto(w_t, layer.w.T)
+        d_in = self.buffers.carve("d_in", self.x.shape)
+        return np.matmul(w_t, d_all, out=d_in).transpose(2, 0, 1)
+
+
+class Workspace:
+    """Every buffer that passes of ``specs``'s network over batches of at
+    most ``batch`` windows of ``steps`` rows use, built once and reused by
+    each pass: per layer, the forward caches and the views each step uses;
+    the buffers a pass needs only while it runs, which the LSTM layers
+    share; the loss gradient and the gradient network that
+    :func:`backward` fills.
+
+    Each buffer is carved from one flat array sized for ``batch``, so a
+    smaller batch, such as an epoch's last, reuses its first entries; an
+    array is made on first use, so a workspace that only scores holds no
+    backward buffers. A pass's outputs and caches, and the gradients
+    :func:`backward` returns, are views into the workspace: they are valid
+    until the next pass in the same workspace.
+    """
+
+    def __init__(self, specs: list[LayerSpec], batch: int, steps: int) -> None:
+        self.batch = batch
+        lstms = [spec for spec in specs if isinstance(spec, LstmSpec)]
+        h = max((spec.hidden_dim for spec in lstms), default=0)
+        width = max((spec.in_dim for spec in lstms), default=0)
+        scratch = _Buffers(
+            recurrent=4 * h * batch,
+            candidate=h * batch,
+            factor=steps * 4 * h * batch,
+            d_all=steps * 4 * h * batch,
+            dc_dh=steps * h * batch,
+            dh=h * batch,
+            dc=h * batch,
+            dc_step=h * batch,
+            bias_rows=4 * h * batch,
+            products=steps * 4 * h * max(width, h),
+        )
+        self.layers = [
+            _LstmSpace(spec, batch, steps, scratch)
+            if isinstance(spec, LstmSpec)
+            else _DenseSpace(spec, batch)
+            for spec in specs
+        ]
+        # made by the first backward pass: a workspace that only scores needs neither
+        self.grads: NetworkParams | None = None
+        self.d_loss: np.ndarray | None = None
+        self.out = None
+
+
+# ---------------------------------------------------------------------------
 # forward / backward
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in its tanh form, 0.5 * (1 + tanh(x / 2)).
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function in its tanh form, 0.5 * (1 + tanh(x / 2)), into
+    ``out`` when given (``x`` itself may be ``out``).
 
     tanh saturates at +-1 instead of overflowing, so no input raises a
     floating-point warning and the result stays within [0, 1].
     """
-    out = np.tanh(0.5 * x)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
 
 
-def _dense_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    pre = x @ layer.weights.T + layer.bias
-    out = np.maximum(pre, 0.0) if layer.activation == "relu" else _sigmoid(pre)
-    return out, {"x": x, "out": out}
+def forward(
+    params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None
+) -> tuple[np.ndarray, Workspace]:
+    """Run the network on a batch (B, W, N) in ``workspace``, or in a fresh
+    one sized for ``x``.
 
-
-def _dense_backward(
-    layer: DenseLayer, grad: DenseLayer, cache: dict, d_out: np.ndarray, input_grad: bool
-) -> np.ndarray | None:
-    """Fill ``grad``; return the input gradient when ``input_grad``."""
-    out = cache["out"]
-    if layer.activation == "relu":
-        d_pre = d_out * (out > 0.0)
-    else:
-        d_pre = d_out * out * (1.0 - out)
-    np.matmul(d_pre.T, cache["x"], out=grad.weights)
-    d_pre.sum(axis=0, out=grad.bias)
-    return d_pre @ layer.weights if input_grad else None
-
-
-def _lstm_forward(layer: LstmLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the recurrence over a (B, W, N) batch.
-
-    The buffers are step-major, (W, features, B), so every step and every
-    gate within it is a contiguous block, and the cache holds them as they
-    are built. All four gates are activated by one tanh per step:
-    the sigmoid gates' pre-activations are halved (an exact scaling, folded
-    into the weights) and sigmoid(a) = 0.5 * (1 + tanh(a / 2)).
+    Returns the (B, N) reconstruction and the workspace, which holds the
+    caches that :func:`backward` consumes. Both live in the workspace's
+    buffers: they are valid until the next pass in the same workspace.
     """
-    batch, steps, _ = x.shape
-    h_dim = layer.hidden_dim
-    scale = np.full((4 * h_dim, 1), 0.5)  # the sigmoid gates' rows
-    scale[3 * h_dim :] = 1.0
-    x = np.ascontiguousarray(x.transpose(1, 2, 0))  # (W, N, B)
-
-    gates = np.matmul(layer.w * scale, x)  # (W, 4H, B), bias added below
-    gates += layer.b[:, None] * scale
-    u_scaled = layer.u * scale
-    cells = np.empty((steps + 1, h_dim, batch))
-    hidden = np.empty((steps + 1, h_dim, batch))
-    tanh_c = np.empty((steps, h_dim, batch))
-    cells[0] = 0.0
-    hidden[0] = 0.0
-    recurrent = np.empty((4 * h_dim, batch))
-    candidate = np.empty((h_dim, batch))
-
-    for t in range(steps):
-        a = gates[t]
-        if t:  # the state before the first step is zero
-            a += np.matmul(u_scaled, hidden[t], out=recurrent)
-        np.tanh(a, out=a)
-        sig = a[: 3 * h_dim]
-        sig += 1.0
-        sig *= 0.5
-        i, f, o, g = a.reshape(4, h_dim, batch)
-        c = cells[t + 1]
-        np.multiply(f, cells[t], out=c)
-        c += np.multiply(i, g, out=candidate)
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=hidden[t + 1])
-
-    out = hidden[1:].transpose(2, 0, 1) if layer.return_sequence else hidden[-1].T
-    cache = {"x": x, "gates": gates, "cells": cells, "hidden": hidden, "tanh_c": tanh_c}
-    return out, cache
-
-
-def _lstm_backward(
-    layer: LstmLayer, grad: LstmLayer, cache: dict, d_out: np.ndarray, input_grad: bool
-) -> np.ndarray | None:
-    """Backpropagation through time over the whole window, into ``grad``.
-
-    Each gate's pre-activation gradient is dc (dh for the output gate) times
-    a factor built for all steps at once: the gate's derivative times its
-    partner in the cell update (g, c_prev, tanh c, i for i, f, o, g). The
-    gradient with respect to the input sequence is built only when
-    ``input_grad``.
-    """
-    x, gates, cells, hidden, tanh_c = (
-        cache[k] for k in ("x", "gates", "cells", "hidden", "tanh_c")
-    )
-    steps, _, batch = x.shape
-    h_dim = layer.hidden_dim
-
-    gate4 = gates.reshape(steps, 4, h_dim, batch)
-    i, f, o, g = gate4.swapaxes(0, 1)
-    # built in place: temporaries of this size cost page faults
-    factor = 1.0 - gate4
-    factor *= gate4
-    d_g = factor[:, 3]
-    np.multiply(g, g, out=d_g)
-    np.subtract(1.0, d_g, out=d_g)
-    for k, partner in enumerate((g, cells[:-1], tanh_c, i)):
-        factor[:, k] *= partner
-    dc_dh = tanh_c * tanh_c  # dc/dh through h = o * tanh(c)
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= o
-    u_transposed = np.ascontiguousarray(layer.u.T)
-
-    d_all = np.empty((steps, 4, h_dim, batch))
-    d_seq = d_out.transpose(1, 2, 0) if layer.return_sequence else None
-    dh = np.zeros((h_dim, batch)) if layer.return_sequence else np.array(d_out.T)
-    dc = np.zeros((h_dim, batch))
-    dc_step = np.empty((h_dim, batch))
-    for t in range(steps - 1, -1, -1):
-        if d_seq is not None:
-            dh += d_seq[t]
-        dc += np.multiply(dh, dc_dh[t], out=dc_step)
-        da = d_all[t]
-        np.multiply(factor[t], dc, out=da)
-        np.multiply(factor[t, 2], dh, out=da[2])
-        if t:
-            dc *= f[t]
-            np.matmul(u_transposed, da.reshape(4 * h_dim, batch), out=dh)
-
-    d_all = d_all.reshape(steps, 4 * h_dim, batch)
-    np.matmul(d_all, x.transpose(0, 2, 1)).sum(axis=0, out=grad.w)
-    np.matmul(d_all, hidden[:-1].transpose(0, 2, 1)).sum(axis=0, out=grad.u)
-    d_all.sum(axis=0).sum(axis=1, out=grad.b)
-    if not input_grad:
-        return None
-    return np.matmul(np.ascontiguousarray(layer.w.T), d_all).transpose(2, 0, 1)
-
-
-def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run the network on a batch (B, W, N).
-
-    Returns the (B, N) reconstruction plus the cache consumed by
-    :func:`backward`. A dense layer that meets a sequence reads its only
-    step: the dense stack's windows are one row long.
-    """
-    caches: list = []
     act = np.asarray(x, dtype=np.float64)
-    for layer in params.layers:
-        if isinstance(layer, LstmLayer):
-            act, cache = _lstm_forward(layer, act)
-        else:
-            act, cache = _dense_forward(layer, act[:, 0] if act.ndim == 3 else act)
-        caches.append(cache)
-    return act, caches
+    if workspace is None:
+        workspace = Workspace(params.specs, len(act), act.shape[1] if act.ndim == 3 else 1)
+    for layer, space in zip(params.layers, workspace.layers):
+        act = space.forward(layer, act)
+    workspace.out = act
+    return act, workspace
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
@@ -312,21 +506,28 @@ def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
         return float(np.mean(diff * diff))
 
 
-def backward(params: NetworkParams, caches: list, target: np.ndarray) -> NetworkParams:
+def backward(params: NetworkParams, caches: Workspace, target: np.ndarray) -> NetworkParams:
     """Exact MSE-loss gradients for every parameter, via BPTT where needed,
-    as a new network of ``params.specs``. ``caches`` must come from a
-    matching :func:`forward` call and ``target`` is the (B, N) batch of
-    targets.
+    as the gradient network of the workspace ``caches``, laid out like
+    ``params``. ``caches`` must hold a :func:`forward` pass of ``params``,
+    and ``target`` is the (B, N) batch of targets. The gradients are valid
+    until the next backward pass in the same workspace.
     """
-    output = caches[-1]["out"]
-    d_act: np.ndarray = 2.0 * (output - target) / output.size
+    output = caches.out
+    if caches.grads is None:
+        caches.grads = NetworkParams(params.specs, np.empty_like(params.values))
+        caches.d_loss = np.empty(caches.batch * output.shape[1])
+    d_act = caches.d_loss[: output.size].reshape(output.shape)
+    np.subtract(output, target, out=d_act)
+    d_act *= 2.0
+    d_act /= output.size
 
-    grads = NetworkParams(params.specs, np.empty_like(params.values))
+    grads = caches.grads
     for idx in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[idx]
-        step = _lstm_backward if isinstance(layer, LstmLayer) else _dense_backward
         # nothing reads the gradient with respect to the network input
-        d_act = step(layer, grads.layers[idx], caches[idx], d_act, input_grad=idx > 0)
+        d_act = caches.layers[idx].backward(
+            params.layers[idx], grads.layers[idx], d_act, input_grad=idx > 0
+        )
     return grads
 
 
@@ -337,12 +538,17 @@ def backward(params: NetworkParams, caches: list, target: np.ndarray) -> Network
 @dataclass
 class AdamState:
     """First/second moment accumulators, each one flat buffer laid out like
-    NetworkParams.values."""
+    NetworkParams.values, and two scratch vectors of that size for the
+    update."""
 
     moment1: np.ndarray
     moment2: np.ndarray
     learning_rate: float
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.moment1), np.empty_like(self.moment1))
 
 
 def init_adam(params: NetworkParams, learning_rate: float) -> AdamState:
@@ -354,18 +560,29 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> 
     """One bias-corrected adaptive-moment update, applied in place.
 
     ``grads.values`` is laid out like ``params.values``, so the moments and
-    the update take one vectorised pass over every parameter at once.
+    the update take one vectorised pass over every parameter at once, in
+    the state's two scratch vectors. Each operation takes the operands of
+    m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and
+    lr * m_hat / (sqrt(v_hat) + eps) in that order, so every bit is as
+    that formula's.
     """
     state.step += 1
     t = state.step
     m, v, g = state.moment1, state.moment2, grads.values
+    update, root = state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    params.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    np.multiply(g, g, out=update)
+    update *= 1.0 - ADAM_BETA2
+    v += update
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=update)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=root)  # v_hat
+    update *= state.learning_rate
+    np.sqrt(root, out=root)
+    root += ADAM_EPSILON
+    update /= root
+    params.values -= update
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +603,8 @@ def train_autoencoder(
     ``early_stop_patience`` consecutive epochs, and returns ``params``, set
     in place to the parameters of the best (lowest-loss) epoch, together
     with the loss history. ``windows`` is not empty. Values that overflow
-    raise no warning: a loss that is not finite is a TrainingError.
+    raise no warning: a loss that is not finite is a TrainingError. Every
+    batch runs in one :class:`Workspace`, which is dropped on return.
     """
     targets = windows.targets
     count = len(windows)
@@ -394,6 +612,7 @@ def train_autoencoder(
     best_loss = np.inf
     best = params.values.copy()
     state = init_adam(params, learning_rate=cfg.learning_rate)
+    space = Workspace(params.specs, min(cfg.batch_size, count), windows.window_length)
     history: list[float] = []
     stale_epochs = 0
 
@@ -404,11 +623,12 @@ def train_autoencoder(
             # shuffling decides batch membership only; a canonical in-batch
             # order keeps float accumulation (and thus runs) bit-stable
             idx = np.sort(order[lo : lo + cfg.batch_size])
-            out, caches = forward(params, windows.gather(idx))
-            loss = mse_loss(out, targets[idx])
+            target = targets[idx]
+            out, caches = forward(params, windows.gather(idx), space)
+            loss = mse_loss(out, target)
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged: loss became {loss}")
-            grads = backward(params, caches, targets[idx])
+            grads = backward(params, caches, target)
             adam_step(params, grads, state)
             total += loss * len(idx)
         epoch_loss = total / count
@@ -417,7 +637,7 @@ def train_autoencoder(
         stale_epochs = 0 if best_loss - epoch_loss > IMPROVEMENT_THRESHOLD else stale_epochs + 1
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best = params.values.copy()
+            best[...] = params.values
         if stale_epochs >= cfg.early_stop_patience:
             break
     params.values[...] = best

@@ -129,15 +129,20 @@ def write_atomic(path: str | Path, text: str) -> bytes:
     """Write ``text`` (UTF-8, newlines as given) to ``path`` atomically;
     returns the bytes written, for callers that hash them.
 
-    The text goes to a temp file in the same directory, which then replaces
-    ``path`` in one ``os.replace``; a write that fails part-way leaves the
-    previous file as it was. The parent directory is made as by ``make_dir``.
-    An OSError names ``path``, not the temp file (which is gone by then).
+    The text goes to a temp file in the same directory, ``.<name>.tmp``,
+    which then replaces ``path`` in one ``os.replace``; a write that fails
+    part-way leaves the previous file as it was. A process killed before
+    the replace leaves its temp file, and the next write of ``path`` reuses
+    and replaces it. The name holds no pid, so it is safe only while no two
+    processes write one path at once: ``train``'s pool gives each worker
+    one node's job, and a job writes only that node's paths. The parent
+    directory is made as by ``make_dir``. An OSError names ``path``, not the
+    temp file (which is gone by then).
     """
     path = Path(path)
     data = text.encode("utf-8")
     make_dir(path.parent)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)

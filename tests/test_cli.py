@@ -1081,6 +1081,46 @@ class Crash(BaseException):
     """A process killed mid-command: no ``except Exception`` in nodewatch catches it."""
 
 
+def crashing_replace(k, after, replace=os.replace):
+    """``os.replace``, but the k-th call (from 0) raises Crash, just before or
+    just ``after`` the rename; None never crashes. Returns it and the list of
+    destinations it was called with."""
+    calls = []
+
+    def patched(src, dst):
+        calls.append(dst)
+        if len(calls) - 1 != k:
+            return replace(src, dst)
+        if after:
+            replace(src, dst)
+        raise Crash
+
+    return patched, calls
+
+
+def file_bytes(out, dirs=None):
+    """Every file under ``out``, or under its subdirectories ``dirs``, by path."""
+    roots = [out / d for d in dirs] if dirs else [out]
+    files = sorted(p for root in roots for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(out)): p.read_bytes() for p in files}
+
+
+# A child process that runs one nodewatch command and is killed with
+# ``os._exit`` just before its k-th ``os.replace``, so no ``finally`` runs.
+KILLED_CHILD = """
+import os, sys
+from nodewatch.cli import main
+k, calls, replace = int(sys.argv[1]), [], os.replace
+def killing_replace(src, dst):
+    calls.append(dst)
+    if len(calls) - 1 == k:
+        os._exit(9)
+    replace(src, dst)
+os.replace = killing_replace
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 class TestCrashRecovery:
     def test_train_after_a_crash_at_any_rename_writes_what_a_clean_train_writes(
         self, tmp_path, generated_data, monkeypatch
@@ -1094,43 +1134,93 @@ class TestCrashRecovery:
             tmp_path, generated_data, methods=["DENSE_un", "RUAD"], windows=[5],
             training={"max_epochs": 1}, nodes=["node_000"],
         )
-
-        def outputs(out):
-            files = sorted(p for d in ("models", "datasets") for p in (out / d).rglob("*"))
-            return {str(p.relative_to(out)): p.read_bytes() for p in files if p.is_file()}
-
-        replace = os.replace
-
-        def replace_crashing_at(k, after):
-            """``os.replace``, but the k-th call (from 0) crashes; None never crashes."""
-            calls = []
-
-            def crashing_replace(src, dst):
-                calls.append(dst)
-                if len(calls) - 1 != k:
-                    return replace(src, dst)
-                if after:
-                    replace(src, dst)
-                raise Crash
-
-            return crashing_replace, calls
-
-        counting_replace, renames = replace_crashing_at(None, False)
+        kept = ("models", "datasets")
+        counting_replace, renames = crashing_replace(None, False)
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", counting_replace)
             assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "clean")]) == 0
-        clean = outputs(tmp_path / "clean")
+        clean = file_bytes(tmp_path / "clean", kept)
         # the dataset copy, each model's store and loss history, the train log
         assert len(renames) == 6 and len(clean) == 5
         for k in range(len(renames)):
             for after in (False, True):
                 out = tmp_path / f"crash_{k}_{after}"
                 with monkeypatch.context() as patch:
-                    patch.setattr(os, "replace", replace_crashing_at(k, after)[0])
+                    patch.setattr(os, "replace", crashing_replace(k, after)[0])
                     with pytest.raises(Crash):
                         main(["train", "--config", str(cfg), "--out", str(out)])
                 assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-                assert outputs(out) == clean, (k, after)
+                assert file_bytes(out, kept) == clean, (k, after)
+
+    @pytest.mark.parametrize(
+        "command, before, renames",
+        [
+            # one score file per instance
+            ("score", ["train"], 4),
+            # two reports per instance, summary.json and reports/sources.json
+            ("evaluate", ["train", "score"], 10),
+        ],
+    )
+    def test_a_rerun_after_a_crash_at_any_rename_writes_what_a_clean_run_writes(
+        self, command, before, renames, tmp_path, generated_data, monkeypatch
+    ):
+        """``command`` crashes just before or just after its k-th
+        ``os.replace``, for every k, in a directory where the commands
+        ``before`` it have run; an unpatched rerun then leaves every file
+        under ``--out`` byte for byte as a clean run does. No file is left
+        out of the comparison: neither command writes a log."""
+        cfg = tiny_run_config(
+            tmp_path, generated_data, methods=["EXP", "CLU", "DENSE_un", "RUAD"], windows=[5],
+            training={"max_epochs": 1},
+        )
+
+        def run(out):
+            return main([command, "--config", str(cfg), "--out", str(out)])
+
+        start = tmp_path / "start"
+        for previous in before:
+            assert main([previous, "--config", str(cfg), "--out", str(start)]) == 0
+        shutil.copytree(start, tmp_path / "clean")
+        counting_replace, calls = crashing_replace(None, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", counting_replace)
+            assert run(tmp_path / "clean") == 0
+        clean = file_bytes(tmp_path / "clean")
+        assert len(calls) == renames
+        for k in range(renames):
+            for after in (False, True):
+                out = tmp_path / f"crash_{k}_{after}"
+                shutil.copytree(start, out)
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "replace", crashing_replace(k, after)[0])
+                    with pytest.raises(Crash):
+                        run(out)
+                assert run(out) == 0
+                assert file_bytes(out) == clean, (k, after)
+
+    def test_a_killed_write_leaves_no_temp_file_after_the_rerun(self, tmp_path, generated_data):
+        """A child ``train`` killed by ``os._exit`` just before it renames the
+        first model's store leaves that store's temp file; the rerun writes
+        the store through the same temp name, so no ``.tmp`` file remains
+        and ``models/`` and ``datasets/`` match a clean run's."""
+        cfg = tiny_run_config(
+            tmp_path, generated_data, training={"max_epochs": 1}, nodes=["node_000"]
+        )
+        command = ["train", "--config", str(cfg), "--out"]
+        out = tmp_path / "killed"
+        # renames: the dataset copy (0), DENSE_un's loss history (1), its store (2)
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_CHILD, "2", *command, str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(nodewatch.__file__).parents[1])},
+        )
+        assert child.returncode == 9, child.stderr
+        assert [p.name for p in out.rglob("*.tmp")] == [".DENSE_un.json.tmp"]
+        assert main([*command, str(out)]) == 0
+        assert list(out.rglob("*.tmp")) == []
+        assert main([*command, str(tmp_path / "clean")]) == 0
+        kept = ("models", "datasets")
+        assert file_bytes(out, kept) == file_bytes(tmp_path / "clean", kept)
 
 
 class TestNodeMajorCommands:

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -135,18 +136,19 @@ class TestForward:
         npt.assert_array_equal(out, 0.0)
 
     def test_matches_reference_recurrence(self, rng):
-        layer = nn.init_params([nn.LstmSpec(3, 2, return_sequence=True)], seed=5).layers[0]
+        params = nn.init_params([nn.LstmSpec(3, 2, return_sequence=True)], seed=5)
         seq = rng.normal(size=(4, 3))
-        ours, _ = nn._lstm_forward(layer, seq[None])
-        expected = reference_lstm(layer, seq)
+        ours, _ = nn.forward(params, seq[None])
+        expected = reference_lstm(params.layers[0], seq)
         npt.assert_allclose(ours[0], expected, atol=1e-10)
 
     @pytest.mark.parametrize("return_sequence", [True, False])
     def test_batch_matches_reference_within_1e12(self, rng, return_sequence):
-        layer = nn.init_params([nn.LstmSpec(5, 4, return_sequence)], seed=21).layers[0]
+        params = nn.init_params([nn.LstmSpec(5, 4, return_sequence)], seed=21)
+        layer = params.layers[0]
         layer.b[:] = rng.normal(size=layer.b.shape)
         x = rng.normal(size=(6, 7, 5))
-        ours, _ = nn._lstm_forward(layer, x)
+        ours, _ = nn.forward(params, x)
         expected = np.stack([reference_lstm(layer, seq) for seq in x])
         if not return_sequence:
             expected = expected[:, -1]
@@ -192,13 +194,14 @@ class TestForward:
         npt.assert_array_equal(first, second)
 
     def test_hidden_state_size_constant_across_steps(self, rng):
-        layer = nn.init_params([nn.LstmSpec(3, 5, return_sequence=True)], seed=2).layers[0]
+        params = nn.init_params([nn.LstmSpec(3, 5, return_sequence=True)], seed=2)
         for w in (1, 2, 7):
-            out, cache = nn._lstm_forward(layer, rng.normal(size=(1, w, 3)))
+            out, space = nn.forward(params, rng.normal(size=(1, w, 3)))
             assert out.shape == (1, w, 5)
             # step-major: (W + 1, H, B), the zero state first
-            assert cache["hidden"].shape == (w + 1, 5, 1)
-            assert cache["cells"].shape == (w + 1, 5, 1)
+            cache = space.layers[0].cache
+            assert cache.hidden.shape == (w + 1, 5, 1)
+            assert cache.cells.shape == (w + 1, 5, 1)
 
 
 class TestBackward:
@@ -404,6 +407,83 @@ class TestTraining:
         rebuilt = nn.NetworkParams(specs, trained.values.copy())
         every = windows.gather(slice(None))
         npt.assert_array_equal(nn.forward(trained, every)[0], nn.forward(rebuilt, every)[0])
+
+
+def bits(array):
+    """The bytes of an array's values, in C order: equal bytes are equal bits."""
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kind, window", [("ruad", 10), ("dense", 1)])
+    def test_a_reused_workspace_gives_the_bits_of_fresh_ones(self, kind, window, rng):
+        """Batches of 64, 3, 64, 1 and 128 windows, run one after another in
+        one workspace, give the outputs and gradients, bit for bit, of passes
+        that each run in a fresh workspace of their own size."""
+        specs = mdl.layer_specs(mdl.ModelSpec(kind, 32, window))
+        params = nn.init_params(specs, seed=4)
+        space = nn.Workspace(specs, 128, window)
+        for batch in (64, 3, 64, 1, 128):
+            x = rng.uniform(size=(batch, window, 32))
+            target = rng.uniform(size=(batch, 32))
+            fresh_out, fresh = nn.forward(params, x)
+            fresh_grads = nn.backward(params, fresh, target)
+            out, caches = nn.forward(params, x, space)
+            grads = nn.backward(params, caches, target)
+            assert caches is space and grads is space.grads and fresh is not space
+            assert out.shape == fresh_out.shape == (batch, 32)
+            assert bits(out) == bits(fresh_out), batch
+            assert bits(grads.values) == bits(fresh_grads.values), batch
+
+    def test_a_run_gives_the_same_model_after_another_network_trained(self, rng):
+        """A RUAD run whose last batch holds 3 windows, trained again after a
+        dense network of another width, gives the same parameters and history
+        bit for bit: nothing of one run's workspace outlives it."""
+        windows = windows_over_rows(rng.uniform(size=(70, 6)), 4)
+        assert len(windows) % 8 == 3
+        cfg = nn.TrainingConfig(learning_rate=0.01, batch_size=8, max_epochs=3, seed=2)
+        ruad = mdl.layer_specs(mdl.ModelSpec("ruad", 6, 4))
+        first, first_history = nn.train_autoencoder(nn.init_params(ruad, 1), windows, cfg)
+        dense = mdl.layer_specs(mdl.ModelSpec("dense", 5))
+        nn.train_autoencoder(
+            nn.init_params(dense, 1), windows_over_rows(rng.uniform(size=(37, 5)), 1), cfg
+        )
+        second, second_history = nn.train_autoencoder(nn.init_params(ruad, 1), windows, cfg)
+        assert bits(second.values) == bits(first.values)
+        assert second_history == first_history
+
+    def test_an_epoch_after_the_first_allocates_only_its_batches(self, monkeypatch, rng):
+        """After a run's first epoch (which builds the workspace, the views of
+        both batch sizes and Adam's scratch), a further epoch's traced
+        allocation peak stays under twice one gathered batch: 64 windows of
+        10 rows of 32 floats, 160 KiB. The batch's targets and the loss's
+        temporaries are (64, 32) floats, 16 KiB each; this epoch peaks near
+        230 KB. An engine that allocates its caches, gradients and Adam's
+        temporaries per batch peaks at 1.49 MB here."""
+        windows = windows_over_rows(rng.uniform(size=(700, 32)), 10)
+        assert len(windows) == 691  # ten full batches of 64 and one of 51
+        cfg = nn.TrainingConfig(learning_rate=0.01, batch_size=64, max_epochs=2, seed=3)
+        batches_per_epoch = 11
+        gathered = 64 * 10 * 32 * 8
+        adam_step, steps, start = nn.adam_step, [], []
+
+        def marking_adam_step(params, grads, state):
+            adam_step(params, grads, state)
+            steps.append(None)
+            if len(steps) == batches_per_epoch:  # the first epoch is over
+                tracemalloc.reset_peak()
+                start.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(nn, "adam_step", marking_adam_step)
+        params = nn.init_params(mdl.layer_specs(mdl.ModelSpec("ruad", 32, 10)), seed=3)
+        tracemalloc.start()
+        try:
+            nn.train_autoencoder(params, windows, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 2 * batches_per_epoch
+        assert peak - start[0] < 2 * gathered
 
 
 class TestParameterVector:
