@@ -142,13 +142,12 @@ class TrainedModel:
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
     """Per-window L1 error between reconstruction and target, in passes of
     SCORE_BATCH windows that share one workspace, gathered from the rows,
-    the last padded with copies
-    of the last window, so a window's error does not depend on the windows
-    around it. An error too large for a float is inf, with no warning: it
-    scores 1 after the clamp. A network whose values overflow warns neither;
-    an error that is NaN is refused where it is used."""
+    the last padded with copies of the last window, so a window's error does
+    not depend on the windows around it. An error too large for a float is
+    inf, with no warning: it scores 1 after the clamp. A network whose values
+    overflow warns neither; an error that is NaN is refused where it is used."""
     errors, targets = np.empty(len(windows)), windows.targets
-    space = nn.Workspace(params.specs, SCORE_BATCH, windows.window_length)
+    space = nn.Workspace()
     for lo in range(0, len(windows), SCORE_BATCH):
         pick = np.minimum(np.arange(lo, lo + SCORE_BATCH), len(windows) - 1)
         out = nn.forward(params, windows.gather(pick), space)[0]

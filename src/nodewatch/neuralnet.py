@@ -11,20 +11,21 @@ Inputs are batches (B, W, N). Gate order throughout is (input, forget,
 output, candidate). Nothing here re-checks shapes or settings: the model
 store's loader and ``ModelSpec`` admit only the two stacks.
 
-Every pass runs in a :class:`Workspace`: a training run, or a scoring call,
-builds one sized for its largest batch, and each batch reuses its buffers
-and step views, so a pass allocates no arrays of its own. What a pass
-returns (outputs, caches, gradients) lives in the workspace and is valid
-until the next pass there. The buffers copy the layouts of the arrays they
-replace, down to one column-major gradient, because numpy's matmul picks its
-BLAS call, and so the result's last bits, by the layouts of its operands.
+Every pass runs in a :class:`Workspace`, one per training run or scoring
+call, whose buffers and step views each batch reuses. A buffer is made the
+first time a pass needs it and enlarged only when a pass needs more, so a
+ragged last batch reuses the front of the full batch's memory. The LSTM
+layers share their within-pass scratch; a workspace that only scores holds
+no backward buffers. What a pass returns lives in the workspace until its
+next pass. The buffers keep the layouts of the arrays they replaced, down to
+one column-major gradient (``dh``): numpy's matmul picks its BLAS call, and
+so the result's last bits, by the layouts of its operands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -160,241 +161,182 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
 # workspace: the buffers every pass runs in
 
 
-class _Buffers:
-    """Flat float64 arrays by name, each of a size fixed up front and made
-    the first time a view of it is carved, so a buffer that no pass uses
-    costs nothing. Every view covers the first entries of its array: a
-    batch smaller than the largest reuses the largest one's memory."""
-
-    def __init__(self, **sizes: int) -> None:
-        self.sizes = sizes
-        self.flat: dict[str, np.ndarray] = {}
-
-    def carve(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-ordered view of ``shape`` over the first entries of ``name``."""
-        flat = self.flat.get(name)
-        if flat is None:
-            flat = self.flat[name] = np.empty(self.sizes[name])
-        return flat[: math.prod(shape)].reshape(shape)
-
-
 class _DenseSpace:
-    """A dense layer's part of a workspace: its (B, features) output and
-    gradient buffers, and the input and output of the last forward pass."""
+    """A dense layer's buffers for one batch size, each named with the
+    layer's index: its (B, features) output, and the gradient buffers that
+    the first backward pass takes."""
 
-    def __init__(self, spec: DenseSpec, batch: int) -> None:
-        out = batch * spec.out_dim
-        self.buffers = _Buffers(out=out, d_pre=out, factor=out, d_in=batch * spec.in_dim)
-        self.x = self.out = None
+    def __init__(self, idx: int, spec: DenseSpec) -> None:
+        self.idx, self.spec = idx, spec
+        self.x = self.out = self.d_pre = self.d_in = None
 
-    def forward(self, layer: DenseLayer, x: np.ndarray) -> np.ndarray:
+    def forward(self, layer: DenseLayer, x: np.ndarray, take) -> np.ndarray:
         # a dense layer that meets a sequence reads its only step: the dense
         # stack's windows are one row long
-        x = x[:, 0] if x.ndim == 3 else x
-        out = self.buffers.carve("out", (len(x), layer.out_dim))
+        self.x = x = x[:, 0] if x.ndim == 3 else x
+        self.out = out = take(f"{self.idx}.out", (len(x), layer.out_dim))
         np.matmul(x, layer.weights.T, out=out)
         out += layer.bias
         if layer.activation == "relu":
             np.maximum(out, 0.0, out=out)
         else:
             _sigmoid(out, out=out)
-        self.x, self.out = x, out
         return out
 
-    def backward(
-        self, layer: DenseLayer, grad: DenseLayer, d_out: np.ndarray, input_grad: bool
-    ) -> np.ndarray | None:
-        """Fill ``grad``; return the input gradient when ``input_grad``."""
-        out = self.out
-        d_pre = self.buffers.carve("d_pre", out.shape)
+    def take_backward(self, take, input_grad: bool) -> None:
+        self.d_pre = take(f"{self.idx}.d_pre", self.out.shape)
+        if self.spec.activation != "relu":
+            self.factor = take(f"{self.idx}.factor", self.out.shape)
+        if input_grad:
+            self.d_in = take(f"{self.idx}.d_in", self.x.shape)
+
+    def backward(self, layer: DenseLayer, grad: DenseLayer, d_out: np.ndarray) -> np.ndarray | None:
+        """Fill ``grad``; return the input gradient, if the layer has one."""
+        out, d_pre = self.out, self.d_pre
         if layer.activation == "relu":
             np.greater(out, 0.0, out=d_pre)  # 1.0 where the unit is active
             d_pre *= d_out
         else:
             np.multiply(d_out, out, out=d_pre)
-            d_pre *= np.subtract(1.0, out, out=self.buffers.carve("factor", out.shape))
+            d_pre *= np.subtract(1.0, out, out=self.factor)
         np.matmul(d_pre.T, self.x, out=grad.weights)
         d_pre.sum(axis=0, out=grad.bias)
-        if not input_grad:
+        if self.d_in is None:
             return None
-        return np.matmul(d_pre, layer.weights, out=self.buffers.carve("d_in", self.x.shape))
+        return np.matmul(d_pre, layer.weights, out=self.d_in)
 
 
 class _LstmSpace:
-    """An LSTM layer's part of a workspace.
+    """An LSTM layer's buffers and step views for one batch shape.
 
-    Its batch-sized buffers are step-major, (W, features, B), so every step
-    and every gate within it is a contiguous block at any batch size. The
-    views a batch size needs, down to each step's, are built the first time
-    that size runs and then kept. What a pass needs only while it runs
-    lives in ``scratch``, which every LSTM layer of the network shares:
-    the layers run one after another, and only their caches and input
-    gradients outlive their pass.
+    Its buffers are step-major, (W, features, B), so every step and every
+    gate within it is a contiguous block at any batch size. The forward
+    caches and the input gradient outlive the layer's pass and are named
+    with its index; the rest is scratch under ``lstm.`` names, which the
+    LSTM layers share, as they run one after another.
     """
 
-    def __init__(self, spec: LstmSpec, batch: int, steps: int, scratch: _Buffers) -> None:
+    def __init__(self, idx: int, spec: LstmSpec, batch: int, steps: int, take) -> None:
         h, n = spec.hidden_dim, spec.in_dim
-        self.spec, self.steps, self.scratch = spec, steps, scratch
-        self.scale = np.full((4 * h, 1), 0.5)  # the sigmoid gates' rows
-        self.scale[3 * h :] = 1.0
-        self.w_scaled, self.u_scaled = np.empty((4 * h, n)), np.empty((4 * h, h))
-        self.b_scaled = np.empty((4 * h, 1))
-        self.buffers = _Buffers(
-            x=steps * n * batch,
-            gates=steps * 4 * h * batch,
-            cells=(steps + 1) * h * batch,
-            hidden=(steps + 1) * h * batch,
-            tanh_c=steps * h * batch,
-            d_in=steps * n * batch,
-            u_t=h * 4 * h,
-            w_t=n * 4 * h,
-        )
-        self.by_batch: dict[int, SimpleNamespace] = {}
-        self.x = self.cache = None
+        self.idx, self.spec = idx, spec
+        self.scale = np.repeat([[0.5], [1.0]], (3 * h, h), axis=0)  # halves the sigmoid gates
+        self.w_scaled = take("lstm.w_scaled", (4 * h, n))
+        self.u_scaled = take("lstm.u_scaled", (4 * h, h))
+        self.b_scaled = take("lstm.b_scaled", (4 * h, 1))
+        self.recurrent = take("lstm.recurrent", (4 * h, batch))
+        self.candidate = take("lstm.candidate", (h, batch))
+        self.gates = gates = take(f"{idx}.gates", (steps, 4 * h, batch))
+        self.cells = cells = take(f"{idx}.cells", (steps + 1, h, batch))
+        self.hidden = hidden = take(f"{idx}.hidden", (steps + 1, h, batch))
+        self.tanh_c = tanh_c = take(f"{idx}.tanh_c", (steps, h, batch))
+        self.out = hidden[1:].transpose(2, 0, 1) if spec.return_sequence else hidden[-1].T
+        # (a, its sigmoid rows, i, f, o, g, c before, c, tanh c, h before, h)
+        self.forward_steps = [
+            (gates[t], gates[t, : 3 * h], *gates[t].reshape(4, h, batch),
+             cells[t], cells[t + 1], tanh_c[t], hidden[t], hidden[t + 1])
+            for t in range(steps)
+        ]
+        self.x = self.d_pre = self.d_in = None
 
-    def _views(self, batch: int) -> SimpleNamespace:
-        """The forward views of a pass over ``batch`` windows."""
-        views = self.by_batch.get(batch)
-        if views is not None:
-            return views
-        steps, h, carve = self.steps, self.spec.hidden_dim, self.buffers.carve
-        gates = carve("gates", (steps, 4 * h, batch))
-        cells = carve("cells", (steps + 1, h, batch))
-        hidden = carve("hidden", (steps + 1, h, batch))
-        tanh_c = carve("tanh_c", (steps, h, batch))
-        views = self.by_batch[batch] = SimpleNamespace(
-            batch=batch,
-            gates=gates,
-            cells=cells,
-            hidden=hidden,
-            tanh_c=tanh_c,
-            recurrent=self.scratch.carve("recurrent", (4 * h, batch)),
-            candidate=self.scratch.carve("candidate", (h, batch)),
-            out=hidden[1:].transpose(2, 0, 1) if self.spec.return_sequence else hidden[-1].T,
-            # (a, its sigmoid rows, i, f, o, g, c before, c, tanh c, h before, h)
-            steps=[
-                (gates[t], gates[t, : 3 * h], *gates[t].reshape(4, h, batch),
-                 cells[t], cells[t + 1], tanh_c[t], hidden[t], hidden[t + 1])
-                for t in range(steps)
-            ],
-            back=None,
-        )
-        return views
-
-    def forward(self, layer: LstmLayer, x: np.ndarray) -> np.ndarray:
+    def forward(self, layer: LstmLayer, x: np.ndarray, take) -> np.ndarray:
         """Run the recurrence over a (B, W, N) batch.
 
         All four gates are activated by one tanh per step: the sigmoid
         gates' pre-activations are halved (an exact scaling, folded into the
         weights) and sigmoid(a) = 0.5 * (1 + tanh(a / 2)).
         """
-        views = self._views(len(x))
         x = x.transpose(1, 2, 0)  # (W, N, B), as an LSTM layer below gives it
         if not x.flags.c_contiguous:
-            step_major = self.buffers.carve("x", x.shape)
+            step_major = take(f"{self.idx}.x", x.shape)
             np.copyto(step_major, x)
             x = step_major
         np.multiply(layer.w, self.scale, out=self.w_scaled)
-        np.matmul(self.w_scaled, x, out=views.gates)  # (W, 4H, B), bias added below
-        views.gates += np.multiply(layer.b[:, None], self.scale, out=self.b_scaled)
+        np.matmul(self.w_scaled, x, out=self.gates)  # (W, 4H, B), bias added below
+        self.gates += np.multiply(layer.b[:, None], self.scale, out=self.b_scaled)
         np.multiply(layer.u, self.scale, out=self.u_scaled)
-        views.cells[0] = 0.0
-        views.hidden[0] = 0.0
-        for t, (a, sig, i, f, o, g, c_prev, c, tanh_c, h_prev, h) in enumerate(views.steps):
-            if t:  # the state before the first step is zero
-                a += np.matmul(self.u_scaled, h_prev, out=views.recurrent)
+        # the zero initial state, set on every pass: a smaller batch overlaps a larger one
+        self.cells[0] = self.hidden[0] = 0.0
+        for t, (a, sig, i, f, o, g, c_prev, c, tanh_c, h_prev, h) in enumerate(self.forward_steps):
+            if t:
+                a += np.matmul(self.u_scaled, h_prev, out=self.recurrent)
             np.tanh(a, out=a)
             sig += 1.0
             sig *= 0.5
             np.multiply(f, c_prev, out=c)
-            c += np.multiply(i, g, out=views.candidate)
+            c += np.multiply(i, g, out=self.candidate)
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h)
-        self.x, self.cache = x, views
-        return views.out
+        self.x = x
+        return self.out
 
-    def _backward_views(self, views: SimpleNamespace) -> SimpleNamespace:
-        """The backward views of the pass ``views`` holds."""
-        if views.back is not None:
-            return views.back
-        steps, h, n, batch = self.steps, self.spec.hidden_dim, self.spec.in_dim, views.batch
-        carve = self.scratch.carve
-        gate4 = views.gates.reshape(steps, 4, h, batch)
-        i, f, o, g = gate4.swapaxes(0, 1)
-        factor = carve("factor", (steps, 4, h, batch))
-        d_all = carve("d_all", (steps, 4, h, batch))
-        dc_dh = carve("dc_dh", (steps, h, batch))
+    def take_backward(self, take, input_grad: bool) -> None:
+        (steps, h, batch), n = self.tanh_c.shape, self.spec.in_dim
+        self.gate4 = self.gates.reshape(steps, 4, h, batch)
+        i, f, self.o, self.g = self.gate4.swapaxes(0, 1)
+        self.factor = factor = take("lstm.factor", (steps, 4, h, batch))
+        d_pre = take("lstm.d_pre", (steps, 4, h, batch))
+        self.d_pre = d_pre.reshape(steps, 4 * h, batch)
+        self.dc_dh = dc_dh = take("lstm.dc_dh", (steps, h, batch))
         # The last LSTM layer's dh starts as a copy of the dense layer's
         # gradient transposed, so it is column-major. Keep it so: matmul
         # writes a column-major result as the transposed product, and a
         # row-major buffer changes the recurrent product's bits at many
         # batch sizes (3, 4, 51 and 100 among them, though not 64 or 128).
-        dh = carve("dh", (h, batch))
+        self.dh = take("lstm.dh", (h, batch))
         if not self.spec.return_sequence:
-            dh = carve("dh", (batch, h)).T
-        views.back = SimpleNamespace(
-            gate4=gate4,
-            g=g,
-            o=o,
-            factor=factor,
-            # each gate's factor and its partner in the cell update
-            partners=list(zip(factor.swapaxes(0, 1), (g, views.cells[:-1], views.tanh_c, i))),
-            dc_dh=dc_dh,
-            d_all=d_all.reshape(steps, 4 * h, batch),
-            dh=dh,
-            dc=carve("dc", (h, batch)),
-            dc_step=carve("dc_step", (h, batch)),
-            # (t, dc/dh, da, its factor, the output gate's da and factor, f,
-            # da as rows), last step first
-            steps=[
-                (t, dc_dh[t], d_all[t], factor[t], d_all[t, 2], factor[t, 2], f[t],
-                 d_all[t].reshape(4 * h, batch))
-                for t in range(steps - 1, -1, -1)
-            ],
-            hidden_t=views.hidden[:-1].transpose(0, 2, 1),
-            bias_rows=carve("bias_rows", (4 * h, batch)),
-            # the weight gradients' (W, 4H, N) and (W, 4H, H) products
-            x_product=carve("products", (steps, 4 * h, n)),
-            h_product=carve("products", (steps, 4 * h, h)),
-            u_t=self.buffers.carve("u_t", (h, 4 * h)),
-        )
-        return views.back
+            self.dh = take("lstm.dh", (batch, h)).T
+        self.dc = take("lstm.dc", (h, batch))
+        self.dc_step = take("lstm.dc_step", (h, batch))
+        self.bias_rows = take("lstm.bias_rows", (4 * h, batch))
+        self.u_t = take("lstm.u_t", (h, 4 * h))
+        # the weight gradients' products share one buffer, taken larger first
+        take("lstm.products", (steps, 4 * h, max(n, h)))
+        self.x_product = take("lstm.products", (steps, 4 * h, n))
+        self.h_product = take("lstm.products", (steps, 4 * h, h))
+        # each gate's factor and its partner in the cell update
+        self.partners = list(zip(factor.swapaxes(0, 1), (self.g, self.cells[:-1], self.tanh_c, i)))
+        # (t, dc/dh, da, its factor, the output gate's da and factor, f,
+        # da as rows), last step first
+        self.backward_steps = [
+            (t, dc_dh[t], d_pre[t], factor[t], d_pre[t, 2], factor[t, 2], f[t],
+             d_pre[t].reshape(4 * h, batch))
+            for t in range(steps - 1, -1, -1)
+        ]
+        if input_grad:
+            self.w_t = take("lstm.w_t", (n, 4 * h))
+            self.d_in = take(f"{self.idx}.d_in", (steps, n, batch))
 
-    def backward(
-        self, layer: LstmLayer, grad: LstmLayer, d_out: np.ndarray, input_grad: bool
-    ) -> np.ndarray | None:
+    def backward(self, layer: LstmLayer, grad: LstmLayer, d_out: np.ndarray) -> np.ndarray | None:
         """Backpropagation through time over the whole window, into ``grad``.
 
         Each gate's pre-activation gradient is dc (dh for the output gate)
         times a factor built for all steps at once: the gate's derivative
         times its partner in the cell update (g, c_prev, tanh c, i for i, f,
         o, g). The gradient with respect to the input sequence is built only
-        when ``input_grad``.
+        when the layer has one.
         """
-        views = self.cache
-        back = self._backward_views(views)
-        factor = back.factor
-        np.subtract(1.0, back.gate4, out=factor)
-        factor *= back.gate4
+        factor = self.factor
+        np.subtract(1.0, self.gate4, out=factor)
+        factor *= self.gate4
         d_g = factor[:, 3]
-        np.multiply(back.g, back.g, out=d_g)
+        np.multiply(self.g, self.g, out=d_g)
         np.subtract(1.0, d_g, out=d_g)
-        for gate_factor, partner in back.partners:
+        for gate_factor, partner in self.partners:
             gate_factor *= partner
-        dc_dh = back.dc_dh  # dc/dh through h = o * tanh(c)
-        np.multiply(views.tanh_c, views.tanh_c, out=dc_dh)
+        dc_dh = self.dc_dh  # dc/dh through h = o * tanh(c)
+        np.multiply(self.tanh_c, self.tanh_c, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= back.o
-        np.copyto(back.u_t, layer.u.T)
+        dc_dh *= self.o
+        np.copyto(self.u_t, layer.u.T)
 
-        dh, dc, dc_step = back.dh, back.dc, back.dc_step
+        dh, dc, dc_step = self.dh, self.dc, self.dc_step
         d_seq = d_out.transpose(1, 2, 0) if self.spec.return_sequence else None
         if d_seq is None:
             np.copyto(dh, d_out.T)
         else:
             dh[...] = 0.0
         dc[...] = 0.0
-        for t, dc_dh_t, da, factor_t, da_o, factor_o, f, da_rows in back.steps:
+        for t, dc_dh_t, da, factor_t, da_o, factor_o, f, da_rows in self.backward_steps:
             if d_seq is not None:
                 dh += d_seq[t]
             dc += np.multiply(dh, dc_dh_t, out=dc_step)
@@ -402,63 +344,45 @@ class _LstmSpace:
             np.multiply(factor_o, dh, out=da_o)
             if t:
                 dc *= f
-                np.matmul(back.u_t, da_rows, out=dh)
+                np.matmul(self.u_t, da_rows, out=dh)
 
-        d_all = back.d_all
-        np.matmul(d_all, self.x.transpose(0, 2, 1), out=back.x_product).sum(axis=0, out=grad.w)
-        np.matmul(d_all, back.hidden_t, out=back.h_product).sum(axis=0, out=grad.u)
-        np.sum(d_all, axis=0, out=back.bias_rows).sum(axis=1, out=grad.b)
-        if not input_grad:
+        d_pre, hidden_t = self.d_pre, self.hidden[:-1].transpose(0, 2, 1)
+        np.matmul(d_pre, self.x.transpose(0, 2, 1), out=self.x_product).sum(axis=0, out=grad.w)
+        np.matmul(d_pre, hidden_t, out=self.h_product).sum(axis=0, out=grad.u)
+        np.sum(d_pre, axis=0, out=self.bias_rows).sum(axis=1, out=grad.b)
+        if self.d_in is None:
             return None
-        w_t = self.buffers.carve("w_t", layer.w.T.shape)
-        np.copyto(w_t, layer.w.T)
-        d_in = self.buffers.carve("d_in", self.x.shape)
-        return np.matmul(w_t, d_all, out=d_in).transpose(2, 0, 1)
+        np.copyto(self.w_t, layer.w.T)
+        return np.matmul(self.w_t, d_pre, out=self.d_in).transpose(2, 0, 1)
 
 
 class Workspace:
-    """Every buffer that passes of ``specs``'s network over batches of at
-    most ``batch`` windows of ``steps`` rows use, built once and reused by
-    each pass: per layer, the forward caches and the views each step uses;
-    the buffers a pass needs only while it runs, which the LSTM layers
-    share; the loss gradient and the gradient network that
-    :func:`backward` fills.
+    """The buffers every pass of one network runs in: each layer's forward
+    caches and step views, built once per input shape; the within-pass
+    scratch, which the LSTM layers share; the loss gradient and the
+    gradient network of :func:`backward`, whose buffers the first backward
+    pass takes, so a workspace that only scores holds none.
 
-    Each buffer is carved from one flat array sized for ``batch``, so a
-    smaller batch, such as an epoch's last, reuses its first entries; an
-    array is made on first use, so a workspace that only scores holds no
-    backward buffers. A pass's outputs and caches, and the gradients
-    :func:`backward` returns, are views into the workspace: they are valid
-    until the next pass in the same workspace.
+    Each buffer is a flat float64 array of ``pool``, made by :meth:`take`
+    the first time a pass needs it and enlarged only when a pass needs more.
+    Its views cover its first entries, so a ragged last batch reuses the
+    front of the full batch's memory. What a pass returns is valid until the
+    next pass in the same workspace.
     """
 
-    def __init__(self, specs: list[LayerSpec], batch: int, steps: int) -> None:
-        self.batch = batch
-        lstms = [spec for spec in specs if isinstance(spec, LstmSpec)]
-        h = max((spec.hidden_dim for spec in lstms), default=0)
-        width = max((spec.in_dim for spec in lstms), default=0)
-        scratch = _Buffers(
-            recurrent=4 * h * batch,
-            candidate=h * batch,
-            factor=steps * 4 * h * batch,
-            d_all=steps * 4 * h * batch,
-            dc_dh=steps * h * batch,
-            dh=h * batch,
-            dc=h * batch,
-            dc_step=h * batch,
-            bias_rows=4 * h * batch,
-            products=steps * 4 * h * max(width, h),
-        )
-        self.layers = [
-            _LstmSpace(spec, batch, steps, scratch)
-            if isinstance(spec, LstmSpec)
-            else _DenseSpace(spec, batch)
-            for spec in specs
-        ]
-        # made by the first backward pass: a workspace that only scores needs neither
-        self.grads: NetworkParams | None = None
-        self.d_loss: np.ndarray | None = None
-        self.out = None
+    def __init__(self) -> None:
+        self.pool: dict[str, np.ndarray] = {}
+        self.spaces: dict[tuple[int, ...], list[_LstmSpace | _DenseSpace]] = {}  # by input shape
+        self.layers: list[_LstmSpace | _DenseSpace] = []  # the last forward pass's spaces
+        self.grads: NetworkParams | None = None  # made by the first backward pass
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-ordered view of ``shape`` over the first entries of ``name``'s array."""
+        size = math.prod(shape)
+        flat = self.pool.get(name)
+        if flat is None or flat.size < size:
+            flat = self.pool[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +406,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def forward(
     params: NetworkParams, x: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, Workspace]:
-    """Run the network on a batch (B, W, N) in ``workspace``, or in a fresh
-    one sized for ``x``.
+    """Run the network on a batch (B, W, N) in ``workspace``, or in a fresh one.
 
     Returns the (B, N) reconstruction and the workspace, which holds the
     caches that :func:`backward` consumes. Both live in the workspace's
@@ -491,10 +414,20 @@ def forward(
     """
     act = np.asarray(x, dtype=np.float64)
     if workspace is None:
-        workspace = Workspace(params.specs, len(act), act.shape[1] if act.ndim == 3 else 1)
-    for layer, space in zip(params.layers, workspace.layers):
-        act = space.forward(layer, act)
-    workspace.out = act
+        workspace = Workspace()
+    spaces = workspace.spaces.get(act.shape)
+    if spaces is None:
+        # no space keeps a reference to the workspace: that cycle would keep
+        # a dropped workspace alive until the garbage collector runs
+        batch, steps = len(act), act.shape[1] if act.ndim == 3 else 1
+        spaces = workspace.spaces[act.shape] = [
+            _LstmSpace(idx, spec, batch, steps, workspace.take) if isinstance(spec, LstmSpec)
+            else _DenseSpace(idx, spec)
+            for idx, spec in enumerate(params.specs)
+        ]
+    for layer, space in zip(params.layers, spaces):
+        act = space.forward(layer, act, workspace.take)
+    workspace.layers = spaces
     return act, workspace
 
 
@@ -513,22 +446,25 @@ def backward(params: NetworkParams, caches: Workspace, target: np.ndarray) -> Ne
     and ``target`` is the (B, N) batch of targets. The gradients are valid
     until the next backward pass in the same workspace.
     """
-    output = caches.out
+    spaces = caches.layers
+    output = spaces[-1].out
     if caches.grads is None:
-        caches.grads = NetworkParams(params.specs, np.empty_like(params.values))
-        caches.d_loss = np.empty(caches.batch * output.shape[1])
-    d_act = caches.d_loss[: output.size].reshape(output.shape)
+        caches.grads = NetworkParams(params.specs, caches.take("grads", params.values.shape))
+    if spaces[0].d_pre is None:
+        # this batch shape's first backward pass takes every layer's buffers,
+        # in layer order: the first LSTM layer, the widest, sizes the scratch
+        # they share before the second's views pin an array it would outgrow.
+        # Nothing reads the gradient with respect to the network input.
+        for idx, space in enumerate(spaces):
+            space.take_backward(caches.take, input_grad=idx > 0)
+    d_act = caches.take("d_loss", output.shape)
     np.subtract(output, target, out=d_act)
     d_act *= 2.0
     d_act /= output.size
 
-    grads = caches.grads
-    for idx in range(len(params.layers) - 1, -1, -1):
-        # nothing reads the gradient with respect to the network input
-        d_act = caches.layers[idx].backward(
-            params.layers[idx], grads.layers[idx], d_act, input_grad=idx > 0
-        )
-    return grads
+    for idx in range(len(spaces) - 1, -1, -1):
+        d_act = spaces[idx].backward(params.layers[idx], caches.grads.layers[idx], d_act)
+    return caches.grads
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +548,7 @@ def train_autoencoder(
     best_loss = np.inf
     best = params.values.copy()
     state = init_adam(params, learning_rate=cfg.learning_rate)
-    space = Workspace(params.specs, min(cfg.batch_size, count), windows.window_length)
+    space = Workspace()
     history: list[float] = []
     stale_epochs = 0
 

@@ -1,6 +1,8 @@
 import copy
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -199,7 +201,7 @@ class TestForward:
             out, space = nn.forward(params, rng.normal(size=(1, w, 3)))
             assert out.shape == (1, w, 5)
             # step-major: (W + 1, H, B), the zero state first
-            cache = space.layers[0].cache
+            cache = space.layers[0]
             assert cache.hidden.shape == (w + 1, 5, 1)
             assert cache.cells.shape == (w + 1, 5, 1)
 
@@ -414,6 +416,22 @@ def bits(array):
     return np.ascontiguousarray(array).tobytes()
 
 
+def pool_bytes(space):
+    """The bytes of every buffer a workspace holds."""
+    return sum(flat.nbytes for flat in space.pool.values())
+
+
+# What the engine held at the shapes of TestWorkspace's memory tests (RUAD over
+# 32 features, windows of 10 rows) when each workspace sized every buffer up
+# front from tables, for its largest batch. Training, batches of 64: 2,222,080
+# bytes of table-sized buffers, plus 31,488 of scaled LSTM weights, 36,992 of
+# gradient vector and 16,384 of loss gradient, which it made outside the
+# tables and which the pool now holds too. Scoring, batches of SCORE_BATCH
+# (128): 2,228,224 bytes of buffers plus the same 31,488 of scaled weights.
+TABLE_SIZED_TRAINING_BYTES = 2_222_080 + 31_488 + 36_992 + 16_384
+TABLE_SIZED_SCORING_BYTES = 2_228_224 + 31_488
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("kind, window", [("ruad", 10), ("dense", 1)])
     def test_a_reused_workspace_gives_the_bits_of_fresh_ones(self, kind, window, rng):
@@ -422,7 +440,7 @@ class TestWorkspace:
         that each run in a fresh workspace of their own size."""
         specs = mdl.layer_specs(mdl.ModelSpec(kind, 32, window))
         params = nn.init_params(specs, seed=4)
-        space = nn.Workspace(specs, 128, window)
+        space = nn.Workspace()
         for batch in (64, 3, 64, 1, 128):
             x = rng.uniform(size=(batch, window, 32))
             target = rng.uniform(size=(batch, 32))
@@ -484,6 +502,93 @@ class TestWorkspace:
             tracemalloc.stop()
         assert len(steps) == 2 * batches_per_epoch
         assert peak - start[0] < 2 * gathered
+
+    def train_in_workspace(self, monkeypatch, windows, batch_size=64):
+        """Train a RUAD network on ``windows`` for one epoch; return it and
+        the workspace its batches ran in, which this keeps alive."""
+        seen, backward = [], nn.backward
+
+        def recording_backward(params, caches, target):
+            seen.append(caches)
+            return backward(params, caches, target)
+
+        monkeypatch.setattr(nn, "backward", recording_backward)
+        cfg = nn.TrainingConfig(learning_rate=0.01, batch_size=batch_size, max_epochs=1, seed=2)
+        specs = mdl.layer_specs(mdl.ModelSpec("ruad", windows.rows.shape[1], windows.window_length))
+        params, _ = nn.train_autoencoder(nn.init_params(specs, 1), windows, cfg)
+        monkeypatch.setattr(nn, "backward", backward)
+        assert all(caches is seen[0] for caches in seen)
+        return params, seen[0]
+
+    def test_a_ragged_last_batch_reuses_the_full_batchs_memory(self, monkeypatch, rng):
+        """A run whose last batch holds 3 windows ends with buffers of the
+        bytes of a run of full batches only, and no more than the engine
+        held with every buffer sized up front."""
+        rows = rng.uniform(size=(140, 32))
+        _, full = self.train_in_workspace(monkeypatch, windows_over_rows(rows[:137], 10))
+        _, ragged = self.train_in_workspace(monkeypatch, windows_over_rows(rows, 10))
+        assert list(full.spaces) == [(64, 10, 32)]
+        assert list(ragged.spaces) == [(64, 10, 32), (3, 10, 32)]
+        assert pool_bytes(ragged) == pool_bytes(full)
+        assert pool_bytes(ragged) <= TABLE_SIZED_TRAINING_BYTES
+
+    def test_the_lstm_layers_share_their_backward_scratch(self, monkeypatch, rng):
+        """At every batch size of a run, the second LSTM layer's backward
+        buffers lie in the same memory as the first's."""
+        _, space = self.train_in_workspace(
+            monkeypatch, windows_over_rows(rng.uniform(size=(140, 32)), 10)
+        )
+        for first, second, *_ in space.spaces.values():
+            for name in ("factor", "d_pre", "dc_dh", "dh", "x_product", "h_product"):
+                assert np.shares_memory(getattr(first, name), getattr(second, name)), name
+
+    def test_a_scoring_workspace_holds_no_backward_buffer(self, monkeypatch, rng):
+        """The workspace of a scoring call holds no gradient and no buffer of
+        a backward pass, and no more than the engine held with every buffer
+        sized up front; a backward pass run in it takes every buffer it
+        writes anew."""
+        windows = windows_over_rows(rng.uniform(size=(140, 32)), 10)
+        params, _ = self.train_in_workspace(monkeypatch, windows)
+        made, workspace = [], nn.Workspace
+
+        def recording_workspace():
+            made.append(workspace())
+            return made[-1]
+
+        monkeypatch.setattr(nn, "Workspace", recording_workspace)
+        mdl.reconstruction_errors(params, windows)
+        (scoring,) = made
+        assert scoring.grads is None
+        assert all(space.d_pre is None for spaces in scoring.spaces.values() for space in spaces)
+        assert pool_bytes(scoring) <= TABLE_SIZED_SCORING_BYTES
+        scored = list(scoring.pool.values())
+        x = windows.gather(slice(0, mdl.SCORE_BATCH))
+        nn.forward(params, x, scoring)
+        grads = nn.backward(params, scoring, windows.targets[: mdl.SCORE_BATCH])
+        written = [grads.values] + [space.d_pre for space in scoring.layers]
+        assert not any(np.shares_memory(a, b) for a in written for b in scored)
+
+    def test_a_training_workspace_dies_with_its_run(self, monkeypatch, rng):
+        """With the garbage collector off, the training workspace is freed
+        when train_autoencoder returns: no reference cycle holds it into the
+        scoring that follows."""
+        made, workspace = [], nn.Workspace
+
+        def recording_workspace():
+            space = workspace()
+            made.append(weakref.ref(space))
+            return space
+
+        monkeypatch.setattr(nn, "Workspace", recording_workspace)
+        windows = windows_over_rows(rng.uniform(size=(70, 6)), 4)
+        cfg = nn.TrainingConfig(learning_rate=0.01, batch_size=8, max_epochs=2, seed=2)
+        specs = mdl.layer_specs(mdl.ModelSpec("ruad", 6, 4))
+        gc.disable()
+        try:
+            nn.train_autoencoder(nn.init_params(specs, 1), windows, cfg)
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestParameterVector:
