@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,19 +140,28 @@ class TrainedModel:
 
 @np.errstate(over="ignore", invalid="ignore")
 def reconstruction_errors(params: nn.NetworkParams, windows) -> np.ndarray:
-    """Per-window L1 error between reconstruction and target, in passes of
-    SCORE_BATCH windows that share one workspace, gathered from the rows,
-    the last padded with copies of the last window, so a window's error does
-    not depend on the windows around it. An error too large for a float is
-    inf, with no warning: it scores 1 after the clamp. A network whose values
-    overflow warns neither; an error that is NaN is refused where it is used."""
+    """Per-window L1 error between reconstruction and target, as float64
+    values computed in nn.COMPUTE_DTYPE (float32), like training: the
+    network and the rows are cast to it. Passes of SCORE_BATCH windows share
+    one workspace, the last padded with copies of the last window, so a
+    window's error does not depend on the windows around it. A window
+    holding a value beyond float32's range, and an error too large for it,
+    are inf, with no warning: each scores 1 after the clamp. A network whose
+    values overflow warns neither; an error that is NaN is refused where it
+    is used."""
+    params = nn.NetworkParams(params.specs, params.values.astype(nn.COMPUTE_DTYPE))
+    windows = windows.astype(nn.COMPUTE_DTYPE)
     errors, targets = np.empty(len(windows)), windows.targets
-    space = nn.Workspace()
+    space = nn.Workspace(nn.COMPUTE_DTYPE)
     for lo in range(0, len(windows), SCORE_BATCH):
         pick = np.minimum(np.arange(lo, lo + SCORE_BATCH), len(windows) - 1)
         out = nn.forward(params, windows.gather(pick), space)[0]
         hi = min(lo + SCORE_BATCH, len(windows))
         errors[lo:hi] = np.abs(out[: hi - lo] - targets[lo:hi]).sum(axis=1)
+    finite = np.isfinite(windows.rows).all(axis=1)
+    if not finite.all():
+        # gathered over each row's flag: the windows that hold a row beyond float32
+        errors[~replace(windows, rows=finite).gather(slice(None)).all(axis=1)] = np.inf
     return errors
 
 

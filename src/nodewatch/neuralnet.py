@@ -9,7 +9,10 @@ machine.
 
 Inputs are batches (B, W, N). Gate order throughout is (input, forget,
 output, candidate). Nothing here re-checks shapes or settings: the model
-store's loader and ``ModelSpec`` admit only the two stacks.
+store's loader and ``ModelSpec`` admit only the two stacks. A pass computes
+in the dtype of its parameters; training and scoring run float32 copies
+(COMPUTE_DTYPE), while the parameter vector, Adam's moments and the model
+store keep float64.
 
 Every pass runs in a :class:`Workspace`, one per training run or scoring
 call, whose buffers and step views each batch reuses. A buffer is made the
@@ -219,16 +222,24 @@ class _LstmSpace:
     def __init__(self, idx: int, spec: LstmSpec, batch: int, steps: int, take) -> None:
         h, n = spec.hidden_dim, spec.in_dim
         self.idx, self.spec = idx, spec
-        self.scale = np.repeat([[0.5], [1.0]], (3 * h, h), axis=0)  # halves the sigmoid gates
+        # taken first at a size that the next, narrower LSTM layer fits in, as
+        # lstm.products is, so this layer's view does not pin an outgrown array
+        take("lstm.w_scaled", (4 * h, max(n, h)))
         self.w_scaled = take("lstm.w_scaled", (4 * h, n))
+        scale = np.array([[0.5], [1.0]], self.w_scaled.dtype)
+        self.scale = np.repeat(scale, (3 * h, h), axis=0)  # halves the sigmoid gates
         self.u_scaled = take("lstm.u_scaled", (4 * h, h))
         self.b_scaled = take("lstm.b_scaled", (4 * h, 1))
         self.recurrent = take("lstm.recurrent", (4 * h, batch))
         self.candidate = take("lstm.candidate", (h, batch))
         self.gates = gates = take(f"{idx}.gates", (steps, 4 * h, batch))
-        self.cells = cells = take(f"{idx}.cells", (steps + 1, h, batch))
+        # each gate's partner in the cell update (g, c before, tanh c, i), laid out
+        # like the gates for one contiguous backward product; the forward pass
+        # writes each cell (the last in a step of its own) and tanh c in place
+        self.partners = partners = take(f"{idx}.partners", (steps + 1, 4, h, batch))
+        self.cells = cells = partners[:, 1]
+        self.tanh_c = tanh_c = partners[:-1, 2]
         self.hidden = hidden = take(f"{idx}.hidden", (steps + 1, h, batch))
-        self.tanh_c = tanh_c = take(f"{idx}.tanh_c", (steps, h, batch))
         self.out = hidden[1:].transpose(2, 0, 1) if spec.return_sequence else hidden[-1].T
         # (a, its sigmoid rows, i, f, o, g, c before, c, tanh c, h before, h)
         self.forward_steps = [
@@ -272,7 +283,7 @@ class _LstmSpace:
     def take_backward(self, take, input_grad: bool) -> None:
         (steps, h, batch), n = self.tanh_c.shape, self.spec.in_dim
         self.gate4 = self.gates.reshape(steps, 4, h, batch)
-        i, f, self.o, self.g = self.gate4.swapaxes(0, 1)
+        _, f, self.o, self.g = self.gate4.swapaxes(0, 1)
         self.factor = factor = take("lstm.factor", (steps, 4, h, batch))
         d_pre = take("lstm.d_pre", (steps, 4, h, batch))
         self.d_pre = d_pre.reshape(steps, 4 * h, batch)
@@ -293,8 +304,6 @@ class _LstmSpace:
         take("lstm.products", (steps, 4 * h, max(n, h)))
         self.x_product = take("lstm.products", (steps, 4 * h, n))
         self.h_product = take("lstm.products", (steps, 4 * h, h))
-        # each gate's factor and its partner in the cell update
-        self.partners = list(zip(factor.swapaxes(0, 1), (self.g, self.cells[:-1], self.tanh_c, i)))
         # (t, dc/dh, da, its factor, the output gate's da and factor, f,
         # da as rows), last step first
         self.backward_steps = [
@@ -321,8 +330,9 @@ class _LstmSpace:
         d_g = factor[:, 3]
         np.multiply(self.g, self.g, out=d_g)
         np.subtract(1.0, d_g, out=d_g)
-        for gate_factor, partner in self.partners:
-            gate_factor *= partner
+        partners = self.partners[:-1]
+        np.copyto(partners[:, ::3], self.gate4[:, ::-3])  # g and i, beside c before and tanh c
+        factor *= partners
         dc_dh = self.dc_dh  # dc/dh through h = o * tanh(c)
         np.multiply(self.tanh_c, self.tanh_c, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
@@ -363,14 +373,15 @@ class Workspace:
     gradient network of :func:`backward`, whose buffers the first backward
     pass takes, so a workspace that only scores holds none.
 
-    Each buffer is a flat float64 array of ``pool``, made by :meth:`take`
-    the first time a pass needs it and enlarged only when a pass needs more.
-    Its views cover its first entries, so a ragged last batch reuses the
-    front of the full batch's memory. What a pass returns is valid until the
-    next pass in the same workspace.
+    Each buffer is a flat array of ``pool``, of the parameters' ``dtype``,
+    made by :meth:`take` the first time a pass needs it and enlarged only
+    when a pass needs more. Its views cover its first entries, so a ragged
+    last batch reuses the front of the full batch's memory. What a pass
+    returns is valid until the next pass in the same workspace.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype: np.dtype) -> None:
+        self.dtype = dtype
         self.pool: dict[str, np.ndarray] = {}
         self.spaces: dict[tuple[int, ...], list[_LstmSpace | _DenseSpace]] = {}  # by input shape
         self.layers: list[_LstmSpace | _DenseSpace] = []  # the last forward pass's spaces
@@ -381,7 +392,7 @@ class Workspace:
         size = math.prod(shape)
         flat = self.pool.get(name)
         if flat is None or flat.size < size:
-            flat = self.pool[name] = np.empty(size)
+            flat = self.pool[name] = np.empty(size, self.dtype)
         return flat[:size].reshape(shape)
 
 
@@ -408,13 +419,14 @@ def forward(
 ) -> tuple[np.ndarray, Workspace]:
     """Run the network on a batch (B, W, N) in ``workspace``, or in a fresh one.
 
-    Returns the (B, N) reconstruction and the workspace, which holds the
-    caches that :func:`backward` consumes. Both live in the workspace's
+    The pass computes in the dtype of ``params.values``, to which ``x`` is
+    cast. Returns the (B, N) reconstruction and the workspace, which holds
+    the caches that :func:`backward` consumes. Both live in the workspace's
     buffers: they are valid until the next pass in the same workspace.
     """
-    act = np.asarray(x, dtype=np.float64)
+    act = np.asarray(x, dtype=params.values.dtype)
     if workspace is None:
-        workspace = Workspace()
+        workspace = Workspace(params.values.dtype)
     spaces = workspace.spaces.get(act.shape)
     if spaces is None:
         # no space keeps a reference to the workspace: that cycle would keep
@@ -475,7 +487,7 @@ def backward(params: NetworkParams, caches: Workspace, target: np.ndarray) -> Ne
 class AdamState:
     """First/second moment accumulators, each one flat buffer laid out like
     NetworkParams.values, and two scratch vectors of that size for the
-    update."""
+    update, all float64."""
 
     moment1: np.ndarray
     moment2: np.ndarray
@@ -497,15 +509,17 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> 
 
     ``grads.values`` is laid out like ``params.values``, so the moments and
     the update take one vectorised pass over every parameter at once, in
-    the state's two scratch vectors. Each operation takes the operands of
-    m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and
-    lr * m_hat / (sqrt(v_hat) + eps) in that order, so every bit is as
-    that formula's.
+    the state's two scratch vectors, the first a float64 copy of the
+    gradient. Each operation takes the operands of m_hat = m / (1 - beta1^t),
+    v_hat = v / (1 - beta2^t) and lr * m_hat / (sqrt(v_hat) + eps) in that
+    order, so every bit is as that formula's.
     """
     state.step += 1
     t = state.step
-    m, v, g = state.moment1, state.moment2, grads.values
+    m, v = state.moment1, state.moment2
     update, root = state.scratch
+    g = root  # until v_hat overwrites it
+    np.copyto(g, grads.values)
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
     v *= ADAM_BETA2
@@ -527,6 +541,10 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> 
 
 IMPROVEMENT_THRESHOLD = 1e-6
 
+# the dtype that training and scoring compute in; the parameter vector, Adam's
+# moments, the best-epoch snapshot and the store stay float64
+COMPUTE_DTYPE = np.float32
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def train_autoencoder(
@@ -539,16 +557,20 @@ def train_autoencoder(
     ``early_stop_patience`` consecutive epochs, and returns ``params``, set
     in place to the parameters of the best (lowest-loss) epoch, together
     with the loss history. ``windows`` is not empty. Values that overflow
-    raise no warning: a loss that is not finite is a TrainingError. Every
-    batch runs in one :class:`Workspace`, which is dropped on return.
+    raise no warning: a loss that is not finite is a TrainingError. Each
+    batch casts the float64 ``params`` into one COMPUTE_DTYPE copy, gathers
+    its windows from a copy of the rows in that dtype and runs in one
+    :class:`Workspace`, which is dropped on return.
     """
+    windows = windows.astype(COMPUTE_DTYPE)
     targets = windows.targets
     count = len(windows)
     rng = np.random.default_rng(cfg.seed)
     best_loss = np.inf
     best = params.values.copy()
     state = init_adam(params, learning_rate=cfg.learning_rate)
-    space = Workspace()
+    compute = NetworkParams(params.specs, params.values.astype(COMPUTE_DTYPE))
+    space = Workspace(COMPUTE_DTYPE)
     history: list[float] = []
     stale_epochs = 0
 
@@ -560,11 +582,12 @@ def train_autoencoder(
             # order keeps float accumulation (and thus runs) bit-stable
             idx = np.sort(order[lo : lo + cfg.batch_size])
             target = targets[idx]
-            out, caches = forward(params, windows.gather(idx), space)
+            np.copyto(compute.values, params.values)
+            out, caches = forward(compute, windows.gather(idx), space)
             loss = mse_loss(out, target)
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged: loss became {loss}")
-            grads = backward(params, caches, target)
+            grads = backward(compute, caches, target)
             adam_step(params, grads, state)
             total += loss * len(idx)
         epoch_loss = total / count

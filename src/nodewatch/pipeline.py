@@ -9,7 +9,7 @@ buckets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class WindowSet:
     def gather(self, index: slice | np.ndarray) -> np.ndarray:
         """(B, W, N): the windows ``index`` picks, in its order."""
         return self.rows[self.ends[index, None] + np.arange(1 - self.window_length, 1)]
+
+    def astype(self, dtype) -> WindowSet:
+        """The same windows over the rows in ``dtype``: a cast copy, or these rows if of it."""
+        return replace(self, rows=self.rows.astype(dtype, copy=False))
 
 
 @dataclass

@@ -221,12 +221,31 @@ class TestDivergence:
     one into an error); a training loss that is not finite exits 3."""
 
     def test_overflowing_network_trains_and_evaluates(self, tmp_path, generated_data):
-        training = {"max_epochs": 2, "learning_rate": 1e100}
+        # steps of ~1e10 leave the parameters finite in float32, but some hidden
+        # values of the float32 passes overflow, while the loss stays finite
+        training = {"max_epochs": 2, "learning_rate": 1e10}
         cfg = tiny_run_config(
             tmp_path, generated_data, methods=["DENSE_un", "RUAD"], training=training
         )
         for command in ("train", "evaluate"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+    def test_parameters_beyond_float32_exit_three_with_one_line(
+        self, tmp_path, generated_data, caplog
+    ):
+        # steps of ~1e100 are finite in the float64 parameters, but inf in the
+        # float32 copy that each batch runs, so the loss is not finite
+        training = {"max_epochs": 2, "learning_rate": 1e100}
+        cfg = tiny_run_config(
+            tmp_path, generated_data, methods=["DENSE_un", "RUAD"], training=training
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert [r.getMessage() for r in errors] == [
+            "training failed: 4 of 4 model instances failed to train, "
+            "first node_000/DENSE_un; see train_log.json"
+        ]
+        assert "Traceback" not in caplog.text and errors[0].exc_info is None
 
     def test_non_finite_loss_exits_three_with_one_line(self, tmp_path, generated_data, caplog):
         training = {"max_epochs": 2, "learning_rate": 1e300}

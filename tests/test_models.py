@@ -248,9 +248,11 @@ class TestScoreNodeModel:
         )
         test = split.test
         series = mdl.score_node_model(model, test)
-        scaled = apply_minmax(model.scaler, test)
-        out, _ = nn.forward(model.network, scaled.features[:, None, :])
-        errors = np.abs(out - scaled.features).sum(axis=1)
+        # scoring computes in float32: the network, the rows and the L1 error
+        rows = apply_minmax(model.scaler, test).features.astype(np.float32)
+        network = nn.NetworkParams(model.network.specs, model.network.values.astype(np.float32))
+        out, _ = nn.forward(network, rows[:, None, :])
+        errors = np.abs(out - rows).sum(axis=1)
         expected = np.minimum(errors / model.max_train_error, 1.0)
         npt.assert_allclose(series.probabilities, expected, atol=1e-12)
 

@@ -10,7 +10,7 @@ variants above clustering. The seeds were fixed before any result was known.
 AUCs at the time of writing, for reference (not gated):
 
     seed  CLU    DENSE_semi  DENSE_un  EXP    RUAD_W10  RUAD_semi_W10
-    1     0.474  0.553       0.558     0.622  0.675     0.814
+    1     0.474  0.553       0.558     0.622  0.676     0.814
     2     0.405  0.714       0.790     0.543  0.845     0.802
     3     0.445  0.493       0.542     0.584  0.625     0.843
 """
