@@ -15,14 +15,16 @@ in the dtype of its parameters; training and scoring run float32 copies
 store keep float64.
 
 Every pass runs in a :class:`Workspace`, one per training run or scoring
-call, whose buffers and step views each batch reuses. A buffer is made the
-first time a pass needs it and enlarged only when a pass needs more, so a
-ragged last batch reuses the front of the full batch's memory. The LSTM
-layers share their within-pass scratch; a workspace that only scores holds
-no backward buffers. What a pass returns lives in the workspace until its
-next pass. The buffers keep the layouts of the arrays they replaced, down to
-one column-major gradient (``dh``): numpy's matmul picks its BLAS call, and
-so the result's last bits, by the layouts of its operands.
+call. A layer takes its buffers when its views for a batch shape are built,
+and its backward buffers in that shape's first backward pass, so a pass
+takes none but the loss gradient and a scoring workspace holds no backward
+buffer. A buffer grows only when taken larger: a ragged last batch reuses
+the front of the full batch's memory. The LSTM layers share only the scratch
+whose size a hidden width and the batch set (worth 4 % of RUAD training and
+5-8 % of its scoring); sharing what an input width or the weights size saved
+nothing. Buffers keep the layouts of the arrays they replaced, down to one
+column-major gradient (``dh``): numpy's matmul picks its BLAS call, and so
+the result's last bits, by the layouts of its operands.
 """
 
 from __future__ import annotations
@@ -166,18 +168,19 @@ def init_params(specs: list[LayerSpec], seed: int) -> NetworkParams:
 
 class _DenseSpace:
     """A dense layer's buffers for one batch size, each named with the
-    layer's index: its (B, features) output, and the gradient buffers that
-    the first backward pass takes."""
+    layer's index: its (B, features) output, taken when the space is built,
+    and the gradient buffers that the first backward pass takes."""
 
-    def __init__(self, idx: int, spec: DenseSpec) -> None:
+    def __init__(self, idx: int, spec: DenseSpec, batch: int, take) -> None:
         self.idx, self.spec = idx, spec
-        self.x = self.out = self.d_pre = self.d_in = None
+        self.out = take(f"{idx}.out", (batch, spec.out_dim))
+        self.x = self.d_pre = self.d_in = None
 
-    def forward(self, layer: DenseLayer, x: np.ndarray, take) -> np.ndarray:
+    def forward(self, layer: DenseLayer, x: np.ndarray) -> np.ndarray:
         # a dense layer that meets a sequence reads its only step: the dense
         # stack's windows are one row long
         self.x = x = x[:, 0] if x.ndim == 3 else x
-        self.out = out = take(f"{self.idx}.out", (len(x), layer.out_dim))
+        out = self.out
         np.matmul(x, layer.weights.T, out=out)
         out += layer.bias
         if layer.activation == "relu":
@@ -213,23 +216,22 @@ class _LstmSpace:
     """An LSTM layer's buffers and step views for one batch shape.
 
     Its buffers are step-major, (W, features, B), so every step and every
-    gate within it is a contiguous block at any batch size. The forward
-    caches and the input gradient outlive the layer's pass and are named
-    with its index; the rest is scratch under ``lstm.`` names, which the
-    LSTM layers share, as they run one after another.
+    gate within it is a contiguous block at any batch size. The LSTM layers
+    run one after another and share, under ``lstm.`` names, the scratch whose
+    size a hidden width and the batch set; the first layer, the wider, sizes it.
+    Every other buffer is the layer's own, named with its index.
     """
 
     def __init__(self, idx: int, spec: LstmSpec, batch: int, steps: int, take) -> None:
         h, n = spec.hidden_dim, spec.in_dim
         self.idx, self.spec = idx, spec
-        # taken first at a size that the next, narrower LSTM layer fits in, as
-        # lstm.products is, so this layer's view does not pin an outgrown array
-        take("lstm.w_scaled", (4 * h, max(n, h)))
-        self.w_scaled = take("lstm.w_scaled", (4 * h, n))
+        # the network's input is batch-major; an LSTM layer below gives step-major input
+        self.step_major = take(f"{idx}.x", (steps, n, batch)) if idx == 0 else None
+        self.w_scaled = take(f"{idx}.w_scaled", (4 * h, n))
         scale = np.array([[0.5], [1.0]], self.w_scaled.dtype)
         self.scale = np.repeat(scale, (3 * h, h), axis=0)  # halves the sigmoid gates
-        self.u_scaled = take("lstm.u_scaled", (4 * h, h))
-        self.b_scaled = take("lstm.b_scaled", (4 * h, 1))
+        self.u_scaled = take(f"{idx}.u_scaled", (4 * h, h))
+        self.b_scaled = take(f"{idx}.b_scaled", (4 * h, 1))
         self.recurrent = take("lstm.recurrent", (4 * h, batch))
         self.candidate = take("lstm.candidate", (h, batch))
         self.gates = gates = take(f"{idx}.gates", (steps, 4 * h, batch))
@@ -249,18 +251,17 @@ class _LstmSpace:
         ]
         self.x = self.d_pre = self.d_in = None
 
-    def forward(self, layer: LstmLayer, x: np.ndarray, take) -> np.ndarray:
+    def forward(self, layer: LstmLayer, x: np.ndarray) -> np.ndarray:
         """Run the recurrence over a (B, W, N) batch.
 
         All four gates are activated by one tanh per step: the sigmoid
         gates' pre-activations are halved (an exact scaling, folded into the
         weights) and sigmoid(a) = 0.5 * (1 + tanh(a / 2)).
         """
-        x = x.transpose(1, 2, 0)  # (W, N, B), as an LSTM layer below gives it
-        if not x.flags.c_contiguous:
-            step_major = take(f"{self.idx}.x", x.shape)
-            np.copyto(step_major, x)
-            x = step_major
+        x = x.transpose(1, 2, 0)  # (W, N, B)
+        if self.step_major is not None:
+            np.copyto(self.step_major, x)
+            x = self.step_major
         np.multiply(layer.w, self.scale, out=self.w_scaled)
         np.matmul(self.w_scaled, x, out=self.gates)  # (W, 4H, B), bias added below
         self.gates += np.multiply(layer.b[:, None], self.scale, out=self.b_scaled)
@@ -299,11 +300,9 @@ class _LstmSpace:
         self.dc = take("lstm.dc", (h, batch))
         self.dc_step = take("lstm.dc_step", (h, batch))
         self.bias_rows = take("lstm.bias_rows", (4 * h, batch))
-        self.u_t = take("lstm.u_t", (h, 4 * h))
-        # the weight gradients' products share one buffer, taken larger first
-        take("lstm.products", (steps, 4 * h, max(n, h)))
-        self.x_product = take("lstm.products", (steps, 4 * h, n))
-        self.h_product = take("lstm.products", (steps, 4 * h, h))
+        self.u_t = take(f"{self.idx}.u_t", (h, 4 * h))
+        self.x_product = take(f"{self.idx}.x_product", (steps, 4 * h, n))
+        self.h_product = take(f"{self.idx}.h_product", (steps, 4 * h, h))
         # (t, dc/dh, da, its factor, the output gate's da and factor, f,
         # da as rows), last step first
         self.backward_steps = [
@@ -312,7 +311,7 @@ class _LstmSpace:
             for t in range(steps - 1, -1, -1)
         ]
         if input_grad:
-            self.w_t = take("lstm.w_t", (n, 4 * h))
+            self.w_t = take(f"{self.idx}.w_t", (n, 4 * h))
             self.d_in = take(f"{self.idx}.d_in", (steps, n, batch))
 
     def backward(self, layer: LstmLayer, grad: LstmLayer, d_out: np.ndarray) -> np.ndarray | None:
@@ -367,15 +366,14 @@ class _LstmSpace:
 
 
 class Workspace:
-    """The buffers every pass of one network runs in: each layer's forward
-    caches and step views, built once per input shape; the within-pass
-    scratch, which the LSTM layers share; the loss gradient and the
+    """The buffers every pass of one network runs in: each layer's buffers
+    and step views, built once per input shape; the loss gradient and the
     gradient network of :func:`backward`, whose buffers the first backward
     pass takes, so a workspace that only scores holds none.
 
     Each buffer is a flat array of ``pool``, of the parameters' ``dtype``,
-    made by :meth:`take` the first time a pass needs it and enlarged only
-    when a pass needs more. Its views cover its first entries, so a ragged
+    made by :meth:`take` the first time it is taken and enlarged only when
+    it is taken larger. Its views cover its first entries, so a ragged
     last batch reuses the front of the full batch's memory. What a pass
     returns is valid until the next pass in the same workspace.
     """
@@ -434,11 +432,11 @@ def forward(
         batch, steps = len(act), act.shape[1] if act.ndim == 3 else 1
         spaces = workspace.spaces[act.shape] = [
             _LstmSpace(idx, spec, batch, steps, workspace.take) if isinstance(spec, LstmSpec)
-            else _DenseSpace(idx, spec)
+            else _DenseSpace(idx, spec, batch, workspace.take)
             for idx, spec in enumerate(params.specs)
         ]
     for layer, space in zip(params.layers, spaces):
-        act = space.forward(layer, act, workspace.take)
+        act = space.forward(layer, act)
     workspace.layers = spaces
     return act, workspace
 
@@ -456,17 +454,15 @@ def backward(params: NetworkParams, caches: Workspace, target: np.ndarray) -> Ne
     as the gradient network of the workspace ``caches``, laid out like
     ``params``. ``caches`` must hold a :func:`forward` pass of ``params``,
     and ``target`` is the (B, N) batch of targets. The gradients are valid
-    until the next backward pass in the same workspace.
+    until the next backward pass in the same workspace. Each pass takes the
+    loss gradient's buffer; a batch shape's first takes every layer's too.
     """
     spaces = caches.layers
     output = spaces[-1].out
     if caches.grads is None:
         caches.grads = NetworkParams(params.specs, caches.take("grads", params.values.shape))
     if spaces[0].d_pre is None:
-        # this batch shape's first backward pass takes every layer's buffers,
-        # in layer order: the first LSTM layer, the widest, sizes the scratch
-        # they share before the second's views pin an array it would outgrow.
-        # Nothing reads the gradient with respect to the network input.
+        # nothing reads the gradient with respect to the network input
         for idx, space in enumerate(spaces):
             space.take_backward(caches.take, input_grad=idx > 0)
     d_act = caches.take("d_loss", output.shape)

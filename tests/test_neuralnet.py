@@ -506,15 +506,15 @@ class TestWorkspace:
         """After a run's first epoch (which builds the workspace, the views of
         both batch sizes and Adam's scratch), a further epoch's traced
         allocation peak stays under twice one gathered batch: 64 windows of
-        10 rows of 32 floats, 160 KiB. The batch's targets and the loss's
-        temporaries are (64, 32) floats, 16 KiB each; this epoch peaks near
-        230 KB. An engine that allocates its caches, gradients and Adam's
-        temporaries per batch peaks at 1.49 MB here."""
+        10 rows of 32 float32s, 80 KiB, so 160 KiB. The batch's targets and
+        the loss's temporaries are (64, 32) float32s, 8 KiB each; this epoch
+        peaks near 118 KB (115.5 KiB). An engine that allocates its caches,
+        gradients and Adam's temporaries per batch peaks near 1.15 MB here."""
         windows = windows_over_rows(rng.uniform(size=(700, 32)), 10)
         assert len(windows) == 691  # ten full batches of 64 and one of 51
         cfg = nn.TrainingConfig(learning_rate=0.01, batch_size=64, max_epochs=2, seed=3)
         batches_per_epoch = 11
-        gathered = 64 * 10 * 32 * 8
+        gathered = 64 * 10 * 32 * 4
         adam_step, steps, start = nn.adam_step, [], []
 
         def marking_adam_step(params, grads, state):
@@ -571,18 +571,47 @@ class TestWorkspace:
             monkeypatch, windows_over_rows(rng.uniform(size=(140, 32)), 10)
         )
         for first, second, *_ in space.spaces.values():
-            for name in ("factor", "d_pre", "dc_dh", "dh", "x_product", "h_product"):
+            for name in ("factor", "d_pre", "dc_dh", "dh"):
                 assert np.shares_memory(getattr(first, name), getattr(second, name)), name
 
-    def test_both_lstm_layers_view_the_one_pooled_scaled_weights(self, rng):
-        """At 6 features, the second LSTM layer's (32, 16) scaled weights
-        outsize the first's (64, 6); both layers still view the one array the
-        pool holds, and the first pins no older one."""
-        params = nn.init_params(mdl.layer_specs(mdl.ModelSpec("ruad", 6, 4)), seed=1)
-        _, space = nn.forward(params, rng.uniform(size=(8, 4, 6)))
-        pooled = space.pool["lstm.w_scaled"]
-        for layer in space.layers[:2]:
-            assert np.shares_memory(layer.w_scaled, pooled)
+    def test_every_view_a_run_takes_lies_in_the_pooled_array(self, monkeypatch, rng):
+        """At 6 features, narrower than the first LSTM layer's 16 units, and
+        with a last batch of 3 windows, every view a training run takes lies
+        in the array its name holds in the pool at the end: no view pins an
+        array that a later take outgrew."""
+        taken, take = [], nn.Workspace.take
+
+        def recording_take(space, name, shape):
+            taken.append((name, take(space, name, shape)))
+            return taken[-1][1]
+
+        monkeypatch.setattr(nn.Workspace, "take", recording_take)
+        windows = windows_over_rows(rng.uniform(size=(70, 6)), 4)
+        assert len(windows) % 8 == 3
+        _, space = self.train_in_workspace(monkeypatch, windows, batch_size=8)
+        assert {name for name, _ in taken} == set(space.pool)
+        for name, view in taken:
+            assert np.shares_memory(view, space.pool[name]), name
+
+    @pytest.mark.parametrize("kind, window", [("ruad", 10), ("dense", 1)])
+    def test_a_forward_pass_takes_no_buffer(self, kind, window, monkeypatch, rng):
+        """Once a batch shape's spaces exist, forward passes of that shape,
+        here of 64 windows and of 3, take no buffer from the workspace."""
+        params = nn.init_params(mdl.layer_specs(mdl.ModelSpec(kind, 32, window)), seed=4)
+        space = nn.Workspace(params.values.dtype)
+        batches = [rng.uniform(size=(batch, window, 32)) for batch in (64, 3)]
+        for x in batches:
+            nn.forward(params, x, space)
+        taken, take = [], nn.Workspace.take
+
+        def counting_take(workspace, name, shape):
+            taken.append(name)
+            return take(workspace, name, shape)
+
+        monkeypatch.setattr(nn.Workspace, "take", counting_take)
+        for x in batches:
+            nn.forward(params, x, space)
+        assert taken == []
 
     def test_a_scoring_workspace_holds_no_backward_buffer(self, monkeypatch, rng):
         """The workspace of a scoring call holds no gradient and no buffer of
